@@ -16,6 +16,7 @@ from repro.exp.results import CoverageStudyResult
 from repro.exp.runner import evaluate_protection, generate_eval_inputs
 from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.util.rng import derive_seed
+from repro.vm.batch import engine_scope
 
 __all__ = ["run_fig2_study"]
 
@@ -31,7 +32,11 @@ def run_fig2_study(
     """
     study = CoverageStudyResult(technique="sid", scale=scale.name)
     apps = scale.apps if scale.apps is not None else tuple(all_app_names())
-    with cache_scope(scale.cache_dir):
+    # The engine scope reaches classic_sid's per-instruction sweeps too,
+    # not only the evaluation campaigns.
+    with cache_scope(scale.cache_dir), engine_scope(
+        scale.engine, scale.batch_size
+    ):
         return _run_fig2_apps(scale, study, apps, measure_duplication)
 
 

@@ -16,6 +16,7 @@ from repro.minpsid.ga import GAConfig
 from repro.minpsid.pipeline import MINPSIDConfig, minpsid
 from repro.minpsid.search import InputSearchConfig
 from repro.util.rng import derive_seed
+from repro.vm.batch import engine_scope
 
 __all__ = ["minpsid_config_for", "run_fig6_study"]
 
@@ -54,6 +55,13 @@ def run_fig6_study(
     """
     study = CoverageStudyResult(technique="minpsid", scale=scale.name)
     apps = scale.apps if scale.apps is not None else tuple(all_app_names())
+    # The engine scope reaches MINPSID's search sweeps too, not only the
+    # evaluation campaigns.
+    with engine_scope(scale.engine, scale.batch_size):
+        return _run_fig6_apps(scale, study, apps, measure_duplication)
+
+
+def _run_fig6_apps(scale, study, apps, measure_duplication):
     for app_name in apps:
         app = get_app(app_name)
         inputs = generate_eval_inputs(

@@ -36,6 +36,26 @@ def resolve_level(verbose: int = 0, log_level: str | None = None) -> int:
     return logging.WARNING
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler that writes to ``sys.stderr`` as it is at emit time.
+
+    Binding the object current at configuration time breaks once that
+    object is closed (a test harness's capture stream, say): every later
+    record would print ``--- Logging error ---`` and be lost.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(sys.stderr)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass  # always the current sys.stderr
+
+
 def configure_logging(
     verbose: int = 0,
     log_level: str | None = None,
@@ -43,10 +63,13 @@ def configure_logging(
 ) -> logging.Logger:
     """Install a stderr handler on the ``repro`` logger and set its level.
 
-    Idempotent: reconfiguring replaces the previous handler, so repeated CLI
-    invocations in one process (the test suite) never stack handlers.
+    Without an explicit ``stream`` the handler looks ``sys.stderr`` up on
+    every record. Idempotent: reconfiguring replaces the previous handler,
+    so repeated CLI invocations in one process (the test suite) never stack
+    handlers.
     """
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = (logging.StreamHandler(stream) if stream is not None
+               else _StderrHandler())
     handler.setFormatter(
         logging.Formatter("[repro] %(levelname)s %(name)s: %(message)s")
     )

@@ -29,8 +29,9 @@ Dirty operands take one of two tiers:
   XOR-bias signed compares, hardware float ops shared with CPython);
 - **scalar fixup**: ops whose CPython result can differ from numpy in bits
   (div/rem/shift traps, libm calls, huge-float casts, 0-divisor fdiv NaN
-  payloads) are computed with the *interpreter's own formulas* on exactly
-  the rows whose operands differ from golden.
+  payloads) are computed with the scalar formulas of :mod:`repro.vm.ops`,
+  the ones the compile tier's generated code calls, on exactly the rows
+  whose operands differ from golden.
 
 The detach invariant
 --------------------
@@ -72,11 +73,6 @@ construction*: every value a row ever observes is either the golden value
 (shared), computed by the same formula (vectorized/fixup tiers), or
 produced by the scalar interpreter itself (detached tail).
 
-numpy is an optional dependency of this module only; importing it is
-deferred and :func:`run_trials_lockstep`/:func:`resolve_engine` raise
-:class:`~repro.errors.ConfigError` when the batch engine is requested
-without numpy installed.
-
 Sticky host faults are scalar-only
 ----------------------------------
 The amortization above assumes trials diverge from the golden trace
@@ -97,10 +93,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-try:  # numpy is required for the batch engine only — gate, don't demand.
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
+import numpy as _np
 
 from repro.errors import (
     ArithmeticTrap,
@@ -113,15 +106,10 @@ from repro.errors import (
 )
 from repro.obs.core import current as _obs_current
 from repro.obs.spans import span as _span
-from repro.util.bitops import (
-    flip_value,
-    float32_from_bits,
-    float64_from_bits,
-    float64_to_bits,
-)
+from repro.util.bitops import flip_value, float64_to_bits
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
-from repro.vm.interpreter import _f32
 from repro.vm.memory import SEG_MASK, SEG_SHIFT
+from repro.vm.ops import coerce_load, f32, fdiv, fmath, int_op
 
 __all__ = [
     "ENGINES",
@@ -159,16 +147,10 @@ _M64 = (1 << 64) - 1
 _SCOPE: list = []
 
 
-def _numpy_ok() -> bool:
-    return _np is not None
-
-
 def resolve_engine(engine: str | None = None) -> str:
     """Resolve the campaign engine: explicit > ambient scope > env > default.
 
-    Raises :class:`ConfigError` for unknown names, and for ``batch`` when
-    numpy is unavailable — the caller gets a configuration-time error
-    instead of a mid-campaign import failure.
+    Raises :class:`ConfigError` for unknown names.
     """
     if engine is None:
         for eng, _size in reversed(_SCOPE):
@@ -181,8 +163,6 @@ def resolve_engine(engine: str | None = None) -> str:
         raise ConfigError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
-    if engine == "batch" and not _numpy_ok():
-        raise ConfigError("engine 'batch' requires numpy, which is not installed")
     return engine
 
 
@@ -363,68 +343,6 @@ class _RowMem(dict):
     def materialize(self) -> dict:
         """A plain, fully private dict (for Snapshot/resume consumers)."""
         return {seg: self[seg] for seg in self.base}
-
-
-def _int_op_scalar(op: int, a: int, b: int, d: list) -> int:
-    """The scalar interpreter's exact formula for fixup-tier integer ops."""
-    mask = d[7]
-    if op == 10:
-        return (a << b) & mask if b < d[8] else 0
-    if op == 11:
-        return a >> b if b < d[8] else 0
-    if op == 12:
-        w, sign = d[8], d[9]
-        sa = a - (1 << w) if a & sign else a
-        return (sa >> b if b < w else (sa >> (w - 1))) & mask
-    if op == 3 or op == 5:  # sdiv / srem
-        w, sign = d[8], d[9]
-        sa = a - (1 << w) if a & sign else a
-        sb = b - (1 << w) if b & sign else b
-        if sb == 0:
-            raise ArithmeticTrap("signed division by zero")
-        q, r = divmod(abs(sa), abs(sb))
-        if op == 3:
-            return (-q if (sa < 0) != (sb < 0) else q) & mask
-        return (-r if sa < 0 else r) & mask
-    if b == 0:
-        raise ArithmeticTrap("unsigned division by zero")
-    return (a // b if op == 4 else a % b) & mask
-
-
-def _fdiv_scalar(a: float, b: float) -> float:
-    """The scalar interpreter's fdiv, including its 0-divisor NaN payloads."""
-    if b == 0.0:
-        if a == 0.0 or a != a:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    try:
-        return a / b
-    except OverflowError:  # pragma: no cover - float operands never raise
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def _fmath_scalar(x: float, fn: int) -> float:
-    """The scalar interpreter's fmath formulas (libm via CPython's math)."""
-    if fn == 0:
-        return math.sqrt(x) if x >= 0.0 else math.nan
-    if fn == 1:
-        return math.sin(x) if -1e18 < x < 1e18 else math.nan
-    if fn == 2:
-        return math.cos(x) if -1e18 < x < 1e18 else math.nan
-    if fn == 3:
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-    if fn == 4:
-        if x > 0.0:
-            return math.log(x)
-        if x == 0.0:
-            return -math.inf
-        return math.nan
-    if fn == 5:
-        return abs(x)
-    return math.floor(x) if math.isfinite(x) else x
 
 
 def _sneq(a, b) -> bool:
@@ -836,7 +754,7 @@ class _BatchRun:
                         elif op == 9:
                             val = a ^ b
                         else:
-                            val = _int_op_scalar(op, a, b, d)
+                            val = int_op(op, a, b, d)
                     elif op <= 16:
                         a = d[4] if d[3] == 0 else slots[d[4]]
                         b = d[6] if d[5] == 0 else slots[d[6]]
@@ -847,9 +765,9 @@ class _BatchRun:
                         elif op == 15:
                             val = a * b
                         else:
-                            val = _fdiv_scalar(a, b)
+                            val = fdiv(a, b)
                         if d[7]:
-                            val = _f32(val)
+                            val = f32(val)
                     elif op == 17:
                         a = d[4] if d[3] == 0 else slots[d[4]]
                         b = d[6] if d[5] == 0 else slots[d[6]]
@@ -865,9 +783,9 @@ class _BatchRun:
                         val = tv if c else fv
                     elif op == 20:
                         x = d[4] if d[3] == 0 else slots[d[4]]
-                        val = _fmath_scalar(x, d[5])
+                        val = fmath(x, d[5])
                         if d[6]:
-                            val = _f32(val)
+                            val = f32(val)
                     elif op <= 29:
                         x = d[4] if d[3] == 0 else slots[d[4]]
                         val, _ = self._cast(op, d, x, None)
@@ -877,7 +795,7 @@ class _BatchRun:
                         off = addr & SEG_MASK
                         if cells is None or off >= len(cells):
                             raise MemoryFault(f"load from {addr:#x}")
-                        val = self._coerce_load_scalar(cells[off], d[5], d[6])
+                        val = coerce_load(cells[off], d[5], d[6])
                     elif op == 32:  # store
                         v = d[4] if d[3] == 0 else slots[d[4]]
                         addr = d[6] if d[5] == 0 else slots[d[6]]
@@ -1224,21 +1142,6 @@ class _BatchRun:
             )
         return col
 
-    @staticmethod
-    def _coerce_load_scalar(val, want: int, mask: int):
-        """The scalar interpreter's load type-reinterpretation, verbatim."""
-        if want == 0:
-            if type(val) is float:
-                return float64_to_bits(val) & mask
-            return val
-        if want == 1:
-            if type(val) is int:
-                return float64_from_bits(val & _M64)
-            return val
-        if type(val) is int:
-            return float32_from_bits(val & 0xFFFFFFFF)
-        return val
-
     def _load(self, d, gaddr, acol, dfn, gslots, cols):
         """Execute a load: golden value + result column; divergent-address
         rows read their own cells in lockstep (per-row), invalid addresses
@@ -1250,7 +1153,7 @@ class _BatchRun:
         # golden run completed.
         raw = cells[off]
         want, mask = d[5], d[6]
-        gval = self._coerce_load_scalar(raw, want, mask)
+        gval = coerce_load(raw, want, mask)
 
         dv = None
         if acol is not None:
@@ -1283,7 +1186,7 @@ class _BatchRun:
             rmc = self.mem_cols.get(addr)
             if rmc is not None:
                 v = self._row_val(r, v, rmc)
-            col[r] = self._coerce_load_scalar(v, want, mask)
+            col[r] = coerce_load(v, want, mask)
         if self._settled(col, gval):
             return gval, None
         return gval, col
@@ -1432,7 +1335,7 @@ class _BatchRun:
             a = int(ca[r]) if ca is not None else ga
             b = int(cb[r]) if cb is not None else gb
             try:
-                col[r] = _int_op_scalar(op, a, b, d)
+                col[r] = int_op(op, a, b, d)
             except ArithmeticTrap as t:
                 self._finalize_trap(r, t)
         return col
@@ -1454,7 +1357,7 @@ class _BatchRun:
             if zero.any():
                 for r in _np.nonzero(zero)[0]:
                     r = int(r)
-                    col[r] = _fdiv_scalar(float(A[r]), float(B[r]))
+                    col[r] = fdiv(float(A[r]), float(B[r]))
         if d[7]:
             col = col.astype(_np.float32).astype(self._F64)
         return col
@@ -1715,7 +1618,7 @@ class _BatchRun:
                     elif op == 9:
                         val = a ^ b
                     else:
-                        val = _int_op_scalar(op, a, b, d)
+                        val = int_op(op, a, b, d)
                     ca, cb = self._operand_cols(d, gslots, cols)
                     if ca is not None or cb is not None:
                         col = self._int_col(op, d, a, b, ca, cb, val)
@@ -1729,9 +1632,9 @@ class _BatchRun:
                     elif op == 15:
                         val = a * b
                     else:
-                        val = _fdiv_scalar(a, b)
+                        val = fdiv(a, b)
                     if d[7]:
-                        val = _f32(val)
+                        val = f32(val)
                     ca, cb = self._operand_cols(d, gslots, cols)
                     if ca is not None or cb is not None:
                         col = self._float_col(op, d, a, b, ca, cb)
@@ -1768,16 +1671,16 @@ class _BatchRun:
                         col = _np.where(C != self._U64(0), T, F)
                 elif op == 20:  # fmath ----------------------------------
                     x = d[4] if d[3] == 0 else gslots[d[4]]
-                    val = _fmath_scalar(x, d[5])
+                    val = fmath(x, d[5])
                     if d[6]:
-                        val = _f32(val)
+                        val = f32(val)
                     cx = None if d[3] == 0 else cols[d[4]]
                     if cx is not None:
                         col = self._bcast(val)
                         for r in _np.nonzero(self._neq(cx, x))[0]:
                             r = int(r)
-                            v = _fmath_scalar(float(cx[r]), d[5])
-                            col[r] = _f32(v) if d[6] else v
+                            v = fmath(float(cx[r]), d[5])
+                            col[r] = f32(v) if d[6] else v
                 elif op <= 29:  # casts ----------------------------------
                     x = d[4] if d[3] == 0 else gslots[d[4]]
                     cx = None if d[3] == 0 else cols[d[4]]
@@ -2037,7 +1940,7 @@ class _BatchRun:
             sign = 1 << (sw - 1)
             val = float(x - (1 << sw)) if x & sign else float(x)
             if d[6] == 32:
-                val = _f32(val)
+                val = f32(val)
             if cx is not None:
                 if sw >= 64:
                     ext = cx
@@ -2050,7 +1953,7 @@ class _BatchRun:
         elif op == 27:  # uitofp
             val = float(x)
             if d[6] == 32:
-                val = _f32(val)
+                val = f32(val)
             if cx is not None:
                 col = cx.astype(F64)
                 if d[6] == 32:
@@ -2059,7 +1962,7 @@ class _BatchRun:
             val = x
             col = cx
         else:  # fptrunc
-            val = _f32(x)
+            val = f32(x)
             if cx is not None:
                 col = cx.astype(_np.float32).astype(F64)
         return val, col
@@ -2096,8 +1999,6 @@ def run_trials_lockstep(
     for row i — the same observables the scalar injector classifies — and
     ``stats`` is a :class:`BatchStats`.
     """
-    if _np is None:
-        raise ConfigError("the batch engine requires numpy, which is not installed")
     if not faults:
         return [], BatchStats()
     run = _BatchRun(

@@ -1,12 +1,20 @@
-"""The IR interpreter.
+"""The IR interpreter: decoding, run state, and the execution entry points.
 
 A module is *decoded* once into flat per-instruction lists (integer opcode,
 pre-resolved operand slots/constants, pre-computed masks) and then executed
-repeatedly — fault-injection campaigns run the same :class:`Program` thousands
-of times. Following the profiling-first HPC guidance, the hot loop is a single
-``while``/``if-elif`` dispatch over small lists with local-variable caching;
-profiling hooks and the fault hook are one-comparison guards so unfaulted,
-unprofiled runs (the overwhelming majority) pay almost nothing.
+repeatedly — fault-injection campaigns run the same :class:`Program`
+thousands of times. Every entry point (:meth:`Program.run` for plain,
+faulty, profiled and sticky runs, :meth:`Program.run_checkpointed`, and
+:meth:`Program.resume`) executes on the compile tier
+(:mod:`repro.vm.compiler`), which turns each decoded basic block into a
+generated Python function the first time it runs. The decoded tables stay
+the one description of the program: the compile tier generates from them,
+and the batch engine (:mod:`repro.vm.batch`) replays them directly.
+
+``Program._exec_fn`` is the original ``while``/``if``-``elif`` loop over the
+decoded lists. No production path calls it. It remains as the reference
+interpreter that the differential tests hold the compile tier to, bit for
+bit, entry point by entry point.
 
 Fault model hook
 ----------------
@@ -38,7 +46,9 @@ from repro.ir.values import Argument, Constant, GlobalArray
 from repro.obs.core import current as _obs_current
 from repro.util.bitops import flip_value
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
+from repro.vm.compiler import CompiledProgram
 from repro.vm.memory import MAX_SEGMENT_ELEMS, SEG_MASK, SEG_SHIFT
+from repro.vm.ops import f32 as _f32
 
 __all__ = ["Program", "RunResult", "FaultSpec", "INJECTABLE_OPCODES"]
 
@@ -80,7 +90,6 @@ _ICMP_PRED = {"eq": 0, "ne": 1, "slt": 2, "sle": 3, "sgt": 4, "sge": 5,
 _FCMP_PRED = {"oeq": 0, "one": 1, "olt": 2, "ole": 3, "ogt": 4, "oge": 5}
 _FMATH = {"sqrt": 0, "sin": 1, "cos": 2, "exp": 3, "log": 4, "fabs": 5, "floor": 6}
 
-_pack_f = struct.Struct("<f").pack
 _unpack_f = struct.Struct("<f").unpack
 _pack_d = struct.Struct("<d").pack
 _unpack_Q = struct.Struct("<Q").unpack
@@ -93,14 +102,6 @@ _M64 = (1 << 64) - 1
 
 #: Sentinel for "no block event pending" — never reached by real step counts.
 _NEVER = 1 << 62
-
-
-def _f32(x: float) -> float:
-    """Round a Python float to binary32 precision."""
-    try:
-        return _unpack_f(_pack_f(x))[0]
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _note_run(
@@ -219,6 +220,7 @@ class _RunState:
         "sticky",
         "counts", "edges", "paths", "path_stack",
         "event_at", "ckpt", "conv", "conv_idx", "shadow",
+        "tbl", "ct", "rv",
     )
 
     def __init__(self) -> None:
@@ -251,6 +253,11 @@ class _RunState:
         self.conv: list[Snapshot] | None = None
         self.conv_idx = 0
         self.shadow: list | None = None
+        # Compile tier: the run's gid-indexed block-function table, the
+        # CompiledProgram that fills it, and the last ret value.
+        self.tbl: list | None = None
+        self.ct: CompiledProgram | None = None
+        self.rv = None
 
 
 class _CkptState:
@@ -360,6 +367,8 @@ class Program:
                     self.flip_info[instr.iid] = (0, t.width)
         self.functions: dict[str, _DecodedFunction] = {}
         self._decode()
+        # Built on the first execution, never here: see repro.vm.compiler.
+        self._compiled: CompiledProgram | None = None
 
     # ------------------------------------------------------------------
     # Decoding
@@ -633,7 +642,7 @@ class Program:
             state.event_at = convergence[0].steps
             state.shadow = []
         try:
-            self._exec_fn(main, coerced, state)
+            self._execute(main, coerced, state)
         except _Converged as c:
             _note_run(state, faulty=True, converged=True)
             return self._converged_result(state, c)
@@ -726,7 +735,7 @@ class Program:
         state.ckpt = ck
         state.shadow = []
         state.event_at = interval
-        self._exec_fn(main, coerced, state)
+        self._execute(main, coerced, state)
         _note_run(state)
         t = _obs_current()
         if t is not None:
@@ -792,7 +801,7 @@ class Program:
                 for f in frames[:-1]
             ]
         try:
-            self._exec_fn(frames[0].dfn, None, state, resume=(frames, 0))
+            self._execute(frames[0].dfn, None, state, resume=(frames, 0))
         except _Converged as c:
             _note_restore(state, snapshot.steps, converged=True,
                           faulty=fault is not None)
@@ -802,6 +811,15 @@ class Program:
             output=state.output, steps=state.steps, fault_fired=state.f_fired
         )
 
+    def _execute(self, dfn, args, state: _RunState, resume=None):
+        """Run ``dfn`` on the compile tier (``_exec_fn``'s contract)."""
+        ct = self._compiled
+        if ct is None:
+            ct = self._compiled = CompiledProgram(
+                self.functions, self.flip_info, Program._block_event
+            )
+        return ct.execute(dfn, args, state, resume)
+
     def _flip(self, val, iid: int, bit: int):
         """Apply the single-bit flip to a just-computed return value."""
         kind, width = self.flip_info[iid]
@@ -810,7 +828,8 @@ class Program:
     # ------------------------------------------------------------------
     # Block events: checkpoint capture & convergence pruning (cold path)
     # ------------------------------------------------------------------
-    def _block_event(self, state: _RunState, dfn, blk, prev_gid: int, slots):
+    @staticmethod
+    def _block_event(state: _RunState, dfn, blk, prev_gid: int, slots):
         """Handle a block-entry event: capture a snapshot or test convergence.
 
         Runs only when ``state.steps`` crossed ``state.event_at`` — never on
@@ -859,13 +878,14 @@ class Program:
             # Not aligned with this oracle (or the flip is still pending —
             # before it fires the state matches golden trivially).
             return
-        if self._state_matches(snap, state, dfn, blk, prev_gid, slots):
+        if Program._state_matches(snap, state, dfn, blk, prev_gid, slots):
             raise _Converged(snap)
         state.conv_idx = i + 1
         state.event_at = conv[i + 1].steps if i + 1 < n else _NEVER
 
+    @staticmethod
     def _state_matches(
-        self, snap: Snapshot, state: _RunState, dfn, blk, prev_gid: int, slots
+        snap: Snapshot, state: _RunState, dfn, blk, prev_gid: int, slots
     ) -> bool:
         """Is the reachable state bit-identical to a golden snapshot?
 
@@ -911,6 +931,10 @@ class Program:
         resume: tuple | None = None,
     ):
         """Execute one function body; returns the ret operand value or None.
+
+        The reference interpreter: production runs go through
+        :meth:`_execute` (the compile tier); the differential tests run
+        this loop to check it.
 
         ``resume`` is ``(frames, index)``: restore this frame from
         ``frames[index]`` instead of starting at the entry block. A frame

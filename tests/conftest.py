@@ -8,6 +8,8 @@ the suite fast.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.apps import all_app_names, get_app
@@ -15,6 +17,26 @@ from repro.ir.builder import Builder
 from repro.ir.module import Module
 from repro.ir.types import F64, I64, VOID
 from repro.vm.interpreter import Program
+
+
+class ReferenceProgram(Program):
+    """A ``Program`` that executes on the reference ``if``-chain interpreter.
+
+    Production code always runs the compile tier (:mod:`repro.vm.compiler`);
+    the differential tests compare it against this oracle, entry point by
+    entry point.
+    """
+
+    _execute = Program._exec_fn
+
+
+def bits(values) -> list:
+    """Values with floats replaced by their binary64 encoding, so equality
+    is bit equality (NaN payloads, -0.0) and int/float never conflate."""
+    return [
+        ("f", struct.pack("<d", v)) if type(v) is float else (type(v).__name__, v)
+        for v in values
+    ]
 
 
 def build_sum_squares_module(size: int = 32) -> Module:

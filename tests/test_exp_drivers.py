@@ -80,6 +80,43 @@ class TestResults:
         assert study.average_loss_fraction(0.3) == 0.0
 
 
+class TestEngineScope:
+    def test_scale_engine_reaches_every_campaign(self, monkeypatch):
+        """``ScaleConfig.engine`` alone, with no caller scope and no cache,
+        sends every campaign of both studies to the lockstep engine: the
+        SID and MINPSID sweeps as well as the evaluation campaigns."""
+        import repro.fi.campaign as campaign
+        from repro.exp.fig2 import run_fig2_study
+        from repro.exp.fig6 import run_fig6_study
+
+        for var in ("REPRO_ENGINE", "REPRO_CACHE_DIR", "REPRO_WORKERS"):
+            monkeypatch.delenv(var, raising=False)
+        lockstep_calls = []
+        reached = []
+        real_lockstep = campaign.run_trials_lockstep
+        real_dispatch = campaign._dispatch_sites
+
+        def lockstep(*args, **kwargs):
+            lockstep_calls.append(1)
+            return real_lockstep(*args, **kwargs)
+
+        def dispatch(program, sites, *args, **kwargs):
+            before = len(lockstep_calls)
+            out = real_dispatch(program, sites, *args, **kwargs)
+            reached.append(not sites or len(lockstep_calls) > before)
+            return out
+
+        monkeypatch.setattr(campaign, "run_trials_lockstep", lockstep)
+        monkeypatch.setattr(campaign, "_dispatch_sites", dispatch)
+        scale = MICRO.with_(apps=("bfs",), eval_inputs=1, campaign_faults=10,
+                            per_instr_trials=1, search_per_instr_trials=1,
+                            ga_population=2, engine="batch")
+        run_fig2_study(scale)
+        run_fig6_study(scale)
+        assert len(reached) >= 5
+        assert all(reached)
+
+
 class TestDrivers:
     def test_fig2(self):
         from repro.exp.fig2 import run_fig2_study

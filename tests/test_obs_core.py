@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 import time
 
 import pytest
@@ -370,3 +371,22 @@ class TestLogging:
             configure_logging(verbose=0, stream=io.StringIO())
         assert "hello 7" in buf.getvalue()
         assert "[repro]" in buf.getvalue()
+
+    def test_default_handler_follows_current_stderr(self, capsys):
+        # A capture stream that was current at configure time and closed
+        # since must not swallow later records.
+        stale = io.StringIO()
+        saved = sys.stderr
+        sys.stderr = stale
+        try:
+            configure_logging()
+        finally:
+            sys.stderr = saved
+        stale.close()
+        try:
+            get_logger("fabric.serve").warning("after the capture closed")
+        finally:
+            configure_logging(verbose=0, stream=io.StringIO())
+        err = capsys.readouterr().err
+        assert "after the capture closed" in err
+        assert "Logging error" not in err
