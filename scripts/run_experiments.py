@@ -57,9 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workers", type=int, default=None,
                     help="FI process fan-out (default: REPRO_WORKERS env "
                     "or serial)")
-    ap.add_argument("--checkpoint-interval", default=None, metavar="N|auto",
-                    help="checkpoint-resume FI trials ('auto' or a step "
-                    "count; default: cold replay)")
+    ap.add_argument("--checkpoint-interval", default="auto",
+                    metavar="N|auto",
+                    help="resume FI trials from golden snapshots every N "
+                    "instructions (default 'auto': about 16 snapshots per "
+                    "golden run; 0 replays every trial cold)")
     ap.add_argument("--max-retries", type=int, default=None, metavar="N",
                     help="retries per failed worker chunk before a harness "
                     "failure surfaces (default: REPRO_MAX_RETRIES env, "
@@ -110,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args) -> int:
     interval = args.checkpoint_interval
-    if interval is not None and interval != "auto":
+    if interval != "auto":
         interval = int(interval)
     scale: ScaleConfig = SCALES[args.scale].with_(
         workers=args.workers, checkpoint_interval=interval,

@@ -97,7 +97,7 @@ log = get_logger("cli")
 
 
 def _interval(raw: str):
-    """Parse ``--checkpoint-interval``: ``auto`` or a step count."""
+    """Parse ``--checkpoint-interval``: ``auto``, a step count, or 0 (cold)."""
     if raw.lower() == "auto":
         return "auto"
     try:
@@ -106,9 +106,9 @@ def _interval(raw: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {raw!r}"
         ) from e
-    if value < 1:
+    if value < 0:
         raise argparse.ArgumentTypeError(
-            f"interval must be >= 1, got {value}"
+            f"interval must be >= 0, got {value}"
         )
     return value
 
@@ -259,9 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="process fan-out (default: REPRO_WORKERS env or serial)",
     )
     p_inj.add_argument(
-        "--checkpoint-interval", type=_interval, default=None, metavar="N|auto",
+        "--checkpoint-interval", type=_interval, default="auto",
+        metavar="N|auto",
         help="resume trials from golden snapshots every N instructions "
-        "('auto' picks the interval heuristic; default: cold replay)",
+        "(default 'auto': about 16 snapshots per golden run; 0 replays "
+        "every trial cold)",
     )
     p_inj.add_argument(
         "--profile-source", choices=PROFILE_SOURCES, default="fi",

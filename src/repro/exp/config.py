@@ -39,9 +39,10 @@ class ScaleConfig:
     seed: int = 2022
     #: Process fan-out for FI campaigns (0 = serial, None = REPRO_WORKERS).
     workers: int | None = 0
-    #: Checkpoint-resume for FI campaigns: None/0 = cold replay, "auto" =
-    #: interval heuristic, an int = snapshot every that many instructions.
-    checkpoint_interval: int | str | None = None
+    #: Checkpoint-resume for FI campaigns: "auto" = interval heuristic
+    #: (about 16 snapshots per golden run), an int = snapshot every that
+    #: many instructions, None/0 = cold replay. Outcomes are identical.
+    checkpoint_interval: int | str | None = "auto"
     #: Campaign-cache directory: campaigns reuse results persisted there
     #: across runs (None = ambient cache, REPRO_CACHE_DIR or none; False =
     #: explicitly disabled for this study even if one is installed).

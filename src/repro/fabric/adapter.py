@@ -4,7 +4,7 @@ An adapter is what a pool worker becomes when the pool is replaced by a
 byte stream. It accepts the handshake, then serves a simple request loop:
 
 * ``INIT`` — run a campaign worker initializer (e.g.
-  ``repro.fi.campaign._init_lockstep_worker``) to pin per-process trial
+  ``repro.fi.campaign._init_worker``) to pin per-process trial
   context, exactly as a ``ProcessPoolExecutor`` initializer would;
 * ``CHUNK`` — execute one supervisor chunk payload through
   :func:`repro.util.supervisor._run_chunk` (the *same* entry pool workers

@@ -35,7 +35,7 @@ from repro.fi.faultmodel import (
     sample_fault_sites,
     sample_per_instruction_sites,
 )
-from repro.fi.injector import inject_one, inject_one_resumed
+from repro.fi.injector import inject_one_resumed
 from repro.fi.outcome import Outcome, OutcomeCounts, classify_run
 from repro.fi.stats import wilson_interval
 from repro.ir.parser import parse_module
@@ -140,10 +140,10 @@ class PerInstructionResult:
 
 # ---------------------------------------------------------------------------
 # Parallel worker machinery. Workers rebuild the Program from module text and
-# cache it per process keyed by identity of the text object's hash. Checkpoint
-# campaigns additionally seed each worker with the golden CheckpointStore and
-# trial context once, via the pool initializer, so per-batch payloads stay
-# small (just the fault tuples).
+# cache it per process keyed by identity of the text object's hash. The pool
+# initializer seeds each worker once with the trial context (golden store,
+# output, input, tolerances), so per-chunk payloads stay small (just the
+# trial rows).
 #
 # Telemetry reducer: when the parent has an active obs session, workers
 # install a metrics-only telemetry (pid-guarded, so a forked child never
@@ -154,7 +154,7 @@ class PerInstructionResult:
 # ---------------------------------------------------------------------------
 
 _worker_cache: dict[int, Program] = {}
-_ckpt_worker_ctx: dict = {}
+_worker_ctx: dict = {}
 
 
 def _get_program(module_text: str) -> Program:
@@ -213,96 +213,9 @@ def _batch_info_serial(n_trials: int, t0: float) -> dict:
     }
 
 
-def _init_ckpt_worker(
-    module_text: str,
-    store: CheckpointStore,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    obs_enabled: bool = False,
-    span_root: str | None = None,
-) -> None:
-    """Per-process initializer: decode the program and pin the trial context."""
-    _ckpt_worker_ctx.clear()
-    _ckpt_worker_ctx.update(
-        program=_get_program(module_text),
-        store=store,
-        golden_output=golden_output,
-        golden_steps=golden_steps,
-        args=args,
-        bindings=bindings,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        obs=obs_enabled,
-        span_root=span_root,
-    )
-
-
-def _inject_batch_resumed(batch):
-    """Worker entry: checkpoint-resumed trials → ((pos, iid, outcome)…, info)."""
-    ctx = _ckpt_worker_ctx
-    collecting = _ensure_worker_obs(ctx.get("obs", False), ctx.get("span_root"))
-    t0 = time.perf_counter()
-    prog = ctx["program"]
-    store = ctx["store"]
-    out: list[tuple[int, int, str]] = []
-    with _span("chunk", {"trials": len(batch)}, infra=True):
-        for pos, iid, instance, bit, snap_index in batch:
-            o = inject_one_resumed(
-                prog,
-                FaultSite(iid, instance, bit),
-                store,
-                ctx["golden_output"],
-                ctx["golden_steps"],
-                args=ctx["args"],
-                bindings=ctx["bindings"],
-                rel_tol=ctx["rel_tol"],
-                abs_tol=ctx["abs_tol"],
-                snapshot_index=snap_index,
-            )
-            out.append((pos, iid, o.value))
-    return out, _batch_info(len(out), t0, collecting)
-
-
-def _inject_batch(payload):
-    """Worker entry: cold trials → ((iid, outcome) pairs, telemetry info)."""
-    (
-        module_text,
-        args,
-        bindings,
-        sites,
-        golden_output,
-        golden_steps,
-        rel_tol,
-        abs_tol,
-        obs_enabled,
-        span_root,
-    ) = payload
-    collecting = _ensure_worker_obs(obs_enabled, span_root)
-    t0 = time.perf_counter()
-    prog = _get_program(module_text)
-    out: list[tuple[int, str]] = []
-    with _span("chunk", {"trials": len(sites)}, infra=True):
-        for iid, instance, bit in sites:
-            o = inject_one(
-                prog,
-                FaultSite(iid, instance, bit),
-                golden_output,
-                golden_steps,
-                args=args,
-                bindings=bindings,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            )
-            out.append((iid, o.value))
-    return out, _batch_info(len(out), t0, collecting)
-
-
-def _init_lockstep_worker(
-    module_text: str,
+def _run_chunk_scalar(
+    program: Program,
+    chunk: list,
     store: CheckpointStore | None,
     golden_output: list,
     golden_steps: int,
@@ -310,23 +223,32 @@ def _init_lockstep_worker(
     bindings,
     rel_tol: float,
     abs_tol: float,
-    obs_enabled: bool = False,
-    span_root: str | None = None,
-) -> None:
-    """Per-process initializer for pooled lockstep chunks."""
-    _ckpt_worker_ctx.clear()
-    _ckpt_worker_ctx.update(
-        program=_get_program(module_text),
-        store=store,
-        golden_output=golden_output,
-        golden_steps=golden_steps,
-        args=args,
-        bindings=bindings,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        obs=obs_enabled,
-        span_root=span_root,
-    )
+    rep=None,
+) -> list[tuple[int, int, str]]:
+    """One interpreter run per row: ``chunk`` rows → ``(pos, iid, outcome)``.
+
+    Each trial resumes from its row's snapshot (cold when -1/no store) with
+    the later snapshots as convergence oracles.
+    """
+    out = []
+    with _span("chunk", {"trials": len(chunk)}, infra=True):
+        for pos, iid, instance, bit, snap_index in chunk:
+            o = inject_one_resumed(
+                program,
+                FaultSite(iid, instance, bit),
+                store,
+                golden_output,
+                golden_steps,
+                args=args,
+                bindings=bindings,
+                rel_tol=rel_tol,
+                abs_tol=abs_tol,
+                snapshot_index=snap_index,
+            )
+            out.append((pos, iid, o.value))
+            if rep is not None:
+                rep.update(1)
+    return out
 
 
 def _run_chunk_lockstep(
@@ -339,6 +261,7 @@ def _run_chunk_lockstep(
     bindings,
     rel_tol: float,
     abs_tol: float,
+    rep=None,
 ) -> list[tuple[int, int, str]]:
     """One lockstep batch: ``chunk`` rows → ``(pos, iid, outcome)`` rows.
 
@@ -370,19 +293,36 @@ def _run_chunk_lockstep(
     for (pos, iid, _inst, _bit, _si), (r_out, trap) in zip(chunk, results):
         o = classify_run(golden_output, r_out, trap, rel_tol, abs_tol)
         out.append((pos, iid, o.value))
+    if rep is not None:
+        rep.update(len(out))
     return out
 
 
-def _inject_chunk_lockstep(chunk):
-    """Worker entry: one lockstep batch → ((pos, iid, outcome)…, info)."""
-    ctx = _ckpt_worker_ctx
-    collecting = _ensure_worker_obs(ctx.get("obs", False), ctx.get("span_root"))
-    t0 = time.perf_counter()
-    out = _run_chunk_lockstep(
-        ctx["program"], chunk, ctx["store"], ctx["golden_output"],
-        ctx["golden_steps"], ctx["args"], ctx["bindings"], ctx["rel_tol"],
-        ctx["abs_tol"],
+def _init_worker(
+    module_text: str,
+    lockstep: bool,
+    trial: tuple,
+    obs_enabled: bool = False,
+    span_root: str | None = None,
+) -> None:
+    """Per-process initializer: decode the program and pin the trial context
+    (``trial`` holds the chunk runner's arguments after the chunk)."""
+    _worker_ctx.clear()
+    _worker_ctx.update(
+        program=_get_program(module_text),
+        run=_run_chunk_lockstep if lockstep else _run_chunk_scalar,
+        trial=trial,
+        obs=obs_enabled,
+        span_root=span_root,
     )
+
+
+def _inject_chunk(chunk):
+    """Worker entry: one chunk → ((pos, iid, outcome)…, telemetry info)."""
+    ctx = _worker_ctx
+    collecting = _ensure_worker_obs(ctx["obs"], ctx["span_root"])
+    t0 = time.perf_counter()
+    out = ctx["run"](ctx["program"], chunk, *ctx["trial"])
     return out, _batch_info(len(out), t0, collecting)
 
 
@@ -439,316 +379,40 @@ def _note_campaign(
     )
 
 
-def _run_sites(
-    program: Program,
-    sites: list[FaultSite],
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
-) -> list[tuple[int, Outcome]]:
-    """Execute a list of fault sites serially or across processes."""
-    t = _obs_current()
-    if pool_factory is None and (workers <= 1 or len(sites) < 32):
-        t0 = time.perf_counter()
-        out = []
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep, _span("chunk", {"trials": len(sites)}, infra=True):
-            for s in sites:
-                out.append(
-                    (
-                        s.iid,
-                        inject_one(
-                            program,
-                            s,
-                            golden_output,
-                            golden_steps,
-                            args=args,
-                            bindings=bindings,
-                            rel_tol=rel_tol,
-                            abs_tol=abs_tol,
-                        ),
-                    )
-                )
-                if rep is not None:
-                    rep.update(1)
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid,
-                _batch_info_serial(len(sites), t0), "serial",
-            )
-        return out
-    workers = max(1, workers)
-    module_text = print_module(program.module)
-    raw_sites = [(s.iid, s.instance, s.bit) for s in sites]
-    chunk = max(8, len(raw_sites) // (workers * 4))
-    span_root = t.current_span() if t is not None else None
-    batches = [
-        (
-            module_text,
-            args,
-            bindings,
-            raw_sites[i : i + chunk],
-            golden_output,
-            golden_steps,
-            rel_tol,
-            abs_tol,
-            t is not None,
-            span_root,
-        )
-        for i in range(0, len(raw_sites), chunk)
-    ]
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
-
-    def on_result(res) -> None:
-        rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
-        if rep is not None:
-            rep.update(len(rows))
-
-    with progress_scope(rep):
-        results = parallel_map(
-            _inject_batch, batches, workers=workers, on_result=on_result,
-            max_retries=max_retries, task_timeout=task_timeout,
-            pool_factory=pool_factory,
-        )
-    return [(iid, Outcome(o)) for batch, _ in results for iid, o in batch]
-
-
-def _run_sites_checkpointed(
-    program: Program,
-    sites: list[FaultSite],
-    store: CheckpointStore,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
-) -> list[tuple[int, Outcome]]:
-    """Checkpoint-resume scheduler: sort trials by injection point, resume
-    each from the nearest preceding golden snapshot, batch across workers.
-
-    Results are reassembled in the original sampling order, so ``per_fault``
-    (and therefore every downstream number) is independent of the schedule —
-    identical to the cold serial path for the same seed.
-    """
-    t = _obs_current()
-    snap_index = [store.snapshot_index_for(s.iid, s.instance) for s in sites]
-    # Trials sharing a snapshot run back-to-back (restore locality), ordered
-    # by instance within it so execution sweeps the golden timeline once.
-    order = sorted(
-        range(len(sites)), key=lambda k: (snap_index[k], sites[k].instance)
-    )
-    results: list = [None] * len(sites)
-    if pool_factory is None and (workers <= 1 or len(sites) < 32):
-        t0 = time.perf_counter()
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep, _span("chunk", {"trials": len(sites)}, infra=True):
-            for k in order:
-                s = sites[k]
-                results[k] = (
-                    s.iid,
-                    inject_one_resumed(
-                        program,
-                        s,
-                        store,
-                        golden_output,
-                        golden_steps,
-                        args=args,
-                        bindings=bindings,
-                        rel_tol=rel_tol,
-                        abs_tol=abs_tol,
-                        snapshot_index=snap_index[k],
-                    ),
-                )
-                if rep is not None:
-                    rep.update(1)
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
-            )
-        return results
-    workers = max(1, workers)
-    module_text = print_module(program.module)
-    raw = [
-        (k, sites[k].iid, sites[k].instance, sites[k].bit, snap_index[k])
-        for k in order
-    ]
-    chunk = max(8, len(raw) // (workers * 4))
-    batches = [raw[i : i + chunk] for i in range(0, len(raw), chunk)]
-    init_args = (
-        module_text, store, golden_output, golden_steps, args, bindings,
-        rel_tol, abs_tol, t is not None,
-        t.current_span() if t is not None else None,
-    )
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
-
-    def on_result(res) -> None:
-        rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
-        if rep is not None:
-            rep.update(len(rows))
-
-    with progress_scope(rep):
-        out = parallel_map(
-            _inject_batch_resumed,
-            batches,
-            workers=workers,
-            initializer=_init_ckpt_worker,
-            initargs=init_args,
-            on_result=on_result,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            pool_factory=pool_factory,
-        )
-    for batch, _ in out:
-        for pos, iid, o in batch:
-            results[pos] = (iid, Outcome(o))
-    return results
-
-
-def _run_sites_batch(
-    program: Program,
-    sites: list[FaultSite],
-    store: CheckpointStore | None,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    batch_size: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
-) -> list[tuple[int, Outcome]]:
-    """Lockstep-batch scheduler: vectorize trials ``batch_size`` at a time.
-
-    Sites are sorted by (snapshot index, instance) and chunked; each chunk
-    becomes one :func:`~repro.vm.batch.run_trials_lockstep` call seeded
-    from the chunk-minimum snapshot (sorting makes chunks span few
-    checkpoint segments, so the shared mirror replay stays short). Chunks
-    are independent, so the pooled path farms whole chunks to supervised
-    workers; results reassemble in sampling order either way, keeping
-    outcomes byte-identical across engines and worker counts.
-    """
-    t = _obs_current()
-    if store is not None:
-        snap_index = [
-            store.snapshot_index_for(s.iid, s.instance) for s in sites
-        ]
-    else:
-        snap_index = [-1] * len(sites)
-    order = sorted(
-        range(len(sites)), key=lambda k: (snap_index[k], sites[k].instance)
-    )
-    raw = [
-        (k, sites[k].iid, sites[k].instance, sites[k].bit, snap_index[k])
-        for k in order
-    ]
-    chunks = [raw[i : i + batch_size] for i in range(0, len(raw), batch_size)]
-    results: list = [None] * len(sites)
-    if pool_factory is None and (workers <= 1 or len(chunks) < 2):
-        t0 = time.perf_counter()
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep:
-            for chunk in chunks:
-                rows = _run_chunk_lockstep(
-                    program, chunk, store, golden_output, golden_steps,
-                    args, bindings, rel_tol, abs_tol,
-                )
-                for pos, iid, o in rows:
-                    results[pos] = (iid, Outcome(o))
-                if rep is not None:
-                    rep.update(len(rows))
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
-            )
-        return results
-    module_text = print_module(program.module)
-    init_args = (
-        module_text, store, golden_output, golden_steps, args, bindings,
-        rel_tol, abs_tol, t is not None,
-        t.current_span() if t is not None else None,
-    )
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
-
-    def on_result(res) -> None:
-        rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
-        if rep is not None:
-            rep.update(len(rows))
-
-    with progress_scope(rep):
-        out = parallel_map(
-            _inject_chunk_lockstep,
-            chunks,
-            workers=max(1, workers),
-            initializer=_init_lockstep_worker,
-            initargs=init_args,
-            on_result=on_result,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            pool_factory=pool_factory,
-        )
-    for rows, _info in out:
-        for pos, iid, o in rows:
-            results[pos] = (iid, Outcome(o))
-    return results
-
-
-def _resolve_store(
+def _golden_pass(
     program: Program,
     args,
     bindings,
-    profile: DynamicProfile,
+    profile: DynamicProfile | None,
     checkpoint_interval,
     checkpoints: CheckpointStore | None,
-) -> CheckpointStore | None:
-    """Normalize the checkpointing request of a campaign entry point.
+) -> tuple[DynamicProfile, CheckpointStore | None]:
+    """The golden profile and checkpoint store a campaign's trials need.
 
     Precedence: an explicit pre-recorded ``checkpoints`` store wins;
     otherwise ``checkpoint_interval`` selects recording (``"auto"`` applies
-    :func:`~repro.vm.checkpoint.auto_interval` to the golden step count, a
-    positive int is taken literally, ``None``/``0`` keeps the cold path).
+    :func:`~repro.vm.checkpoint.auto_interval`, a positive int is taken
+    literally, ``None``/``0`` keeps every trial cold). A campaign without a
+    ``profile`` that records takes both from one profiled recording run,
+    so it executes the golden program once before its trials.
     """
-    if checkpoints is not None:
-        return checkpoints
-    if checkpoint_interval in (None, 0):
-        return None
-    if checkpoint_interval == "auto":
-        interval = None
-    else:
-        interval = int(checkpoint_interval)
-    return record_checkpoints(
-        program,
-        args=args,
-        bindings=bindings,
-        interval=interval,
-        steps_hint=profile.steps,
-    )
+    if checkpoints is None and checkpoint_interval not in (None, 0):
+        interval = (
+            None if checkpoint_interval == "auto" else int(checkpoint_interval)
+        )
+        if profile is None:
+            checkpoints = record_checkpoints(
+                program, args=args, bindings=bindings, interval=interval,
+                profile=True,
+            )
+            return checkpoints.profile, checkpoints
+        checkpoints = record_checkpoints(
+            program, args=args, bindings=bindings, interval=interval,
+            steps_hint=profile.steps,
+        )
+    if profile is None:
+        profile = profile_run(program, args=args, bindings=bindings)
+    return profile, checkpoints
 
 
 def _dispatch_sites(
@@ -769,7 +433,19 @@ def _dispatch_sites(
     batch_size: int | None = None,
     transport: str | None = None,
 ) -> list[tuple[int, Outcome]]:
-    """Route a site list to the scalar (cold/resumed) or batch executor.
+    """Run every fault site, serially or across supervised workers.
+
+    Sites are sorted by (snapshot index, instance) — trials sharing a
+    snapshot run back to back (restore locality), by instance within it,
+    so execution sweeps the golden timeline once — and cut into chunks.
+    The scalar engine runs one interpreter per trial, resumed from the
+    nearest preceding snapshot (cold without a store), in one chunk
+    serially or about four per worker. The batch engine vectorizes
+    ``batch_size`` rows per chunk in lockstep from the chunk-minimum
+    snapshot. Serial runs execute the chunks in-process; pooled runs farm
+    them to workers. Results are reassembled in sampling order, so
+    ``per_fault`` (and every downstream number) is byte-identical across
+    engines, stores and worker counts.
 
     ``engine``/``batch_size`` default through :func:`resolve_engine` /
     :func:`resolve_batch_size` (explicit > ``engine_scope`` >
@@ -784,26 +460,74 @@ def _dispatch_sites(
     """
     from repro.fabric.harness import resolve_fabric
 
-    workers = resolve_workers(workers)
+    workers = max(1, resolve_workers(workers))
     _kind, pool_factory = resolve_fabric(transport)
-    if resolve_engine(engine) == "batch":
-        return _run_sites_batch(
-            program, sites, store, profile.output, profile.steps, args,
-            bindings, rel_tol, abs_tol, workers, resolve_batch_size(batch_size),
-            obs_label, obs_cid, max_retries, task_timeout,
-            pool_factory=pool_factory,
+    lockstep = resolve_engine(engine) == "batch"
+    snap = [
+        store.snapshot_index_for(s.iid, s.instance) if store is not None
+        else -1
+        for s in sites
+    ]
+    order = sorted(range(len(sites)), key=lambda k: (snap[k], sites[k].instance))
+    rows = [
+        (k, sites[k].iid, sites[k].instance, sites[k].bit, snap[k])
+        for k in order
+    ]
+    if lockstep:
+        size = resolve_batch_size(batch_size)
+        small = len(rows) <= size  # one batch: nothing to spread
+    else:
+        size = max(8, len(rows) // (workers * 4))
+        small = len(rows) < 32
+    serial = pool_factory is None and (workers == 1 or small)
+    if serial and not lockstep:
+        size = max(1, len(rows))  # one chunk
+    chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
+    trial = (store, profile.output, profile.steps, args, bindings, rel_tol,
+             abs_tol)
+    run_chunk = _run_chunk_lockstep if lockstep else _run_chunk_scalar
+    t = _obs_current()
+    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
+    if serial:
+        t0 = time.perf_counter()
+        with progress_scope(rep):
+            done = [
+                row for chunk in chunks
+                for row in run_chunk(program, chunk, *trial, rep=rep)
+            ]
+        if t is not None:
+            _merge_batch_info(
+                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
+            )
+    else:
+        init_args = (
+            print_module(program.module), lockstep, trial, t is not None,
+            t.current_span() if t is not None else None,
         )
-    if store is None:
-        return _run_sites(
-            program, sites, profile.output, profile.steps, args, bindings,
-            rel_tol, abs_tol, workers, obs_label, obs_cid,
-            max_retries, task_timeout, pool_factory=pool_factory,
-        )
-    return _run_sites_checkpointed(
-        program, sites, store, profile.output, profile.steps, args, bindings,
-        rel_tol, abs_tol, workers, obs_label, obs_cid,
-        max_retries, task_timeout, pool_factory=pool_factory,
-    )
+
+        def on_result(res) -> None:
+            chunk_rows, info = res
+            _merge_batch_info(t, obs_cid, info, "worker")
+            if rep is not None:
+                rep.update(len(chunk_rows))
+
+        with progress_scope(rep):
+            out = parallel_map(
+                _inject_chunk,
+                chunks,
+                workers=workers,
+                initializer=_init_worker,
+                initargs=init_args,
+                on_result=on_result,
+                max_retries=max_retries,
+                task_timeout=task_timeout,
+                pool_factory=pool_factory,
+            )
+        done = [row for chunk_rows, _info in out for row in chunk_rows]
+    results: list = [None] * len(sites)
+    for pos, iid, o in done:
+        results[pos] = (iid, Outcome(o))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +631,7 @@ def run_campaign(
     abs_tol: float = 0.0,
     workers: int | None = 0,
     profile: DynamicProfile | None = None,
-    checkpoint_interval: int | str | None = None,
+    checkpoint_interval: int | str | None = "auto",
     checkpoints: CheckpointStore | None = None,
     cache=None,
     max_retries: int | None = None,
@@ -920,10 +644,13 @@ def run_campaign(
 
     Pass a pre-computed golden ``profile`` to skip the profiling run (the
     pipelines reuse one profile across many campaigns on the same input).
-    ``checkpoint_interval`` (``"auto"`` or a step count) turns on
-    checkpoint-resumed trials — bit-identical outcomes, a fraction of the
-    replay; a pre-recorded ``checkpoints`` store skips even the recording
-    run. ``workers=None`` defers to the ``REPRO_WORKERS`` environment.
+    Trials resume from golden checkpoints: ``checkpoint_interval`` is
+    ``"auto"`` (about 16 snapshots per golden run) or a step count, and
+    without a ``profile`` the recording run profiles too; ``None``/``0``
+    replays every trial cold from instruction 0. Outcomes are bit-identical
+    either way. A pre-recorded ``checkpoints`` store skips even the
+    recording run. ``workers=None`` defers to the ``REPRO_WORKERS``
+    environment.
     ``cache`` controls result caching (see :func:`_cache_for`); a hit
     returns a bit-identical result without profiling or injecting.
     ``max_retries``/``task_timeout`` tune the pooled path's supervisor
@@ -950,9 +677,7 @@ def run_campaign(
         if cached is not None:
             _note_cache_hit("fi.whole-program", key, cached.trials)
             return cached
-    if profile is None:
-        profile = profile_run(program, args=args, bindings=bindings)
-    store = _resolve_store(
+    profile, store = _golden_pass(
         program, args, bindings, profile, checkpoint_interval, checkpoints
     )
     rng = RngStream(seed, "campaign")
@@ -1016,7 +741,7 @@ def run_per_instruction_campaign(
     workers: int | None = 0,
     profile: DynamicProfile | None = None,
     only_iids: list[int] | None = None,
-    checkpoint_interval: int | str | None = None,
+    checkpoint_interval: int | str | None = "auto",
     checkpoints: CheckpointStore | None = None,
     cache=None,
     max_retries: int | None = None,
@@ -1054,9 +779,7 @@ def run_per_instruction_campaign(
                 trials = sum(c.total for c in cached.per_iid.values())
                 _note_cache_hit("fi.per-instruction", key, trials)
                 return cached
-    if profile is None:
-        profile = profile_run(program, args=args, bindings=bindings)
-    store = _resolve_store(
+    profile, store = _golden_pass(
         program, args, bindings, profile, checkpoint_interval, checkpoints
     )
     rng = RngStream(seed, "per-instr")
@@ -1173,7 +896,7 @@ def run_model_guided_campaign(
     profile: DynamicProfile | None = None,
     protection_levels: tuple[float, ...] = (0.3, 0.5, 0.7),
     verify_margin: float = 0.3,
-    checkpoint_interval: int | str | None = None,
+    checkpoint_interval: int | str | None = "auto",
     checkpoints: CheckpointStore | None = None,
     cache=None,
     max_retries: int | None = None,

@@ -38,29 +38,21 @@ def inject_one(
 ) -> Outcome:
     """Execute once with ``site``'s bit flip and classify the outcome.
 
-    The hang budget is ``hang_factor``× the golden dynamic instruction count
-    (plus slack for short programs), the usual FI-practice heuristic.
+    The run starts cold, at instruction 0. The hang budget is
+    ``hang_factor``× the golden dynamic instruction count (plus slack for
+    short programs), the usual FI-practice heuristic.
     """
-    limit = golden_steps * hang_factor + 10_000
-    trap: Trap | None = None
-    output: list | None = None
-    with _span("trial", {"iid": site.iid}, infra=True):
-        with _span("vm.run", infra=True):
-            try:
-                result = program.run(
-                    args=args, bindings=bindings, fault=site.to_spec(),
-                    step_limit=limit,
-                )
-                output = result.output
-            except Trap as t:
-                trap = t
-    return classify_run(golden_output, output, trap, rel_tol, abs_tol)
+    return inject_one_resumed(
+        program, site, None, golden_output, golden_steps, args=args,
+        bindings=bindings, rel_tol=rel_tol, abs_tol=abs_tol,
+        hang_factor=hang_factor,
+    )
 
 
 def inject_one_resumed(
     program: Program,
     site: FaultSite,
-    store: CheckpointStore,
+    store: CheckpointStore | None,
     golden_output: list,
     golden_steps: int,
     args: list | None = None,
@@ -80,11 +72,15 @@ def inject_one_resumed(
     construction — the classified outcome never differs.
 
     ``snapshot_index`` (as from :meth:`CheckpointStore.snapshot_index_for`)
-    skips the lookup when the scheduler already sorted sites by it.
+    skips the lookup when the scheduler already sorted sites by it. Without
+    a ``store`` the trial runs cold, with no oracles (:func:`inject_one`).
     """
-    if snapshot_index is None:
-        snapshot_index = store.snapshot_index_for(site.iid, site.instance)
-    convergence = store.convergence_from(snapshot_index)
+    if store is None:
+        snapshot_index, convergence = -1, None
+    else:
+        if snapshot_index is None:
+            snapshot_index = store.snapshot_index_for(site.iid, site.instance)
+        convergence = store.convergence_from(snapshot_index)
     limit = golden_steps * hang_factor + 10_000
     trap: Trap | None = None
     output: list | None = None

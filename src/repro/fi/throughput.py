@@ -117,7 +117,8 @@ def measure_fi_throughput(
     for _ in range(repeats):
         t0 = time.perf_counter()
         cold: CampaignResult = run_campaign(
-            program, n_faults, seed=seed, workers=0, **common
+            program, n_faults, seed=seed, workers=0,
+            checkpoint_interval=None, **common
         )
         cold_seconds = min(cold_seconds, time.perf_counter() - t0)
 

@@ -34,8 +34,12 @@ of masked faults, which checkpoint-skipping alone cannot touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
+
+if TYPE_CHECKING:
+    from repro.vm.profiler import DynamicProfile
 
 __all__ = [
     "FrameSnapshot",
@@ -101,6 +105,11 @@ class CheckpointStore:
     snapshots: list
     #: Total steps of the recorded golden run.
     golden_steps: int = 0
+    #: The recording run's :class:`~repro.vm.profiler.DynamicProfile` when
+    #: it was also a profiling run (``record_checkpoints(profile=True)``).
+    profile: DynamicProfile | None = field(
+        default=None, repr=False, compare=False
+    )
     _conv_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -142,18 +151,36 @@ class CheckpointStore:
         return sum(s.cells() for s in self.snapshots)
 
 
-def auto_interval(golden_steps: int) -> int:
-    """Checkpoint-interval heuristic: ~48 snapshots across the golden run.
+#: Smallest ``"auto"`` interval: below it a snapshot copy costs more than
+#: the replay it saves.
+AUTO_MIN_INTERVAL = 256
 
+#: An ``"auto"`` recording holds fewer snapshots than this — and at least
+#: half as many once the run is long enough — so about 16 per golden run.
+AUTO_MAX_SNAPSHOTS = 24
+
+
+def auto_interval(golden_steps: int) -> int:
+    """Checkpoint-interval heuristic: about 16 snapshots per golden run.
+
+    The 256-step floor, doubled until the run holds fewer than
+    :data:`AUTO_MAX_SNAPSHOTS` snapshots (12–23 once it is long enough).
     The average resumed prefix is interval/2 and convergence of a masked
-    fault is detected at the *next* snapshot boundary, so halving the
-    interval halves both costs — until snapshot recording (one full state
-    copy each) and store memory (snapshots × live cells) dominate. ~48
-    keeps replay+detection slack around ~1% of the run while the store
-    stays tens of state copies. Short programs get a floor of 256 steps —
-    below that the snapshot copy costs more than the replay it saves.
+    fault is detected at the *next* snapshot boundary, so a shorter
+    interval cuts both — until snapshot recording (one full state copy
+    each) and store memory (snapshots × live cells) dominate. Measured on
+    the headline study, 16 snapshots ran as fast as 48 at a fraction of
+    the memory. Short programs keep the floor: below it the snapshot copy
+    costs more than the replay it saves.
+
+    This is the interval :func:`record_checkpoints` ends with when it has
+    to find one without knowing the run's length, so a campaign's store
+    looks the same whether or not a profile preceded it.
     """
-    return max(256, golden_steps // 48)
+    interval = AUTO_MIN_INTERVAL
+    while golden_steps >= AUTO_MAX_SNAPSHOTS * interval:
+        interval *= 2
+    return interval
 
 
 def record_checkpoints(
@@ -164,27 +191,46 @@ def record_checkpoints(
     steps_hint: int | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     step_limit: int | None = None,
+    profile: bool = False,
 ) -> CheckpointStore:
     """Golden-run ``program`` once, recording snapshots every ``interval``.
 
     ``interval=None`` applies :func:`auto_interval` to ``steps_hint`` (pass
-    ``profile.steps`` when a profile exists — the campaigns do) or, lacking a
-    hint, to the steps of one extra golden run. The recorded run itself
+    ``profile.steps`` when a profile exists — the campaigns do). Lacking a
+    hint, the same run finds the interval: it records from
+    :data:`AUTO_MIN_INTERVAL` on and, whenever it holds
+    :data:`AUTO_MAX_SNAPSHOTS` snapshots, drops every other one and doubles
+    the interval, which keeps the survivors evenly spaced. The recorded run
     counts per-instruction executions, so each snapshot carries the counts
     needed to seat fault instance counters on resume.
+
+    ``profile=True`` makes the recording run a full profiling run as well:
+    the store's ``profile`` then holds its
+    :class:`~repro.vm.profiler.DynamicProfile`, equal to
+    :func:`~repro.vm.profiler.profile_run`'s, so a campaign that needs both
+    executes the golden program once.
     """
+    max_snapshots = None
     if interval is None:
         if steps_hint is None:
-            steps_hint = program.run(args=args, bindings=bindings).steps
-        interval = auto_interval(steps_hint)
+            interval, max_snapshots = AUTO_MIN_INTERVAL, AUTO_MAX_SNAPSHOTS
+        else:
+            interval = auto_interval(steps_hint)
     result, snapshots = program.run_checkpointed(
-        args=args, bindings=bindings, interval=interval, step_limit=step_limit
+        args=args, bindings=bindings, interval=interval, step_limit=step_limit,
+        profile=profile, max_snapshots=max_snapshots,
     )
     cost = [0] * program.module.instruction_count()
     for instr in program.module.instructions():
         cost[instr.iid] = cost_model.cost_of(instr.opcode)
     for snap in snapshots:
         snap.cycles = sum(n * c for n, c in zip(snap.instr_counts, cost) if n)
-    return CheckpointStore(
-        interval=interval, snapshots=snapshots, golden_steps=result.steps
+    store = CheckpointStore(
+        interval=result.checkpoint_interval, snapshots=snapshots,
+        golden_steps=result.steps,
     )
+    if profile:
+        from repro.vm.profiler import profile_of
+
+        store.profile = profile_of(program, result, cost_model)
+    return store

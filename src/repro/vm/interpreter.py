@@ -99,6 +99,7 @@ _pack_I = struct.Struct("<I").pack
 _unpack_I = struct.Struct("<I").unpack
 
 _M64 = (1 << 64) - 1
+_TWO52 = 4503599627370496.0
 
 #: Sentinel for "no block event pending" — never reached by real step counts.
 _NEVER = 1 << 62
@@ -183,6 +184,9 @@ class RunResult:
     #: Number of values the *golden* run had emitted at the matched
     #: checkpoint (the splice point into the golden output).
     converged_output_len: int = 0
+    #: Spacing of the snapshots a checkpointed run kept (0 for other runs);
+    #: every thinning under ``max_snapshots`` doubles it.
+    checkpoint_interval: int = 0
 
 
 class _DecodedBlock:
@@ -261,13 +265,18 @@ class _RunState:
 
 
 class _CkptState:
-    """Recording side of checkpointing: interval + captured snapshots."""
+    """Recording side of checkpointing: interval + captured snapshots.
 
-    __slots__ = ("interval", "snapshots")
+    ``cap`` (0 = none) bounds the store of a run whose length is unknown:
+    on reaching it, every other snapshot goes and the interval doubles.
+    """
 
-    def __init__(self, interval: int) -> None:
+    __slots__ = ("interval", "snapshots", "cap")
+
+    def __init__(self, interval: int, cap: int = 0) -> None:
         self.interval = interval
         self.snapshots: list[Snapshot] = []
+        self.cap = cap
 
 
 class _Frame:
@@ -718,20 +727,36 @@ class Program:
         bindings: dict[str, list] | None = None,
         interval: int = 4096,
         step_limit: int | None = None,
+        profile: bool = False,
+        max_snapshots: int | None = None,
     ) -> tuple[RunResult, list[Snapshot]]:
         """Golden run recording a full state snapshot every ``interval`` steps.
 
         The run counts per-instruction executions (each snapshot needs them to
-        seat fault instance counters), but skips edge profiling. Returns the
-        run result plus the captured snapshots in steps order. Snapshots are
-        portable: frames/memory are stored by name and plain lists, so they
-        pickle to worker processes and restore against any equal program.
+        seat fault instance counters); ``profile=True`` adds edge and call-path
+        profiling, as in :meth:`run`. Returns the run result plus the captured
+        snapshots in steps order. Snapshots are portable: frames/memory are
+        stored by name and plain lists, so they pickle to worker processes and
+        restore against any equal program.
+
+        ``max_snapshots`` (even) bounds the recording without knowing the
+        run's length: whenever that many snapshots are held, every other one
+        is dropped and the interval doubles, so the kept ones stay evenly
+        spaced. ``result.checkpoint_interval`` is the interval the run ended
+        with.
         """
         if interval < 1:
             raise IRError("checkpoint interval must be >= 1")
-        state, main, coerced = self._prepare(args, bindings, None, False, step_limit)
-        state.counts = [0] * self.module.instruction_count()
-        ck = _CkptState(interval)
+        if max_snapshots is not None and (
+            max_snapshots < 2 or max_snapshots % 2
+        ):
+            raise IRError("max_snapshots must be an even number >= 2")
+        state, main, coerced = self._prepare(
+            args, bindings, None, profile, step_limit
+        )
+        if state.counts is None:
+            state.counts = [0] * self.module.instruction_count()
+        ck = _CkptState(interval, max_snapshots or 0)
         state.ckpt = ck
         state.shadow = []
         state.event_at = interval
@@ -745,7 +770,10 @@ class Program:
             output=state.output,
             steps=state.steps,
             instr_counts=state.counts,
+            edge_counts=state.edges,
+            call_paths=state.paths,
             fault_fired=False,
+            checkpoint_interval=ck.interval,
         )
         return result, ck.snapshots
 
@@ -856,6 +884,11 @@ class Program:
                     frames=frames,
                 )
             )
+            if len(ck.snapshots) == ck.cap:
+                # Keep the odd positions: the survivors, this one included,
+                # sit one doubled interval apart.
+                del ck.snapshots[::2]
+                ck.interval *= 2
             state.event_at = state.steps + ck.interval
             return
         conv = state.conv
@@ -1158,8 +1191,10 @@ class Program:
                             val = math.nan
                     elif fn == 5:
                         val = abs(x)
+                    elif x == 0.0 or not -_TWO52 < x < _TWO52:
+                        val = x  # integral already; keeps -0.0
                     else:
-                        val = math.floor(x) if math.isfinite(x) else x
+                        val = float(math.floor(x))
                     if d[6]:
                         val = _f32(val)
                 elif op == 21:  # trunc ----------------------------------

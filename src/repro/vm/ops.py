@@ -45,6 +45,8 @@ _unpack_Q = struct.Struct("<Q").unpack
 _pack_I = struct.Struct("<I").pack
 
 _M64 = (1 << 64) - 1
+#: Every float at or beyond this magnitude is an integer.
+_TWO52 = 4503599627370496.0
 
 
 def f32(x: float) -> float:
@@ -155,7 +157,11 @@ def _log(x: float) -> float:
 
 
 def _floor(x: float) -> float:
-    return math.floor(x) if math.isfinite(x) else x
+    # math.floor returns an int; ±0.0, ±inf, NaN and |x| >= 2**52 are
+    # already integral and keep their encoding (sign of zero included).
+    if x == 0.0 or not -_TWO52 < x < _TWO52:
+        return x
+    return float(math.floor(x))
 
 
 #: ``fmath`` functions by their decoded index (sqrt, sin, cos, exp, log,

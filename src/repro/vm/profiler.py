@@ -15,7 +15,7 @@ from repro.obs.core import current as _obs_current
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.interpreter import Program, RunResult
 
-__all__ = ["DynamicProfile", "profile_run"]
+__all__ = ["DynamicProfile", "profile_of", "profile_run"]
 
 
 @dataclass
@@ -62,9 +62,23 @@ def profile_run(
     step_limit: int | None = None,
 ) -> DynamicProfile:
     """Run ``program`` once with profiling and derive its dynamic profile."""
-    result: RunResult = program.run(
+    result = program.run(
         args=args, bindings=bindings, profile=True, step_limit=step_limit
     )
+    return profile_of(program, result, cost_model)
+
+
+def profile_of(
+    program: Program,
+    result: RunResult,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+) -> DynamicProfile:
+    """The dynamic profile of a finished profiling run of ``program``.
+
+    ``result`` comes from ``Program.run(profile=True)`` or from a profiled
+    checkpoint recording (``Program.run_checkpointed(profile=True)``), which
+    observe the same counts, edges and call paths.
+    """
     module: Module = program.module
     counts = result.instr_counts or [0] * module.instruction_count()
     cycles = [0] * len(counts)

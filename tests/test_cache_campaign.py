@@ -177,6 +177,37 @@ class TestPerInstructionCaching:
         assert supplied.profile is cold.profile
         assert_same_per_instruction(cold, supplied)
 
+    def test_hit_takes_no_snapshot(self, pathfinder_app, tmp_path,
+                                   monkeypatch):
+        """Misses record golden checkpoints (the default); hits, which run
+        no trials, record nothing — on either entry point."""
+        from repro.vm.interpreter import Program
+
+        kw = _kwargs(pathfinder_app)
+        store = CampaignCache(tmp_path)
+        recordings = []
+        real = Program.run_checkpointed
+
+        def run_checkpointed(self, *args, **kwargs):
+            recordings.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Program, "run_checkpointed", run_checkpointed)
+
+        def both():
+            run_campaign(pathfinder_app.program, 20, seed=4, cache=store,
+                         **kw)
+            run_per_instruction_campaign(
+                pathfinder_app.program, trials_per_instruction=1, seed=4,
+                cache=store, **kw,
+            )
+
+        both()
+        assert len(recordings) == 2
+        recordings.clear()
+        both()
+        assert recordings == []
+
     def test_subset_sweep_has_its_own_key(self, pathfinder_app, tmp_path):
         from repro.fi.faultmodel import injectable_iids
 

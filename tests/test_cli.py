@@ -37,11 +37,11 @@ class TestCli:
         assert "SDC probability" in out and "CI" in out
 
     def test_inject_checkpointed_matches_cold(self):
-        _, cold = run_cli("inject", "pathfinder", "--faults", "40")
-        _, auto = run_cli(
+        _, cold = run_cli(
             "inject", "pathfinder", "--faults", "40",
-            "--checkpoint-interval", "auto",
+            "--checkpoint-interval", "0",
         )
+        _, auto = run_cli("inject", "pathfinder", "--faults", "40")
         _, fixed = run_cli(
             "inject", "pathfinder", "--faults", "40",
             "--checkpoint-interval", "512",
@@ -49,11 +49,17 @@ class TestCli:
         assert cold == auto == fixed
 
     def test_bad_checkpoint_interval_rejected(self):
-        for bad in ("soon", "0", "-8"):
+        for bad in ("soon", "-8"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["inject", "pathfinder", "--checkpoint-interval", bad]
                 )
+
+    def test_checkpoint_interval_default_and_cold(self):
+        parse = build_parser().parse_args
+        assert parse(["inject", "pathfinder"]).checkpoint_interval == "auto"
+        cold = parse(["inject", "pathfinder", "--checkpoint-interval", "0"])
+        assert cold.checkpoint_interval == 0
 
     def test_protect_sid(self):
         code, out = run_cli(

@@ -117,6 +117,42 @@ class TestEngineScope:
         assert all(reached)
 
 
+class TestCheckpointDefault:
+    def test_sid_sweeps_resume_from_checkpoints(self, monkeypatch):
+        """With no caller threading and no cache, a TINY fig2 study on bfs
+        records checkpoints for its per-instruction sweeps and resumes
+        their trials from them, like its evaluation campaigns."""
+        import repro.fi.campaign as campaign
+        from repro.exp.fig2 import run_fig2_study
+        from repro.vm.interpreter import Program
+
+        for var in ("REPRO_ENGINE", "REPRO_CACHE_DIR", "REPRO_WORKERS"):
+            monkeypatch.delenv(var, raising=False)
+        resumes = []
+        sweeps = []
+        real_resume = Program.resume
+        real_dispatch = campaign._dispatch_sites
+
+        def resume(self, *args, **kwargs):
+            resumes.append(1)
+            return real_resume(self, *args, **kwargs)
+
+        def dispatch(program, sites, store, *args, **kwargs):
+            before = len(resumes)
+            out = real_dispatch(program, sites, store, *args, **kwargs)
+            if args[6] == "per-instruction fi":
+                sweeps.append((store is not None and len(store) > 0,
+                               len(resumes) > before))
+            return out
+
+        monkeypatch.setattr(Program, "resume", resume)
+        monkeypatch.setattr(campaign, "_dispatch_sites", dispatch)
+        run_fig2_study(TINY.with_(apps=("bfs",), eval_inputs=1,
+                                  campaign_faults=10, per_instr_trials=1))
+        assert sweeps and all(recorded and resumed
+                              for recorded, resumed in sweeps)
+
+
 class TestDrivers:
     def test_fig2(self):
         from repro.exp.fig2 import run_fig2_study

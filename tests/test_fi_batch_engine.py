@@ -43,6 +43,7 @@ def test_whole_program_campaign_engine_equivalence(sumsq_program, sumsq_data):
         {"engine": "batch"},
         {"engine": "batch", "batch_size": 7},
         {"engine": "batch", "checkpoint_interval": "auto"},
+        {"engine": "batch", "checkpoint_interval": None},
         {"engine": "batch", "batch_size": 8, "workers": 2},
     ):
         batch = _campaign(sumsq_program, sumsq_data, **kw)

@@ -61,7 +61,7 @@ class TestTracingIsInert:
         assert len(batches) >= 2  # the pool path really ran, in batches
 
     def test_checkpointed_outcomes_identical(self, pathfinder_app):
-        bare = _campaign(pathfinder_app, workers=0)
+        bare = _campaign(pathfinder_app, workers=0, checkpoint_interval=None)
         with session(sink=MemorySink()):
             ckpt_serial = _campaign(
                 pathfinder_app, workers=0, checkpoint_interval="auto"

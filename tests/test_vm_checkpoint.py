@@ -84,19 +84,41 @@ class TestRecord:
             assert sum(cur.instr_counts) <= golden.steps
 
     def test_auto_interval_heuristic(self):
+        # The 256-step floor, doubled until a run holds 12-23 snapshots.
         assert auto_interval(10) == 256
-        assert auto_interval(480_000) == 10_000
+        assert auto_interval(480_000) == 32_768
+        for steps in (6_144, 100_000, 480_000, 7_000_000):
+            assert 12 <= steps // auto_interval(steps) < 24
 
     def test_auto_interval_from_hint(self, sumsq_program, sumsq_data):
         store = record_checkpoints(
             sumsq_program, args=[24], bindings=sumsq_data, steps_hint=480_000
         )
-        assert store.interval == 10_000
+        assert store.interval == 32_768
 
     def test_rejects_bad_interval(self, sumsq_program, sumsq_data):
         with pytest.raises(IRError):
             record_checkpoints(
                 sumsq_program, args=[8], bindings=sumsq_data, interval=0
+            )
+
+    def test_thinning_bounds_store_and_keeps_spacing(
+        self, sumsq_program, sumsq_data
+    ):
+        golden = sumsq_program.run(args=[24], bindings=sumsq_data)
+        result, snaps = sumsq_program.run_checkpointed(
+            args=[24], bindings=sumsq_data, interval=8, max_snapshots=4
+        )
+        interval = result.checkpoint_interval
+        assert interval in (16, 32, 64, 128) and 2 <= len(snaps) < 4
+        steps = [s.steps for s in snaps]
+        assert all(b - a >= interval for a, b in zip(steps, steps[1:]))
+        for snap in snaps:
+            r = sumsq_program.resume(snap)
+            assert r.output == golden.output and r.steps == golden.steps
+        with pytest.raises(IRError):
+            sumsq_program.run_checkpointed(
+                args=[24], bindings=sumsq_data, interval=8, max_snapshots=3
             )
 
     def test_snapshot_cycles_monotone(self, sumsq_program, sumsq_data):

@@ -160,6 +160,23 @@ class TestApps:
                 ]
                 assert results[0] == results[1], (i, fault)
 
+    def test_thinned_profiled_recording(self, pair):
+        # The fused golden pass: profiled, and thinned to a bounded store.
+        runs = [
+            p.run_checkpointed(args=pair.args, bindings=pair.bindings,
+                               interval=64, profile=True, max_snapshots=6)
+            for p in (pair.compiled, pair.reference)
+        ]
+        (got, got_snaps), (ref, ref_snaps) = runs
+        assert (bits(got.output), got.steps, got.instr_counts, got.edge_counts,
+                got.call_paths, got.checkpoint_interval) == (
+            bits(ref.output), ref.steps, ref.instr_counts, ref.edge_counts,
+            ref.call_paths, ref.checkpoint_interval)
+        assert snapshot_bits(got_snaps) == snapshot_bits(ref_snaps)
+        assert got.edge_counts == pair.golden.edge_counts
+        assert got.call_paths == pair.golden.call_paths
+        assert len(got_snaps) < 6
+
     def test_convergence_oracles(self):
         pair = Pair("needle")
         _, snaps = pair.reference.run_checkpointed(
@@ -299,3 +316,48 @@ class TestMidBlockResume:
                 assert got == want, (fr.block, k)
                 checked += 1
         assert checked
+
+
+def build_floor_module() -> Module:
+    """``floor(-2.7 * 1.0)``, emitted directly and after a store/load
+    round trip through a float global."""
+    m = Module("floor")
+    g = m.add_global("cell", F64, 1)
+    b = Builder.new_function(m, "main", [], VOID)
+    x = b.fmul(b.f64(-2.7), b.f64(1.0))
+    y = b.fmath("floor", x)
+    b.emit_output(y)
+    b.store(y, b.gep(g, b.i64(0)))
+    b.emit_output(b.load(b.gep(g, b.i64(0)), F64))
+    b.emit_output(b.fmath("floor", b.fmul(b.f64(-0.0), b.f64(1.0))))
+    b.ret()
+    return m.finalize()
+
+
+class TestFloor:
+    """``fmath floor`` yields a float on every executor (never a host int)."""
+
+    def test_golden_output_is_float(self):
+        m = build_floor_module()
+        for prog in (Program(m), ReferenceProgram(m)):
+            out = prog.run().output
+            assert [type(v) for v in out] == [float, float, float]
+            assert bits(out) == bits([-3.0, -3.0, -0.0])
+
+    def test_faults_identical_across_executors(self):
+        m = build_floor_module()
+        fmul = next(i for i in m.instructions() if i.opcode == "fmul")
+        faults = [FaultSpec(fmul.iid, 1, bit) for bit in range(64)]
+        compiled, reference = Program(m), ReferenceProgram(m)
+        golden = compiled.run().output
+        batch, _stats = run_trials_lockstep(
+            compiled, faults, golden_output=golden, step_limit=10_000
+        )
+        for fault, (b_out, b_trap) in zip(faults, batch):
+            got, ref = (
+                observe(lambda p=p: p.run(fault=fault, step_limit=10_000))
+                for p in (compiled, reference)
+            )
+            assert got == ref, fault
+            assert b_trap is None and got[0] == "ok"
+            assert bits(b_out) == got[1], fault

@@ -188,7 +188,7 @@ def run_op(build, operands, folded):
     b.ret()
     m.finalize()
     args = [] if folded else [_coerce(v, t) for t, v in operands]
-    run_both(m, args)
+    return run_both(m, args)
 
 
 class TestCompiledMatchesReference:
@@ -226,7 +226,13 @@ class TestCompiledMatchesReference:
            st.sampled_from((F32, F64)), any_floats, st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_fmath(self, fn, t, x, folded):
-        run_op(lambda bb, v: bb.fmath(fn, v), [(t, x)], folded)
+        r = run_op(lambda bb, v: bb.fmath(fn, v), [(t, x)], folded)
+        (val,) = r.output
+        assert type(val) is float
+        if fn == "floor" and not math.isnan(x):
+            # floor never changes the sign bit: -0.0 stays -0.0, (-1, 0)
+            # goes to -1.0, [0, 1) to +0.0.
+            assert math.copysign(1.0, val) == math.copysign(1.0, x)
 
     @given(st.booleans(), any_floats, any_floats, st.booleans())
     @settings(max_examples=30, deadline=None)
