@@ -3,7 +3,7 @@
 
     python scripts/doc_lint.py
 
-Checks three invariants that keep the codebase navigable:
+Checks four invariants that keep the codebase navigable:
 
 * every public module under ``src/repro`` (any ``.py`` whose name does not
   start with a single underscore, plus package ``__init__``/``__main__``
@@ -14,7 +14,14 @@ Checks three invariants that keep the codebase navigable:
   ``protocol-registry`` markers) matches the normative registry in
   ``repro.fabric.protocol.MESSAGES`` — same names, opcodes, directions,
   same order — so the written wire-protocol spec cannot drift from the
-  implementation.
+  implementation;
+* README.md's run knobs match the run-configuration table
+  (``repro.runconfig.KNOBS``): every table variable is documented, every
+  ``REPRO_*`` name README mentions is in the table or one of the knobs
+  that stay outside it, the flag table states each flag's default as the
+  table does, and the "Environment knobs" paragraph (between the
+  ``run-knobs`` markers) is exactly the one :func:`render_run_knobs`
+  generates — so the knob docs cannot drift from the one table.
 
 Exits non-zero and lists the offenders if any check fails; CI runs it next
 to ``trace_lint.py`` so undocumented modules and silent subcommands are
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -162,6 +170,105 @@ def lint_fabric_spec() -> list[str]:
     return problems
 
 
+#: ``REPRO_*`` variables that are not run knobs, so stay outside the
+#: table: the cache size cap, the progress heartbeat, the bench history
+#: and a process's chaos identity.
+OUTSIDE_RUN_CONFIG = (
+    "REPRO_CACHE_MAX_BYTES",
+    "REPRO_PROGRESS_INTERVAL",
+    "REPRO_BENCH_HISTORY",
+    "REPRO_CHAOS_IDENTITY",
+)
+
+#: README flag-table rows of the run knobs: flag -> RunConfig field.
+RUN_FLAGS = {
+    "--workers": "workers",
+    "--engine": "engine",
+    "--batch-size": "batch_size",
+    "--checkpoint-interval": "checkpoint_interval",
+    "--cache-dir": "cache",
+    "--max-retries": "max_retries",
+    "--task-timeout": "task_timeout",
+    "--transport": "transport",
+    "--adapters": "addrs",
+}
+
+
+def flag_default(field: str) -> str:
+    """A run flag's "Default" cell, from the table."""
+    from repro.runconfig import KNOBS
+
+    knob = KNOBS[field]
+    if knob.env is None:
+        return knob.default
+    return f"`{knob.env}` env, else {knob.default}"
+
+
+def render_run_knobs() -> str:
+    """README's "Environment knobs" paragraph, from the table."""
+    from repro.runconfig import KNOBS
+
+    def cell(text: str) -> str:
+        return text.replace("|", "\\|")
+
+    rows = [
+        f"| `{k.env}` | `{name}` | {cell(k.expects)} | {k.default} |"
+        for name, k in KNOBS.items() if k.env
+    ]
+    lenient = [f"`{k.env}`" for k in KNOBS.values() if k.env and not k.strict]
+    return "\n".join([
+        "Environment knobs sit below every flag and scope (DESIGN.md "
+        "§7.12):",
+        "",
+        "| Variable | Sets | Accepts | Default |",
+        "|---|---|---|---|",
+        *rows,
+        "",
+        f"A malformed {', '.join(lenient[:-1])} or {lenient[-1]} logs a "
+        "warning and keeps the default; any other malformed value raises "
+        "`ConfigError`.",
+    ])
+
+
+def lint_run_knobs() -> list[str]:
+    """README.md's run-knob docs against the run-configuration table."""
+    from repro.runconfig import KNOBS
+
+    text = (ROOT / "README.md").read_text()
+    table = {k.env for k in KNOBS.values() if k.env}
+    mentioned = set(re.findall(r"\bREPRO_[A-Z][A-Z_]*", text))
+    problems = [
+        f"README.md: run knob {env} is undocumented"
+        for env in sorted(table - mentioned)
+    ]
+    problems += [
+        f"README.md: mentions {env}, which is neither in the run-"
+        "configuration table nor one of OUTSIDE_RUN_CONFIG"
+        for env in sorted(mentioned - table - set(OUTSIDE_RUN_CONFIG))
+    ]
+    for flag, field in RUN_FLAGS.items():
+        row = re.search(rf"^\| `{flag}[ `].*\|([^|]*)\|\s*$", text, re.M)
+        want = flag_default(field)
+        if row is None:
+            problems.append(f"README.md: no flag-table row for {flag}")
+        elif row.group(1).strip() != want:
+            problems.append(
+                f"README.md: {flag} default reads {row.group(1).strip()!r}, "
+                f"the table says {want!r}"
+            )
+    begin, end = "<!-- run-knobs:begin -->", "<!-- run-knobs:end -->"
+    if begin not in text or end not in text:
+        problems.append(f"README.md: {begin} / {end} markers not found")
+    else:
+        block = text.split(begin, 1)[1].split(end, 1)[0]
+        if block.split() != render_run_knobs().split():
+            problems.append(
+                "README.md: the Environment knobs paragraph differs from "
+                "the table; it should read:\n" + render_run_knobs()
+            )
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.parse_args(argv)
@@ -170,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         lint_module_docstrings(SRC / "repro")
         + lint_cli_help()
         + lint_fabric_spec()
+        + lint_run_knobs()
     )
     if problems:
         print(f"doc lint: {len(problems)} problem(s)")

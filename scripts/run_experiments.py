@@ -21,7 +21,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cache.active import cache_scope
 from repro.exp.config import FULL, SMALL, TINY, ScaleConfig
 from repro.exp.fig2 import run_fig2_study
 from repro.exp.fig3 import find_incubative_example
@@ -42,8 +41,8 @@ from repro.exp.report import (
 from repro.exp.results import save_json
 from repro.obs.core import session
 from repro.obs.log import LEVELS, configure_logging, get_logger
+from repro.runconfig import resolve_field
 from repro.util.tables import format_percent, format_table
-from repro.vm.batch import engine_scope
 
 SCALES = {"tiny": TINY, "small": SMALL, "full": FULL}
 
@@ -114,24 +113,20 @@ def _run(args) -> int:
     interval = args.checkpoint_interval
     if interval != "auto":
         interval = int(interval)
+    # Every driver installs these flags as its run scope (repro.runconfig);
+    # --no-cache disables caching even where REPRO_CACHE_DIR names a store.
     scale: ScaleConfig = SCALES[args.scale].with_(
         workers=args.workers, checkpoint_interval=interval,
         max_retries=args.max_retries, task_timeout=args.task_timeout,
         engine=args.engine, batch_size=args.batch_size,
+        cache_dir=False if args.no_cache else args.cache_dir,
     )
     if args.apps:
         scale = scale.with_(apps=tuple(args.apps))
-    # The installed scopes are ambient for every driver below; --no-cache
-    # installs the disabled sentinel, which also beats REPRO_CACHE_DIR,
-    # and the engine scope routes every nested campaign through
-    # --engine/--batch-size without per-study parameter threading.
-    cache_spec = False if args.no_cache else args.cache_dir
-    with cache_scope(cache_spec) as store, engine_scope(
-        scale.engine, scale.batch_size
-    ):
-        if store is not None:
-            log.info("campaign cache: %s", store.root)
-        return _run_experiments(args, scale)
+    store = resolve_field("cache", scale.cache_dir)
+    if store is not None:
+        log.info("campaign cache: %s", store.root)
+    return _run_experiments(args, scale)
 
 
 def _run_experiments(args, scale: ScaleConfig) -> int:

@@ -21,10 +21,11 @@ that regenerate every table and figure of the paper.
 """
 
 from repro.apps import all_app_names, get_app
-from repro.cache import CampaignCache, cache_scope
+from repro.cache import CampaignCache
 from repro.fi import run_campaign, run_per_instruction_campaign
 from repro.ir import Builder, Module, parse_module, print_module
 from repro.minpsid import MINPSIDConfig, MINPSIDResult, minpsid
+from repro.runconfig import RunConfig, run_scope
 from repro.sid import SIDConfig, SIDResult, classic_sid
 from repro.vm import FaultSpec, Program, profile_run
 
@@ -44,7 +45,8 @@ __all__ = [
     "run_campaign",
     "run_per_instruction_campaign",
     "CampaignCache",
-    "cache_scope",
+    "RunConfig",
+    "run_scope",
     "SIDConfig",
     "SIDResult",
     "classic_sid",

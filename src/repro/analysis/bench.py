@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro.apps import get_app
-from repro.cache.active import cache_scope
+from repro.runconfig import run_scope
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.profiler import profile_run
 
@@ -73,14 +73,13 @@ def measure_model_speedup(
             seed=seed,
             rel_tol=app.rel_tol,
             abs_tol=app.abs_tol,
-            workers=0,
             dyn_profile=dyn,
         )
 
     def best_of(source: str):
         best, profile = float("inf"), None
         for _ in range(repeats):
-            with cache_scope(False):
+            with run_scope(workers=0, cache=False):
                 t0 = time.perf_counter()
                 profile = build(source)
                 best = min(best, time.perf_counter() - t0)

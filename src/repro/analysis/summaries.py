@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis import dataflow as df
 from repro.analysis.masking import DEFAULT_MASKING, MaskingModel
-from repro.cache.active import active_cache
 from repro.cache.keys import section_summary_key
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -37,6 +36,7 @@ from repro.ir.module import Module
 from repro.ir.printer import print_function
 from repro.ir.values import Argument, GlobalArray
 from repro.obs.core import current as _obs_current
+from repro.runconfig import resolve_field
 
 __all__ = ["Channels", "FunctionSummary", "summarize_function", "module_summaries"]
 
@@ -398,12 +398,13 @@ def summarize_function(
 ) -> FunctionSummary:
     """Summary of one function, through the content-addressed store.
 
-    ``cache=None`` defers to the ambient :func:`repro.cache.active_cache`;
-    ``cache=False`` forces a fresh computation. The key covers the
-    function's canonical text and every masking constant, so a stale entry
-    can never be confused for the current analysis.
+    ``cache=None`` defers to the run configuration's cache
+    (:mod:`repro.runconfig`); ``cache=False`` forces a fresh computation.
+    The key covers the function's canonical text and every masking
+    constant, so a stale entry can never be confused for the current
+    analysis.
     """
-    store = active_cache() if cache is None else (cache or None)
+    store = resolve_field("cache", cache)
     t = _obs_current()
     key = None
     if store is not None:

@@ -15,26 +15,22 @@ Pieces:
 * :mod:`repro.cache.store` — the sharded JSON store: atomic writes,
   checksum-verified corruption-tolerant reads, LRU eviction under a size
   cap;
-* :mod:`repro.cache.active` — the process-wide installed cache that
-  campaign entry points consult (CLI ``--cache-dir``, harness flag, or
-  ``REPRO_CACHE_DIR``).
+* :func:`repro.runconfig.run_scope` installs the cache campaigns consult
+  (CLI ``--cache-dir``, ``ScaleConfig.cache_dir``, or ``REPRO_CACHE_DIR``);
+  it is the ``cache`` field of the run configuration.
 
 Cached and fresh results are bit-identical; tracing counters
 (``cache.hit/miss/write/corrupt/evicted``) surface in ``repro obs report``.
 """
 
-from repro.cache.active import CACHE_DIR_ENV, active_cache, cache_scope, store_for
 from repro.cache.keys import CODE_SALT, per_instruction_key, whole_program_key
-from repro.cache.store import CacheStats, CampaignCache, ENTRY_SCHEMA
+from repro.cache.store import CacheStats, CampaignCache, ENTRY_SCHEMA, store_for
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CODE_SALT",
     "ENTRY_SCHEMA",
     "CacheStats",
     "CampaignCache",
-    "active_cache",
-    "cache_scope",
     "per_instruction_key",
     "store_for",
     "whole_program_key",

@@ -1,87 +1,15 @@
-"""The process-wide active cache, mirroring :mod:`repro.obs.core`.
+"""``cache_scope(spec)``: a run scope that sets only the campaign cache.
 
-Campaign entry points consult :func:`active_cache` when no explicit store
-is passed, so installing one cache at the top of a run (CLI flag, harness
-flag, or the ``REPRO_CACHE_DIR`` environment variable) makes every campaign
-underneath it incremental — including the GA input search's per-candidate
-sweeps, which revisit inputs across generations.
-
-Unlike telemetry there is no pid guard: the store is a plain directory and
-is safe to share between processes (atomic writes, checksum reads). Pool
-workers never reach it anyway — lookups happen in the parent, around whole
-campaigns, before any fan-out.
+The cache is the ``cache`` field of :mod:`repro.runconfig`; new code calls
+``run_scope(cache=spec)`` directly.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from pathlib import Path
+from repro.runconfig import run_scope
 
-from repro.cache.store import CampaignCache
-
-__all__ = ["active_cache", "cache_scope", "store_for", "CACHE_DIR_ENV"]
-
-#: Opt-in environment default consulted when no cache is installed.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Sentinel installed by ``--no-cache``: beats the environment default.
-_DISABLED = object()
-
-_active = None
-
-#: One store object per resolved directory, so repeated scopes (one per
-#: figure driver, say) share prune bookkeeping instead of re-walking.
-_stores: dict[str, CampaignCache] = {}
+__all__ = ["cache_scope"]
 
 
-def store_for(root: str | Path, max_bytes: int | None = None) -> CampaignCache:
-    """The memoized :class:`CampaignCache` for a directory."""
-    resolved = str(Path(root).expanduser().resolve())
-    store = _stores.get(resolved)
-    if store is None:
-        store = CampaignCache(resolved, max_bytes=max_bytes)
-        _stores[resolved] = store
-    return store
-
-
-def active_cache() -> CampaignCache | None:
-    """The installed cache; falls back to ``REPRO_CACHE_DIR`` when unset.
-
-    Returns ``None`` when caching is off — either nothing is installed and
-    the environment names no directory, or a ``--no-cache`` scope is active.
-    """
-    if _active is _DISABLED:
-        return None
-    if _active is not None:
-        return _active
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if env:
-        return store_for(env)
-    return None
-
-
-@contextmanager
-def cache_scope(spec):
-    """Install a cache (or explicitly disable caching) for a block.
-
-    ``spec`` may be a directory path or a :class:`CampaignCache` (install
-    it), ``False`` (disable caching, overriding the environment default),
-    or ``None`` (no-op: keep whatever is ambient). Scopes nest by
-    shadowing; the previous state is restored on exit.
-    """
-    global _active
-    if spec is None:
-        yield active_cache()
-        return
-    prev = _active
-    if spec is False:
-        _active = _DISABLED
-    elif isinstance(spec, CampaignCache):
-        _active = spec
-    else:
-        _active = store_for(spec)
-    try:
-        yield None if _active is _DISABLED else _active
-    finally:
-        _active = prev
+def cache_scope(spec):  # bench/study.py imports it
+    return run_scope(cache=spec)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.obs.core import current as _obs_current
 
-__all__ = ["CampaignCache", "CacheStats", "ENTRY_SCHEMA"]
+__all__ = ["CampaignCache", "CacheStats", "ENTRY_SCHEMA", "store_for"]
 
 #: Entry-envelope version: bump when the on-disk wrapper format changes.
 ENTRY_SCHEMA = 1
@@ -259,3 +259,18 @@ class CampaignCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CampaignCache(root={str(self.root)!r})"
+
+
+#: One store object per resolved directory, so repeated scopes (one per
+#: figure driver, say) share prune bookkeeping instead of re-walking.
+_stores: dict[str, CampaignCache] = {}
+
+
+def store_for(root: str | Path, max_bytes: int | None = None) -> CampaignCache:
+    """The memoized :class:`CampaignCache` for a directory."""
+    resolved = str(Path(root).expanduser().resolve())
+    store = _stores.get(resolved)
+    if store is None:
+        store = CampaignCache(resolved, max_bytes=max_bytes)
+        _stores[resolved] = store
+    return store

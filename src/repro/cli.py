@@ -63,7 +63,9 @@ hybrid) ones. Campaign commands (``inject``/``fi``, ``protect``, ``analyze``)
 additionally accept
 ``--cache-dir PATH`` (reuse bit-identical campaign results persisted there;
 defaults to ``REPRO_CACHE_DIR`` when set) and ``--no-cache`` (force
-recomputation even when the environment names a cache).
+recomputation even when the environment names a cache). Every execution
+flag of a command goes into one run scope (:mod:`repro.runconfig`) around
+it, which every campaign the command triggers resolves.
 
 The CLI wraps the same public API the examples use; it exists so a user can
 poke at the system without writing a script.
@@ -75,7 +77,6 @@ import argparse
 import sys
 
 from repro.apps import all_app_names, get_app
-from repro.cache.active import CACHE_DIR_ENV, cache_scope, store_for
 from repro.errors import HarnessError
 from repro.exp.report import render_table1
 from repro.exp.runner import generate_eval_inputs
@@ -86,6 +87,7 @@ from repro.minpsid.pipeline import MINPSIDConfig, minpsid
 from repro.minpsid.search import InputSearchConfig
 from repro.obs.core import session
 from repro.obs.log import LEVELS, configure_logging, get_logger
+from repro.runconfig import ENGINES, KNOBS, TRANSPORTS, resolve_field, run_scope
 from repro.sid.coverage import measured_coverage
 from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.sid.profiles import PROFILE_SOURCES
@@ -96,21 +98,21 @@ __all__ = ["main", "build_parser"]
 log = get_logger("cli")
 
 
+def _default(name: str) -> str:
+    """A run flag's default, as the run-configuration table states it."""
+    knob = KNOBS[name]
+    return f"default: {knob.env} env, else {knob.default}"
+
+
 def _interval(raw: str):
     """Parse ``--checkpoint-interval``: ``auto``, a step count, or 0 (cold)."""
-    if raw.lower() == "auto":
-        return "auto"
+    knob = KNOBS["checkpoint_interval"]
     try:
-        value = int(raw)
+        return knob.parse(raw.lower())
     except ValueError as e:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {raw!r}"
+            f"expected {knob.expects}, got {raw!r}"
         ) from e
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"interval must be >= 0, got {value}"
-        )
-    return value
 
 
 def obs_flags() -> argparse.ArgumentParser:
@@ -149,7 +151,7 @@ def cache_flags() -> argparse.ArgumentParser:
     g.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="reuse bit-identical campaign results persisted under PATH "
-        f"(default: the {CACHE_DIR_ENV} environment, else no caching)",
+        f"({_default('cache')})",
     )
     g.add_argument(
         "--no-cache", action="store_true",
@@ -158,37 +160,26 @@ def cache_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _cache_spec(args):
-    """Map the cache flags to a :func:`repro.cache.cache_scope` spec."""
-    if getattr(args, "no_cache", False):
-        return False
-    return getattr(args, "cache_dir", None)
-
-
 def engine_flags() -> argparse.ArgumentParser:
     """Trial-executor flags, shared by the campaign-running subcommands."""
-    from repro.vm.batch import BATCH_SIZE_ENV, ENGINE_ENV, ENGINES
-
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("trial executor")
     g.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="'batch' vectorizes trials in lockstep over numpy columns — "
         "bit-identical outcomes, much higher throughput "
-        f"(default: {ENGINE_ENV} env, else scalar)",
+        f"({_default('engine')})",
     )
     g.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
         help="trials per lockstep batch with --engine=batch "
-        f"(default: {BATCH_SIZE_ENV} env, else the engine default)",
+        f"({_default('batch_size')})",
     )
     return common
 
 
 def fabric_flags() -> argparse.ArgumentParser:
     """Dispatch-fabric flags, shared by the campaign-running subcommands."""
-    from repro.fabric.harness import ADDR_ENV, TRANSPORT_ENV, TRANSPORTS
-
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("dispatch fabric")
     g.add_argument(
@@ -196,31 +187,29 @@ def fabric_flags() -> argparse.ArgumentParser:
         help="how campaign chunks reach workers: 'local' keeps the "
         "in-host process pool; 'inproc'/'socketpair'/'tcp' dispatch over "
         "the wire protocol of docs/FABRIC.md — bit-identical outcomes "
-        f"either way (default: {TRANSPORT_ENV} env, else local)",
+        f"either way ({_default('transport')})",
     )
     g.add_argument(
         "--adapters", metavar="HOST:PORT,...", default=None,
         help="TCP adapter endpoints for --transport=tcp "
-        f"(default: the {ADDR_ENV} environment)",
+        f"({_default('addrs')})",
     )
     return common
 
 
 def supervisor_flags() -> argparse.ArgumentParser:
     """Harness-supervision flags, shared by campaign-running subcommands."""
-    from repro.util.supervisor import MAX_RETRIES_ENV, TASK_TIMEOUT_ENV
-
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("harness supervision")
     g.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
         help="re-submit a failed worker chunk up to N times before a typed "
-        f"harness error surfaces (default: {MAX_RETRIES_ENV} env, else 2)",
+        f"harness error surfaces ({_default('max_retries')})",
     )
     g.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-chunk wall-clock deadline; a hung worker past it is "
-        f"killed and retried (default: {TASK_TIMEOUT_ENV} env, else off)",
+        f"killed and retried ({_default('task_timeout')})",
     )
     return common
 
@@ -256,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inj.add_argument("--seed", type=int, default=2022)
     p_inj.add_argument(
         "--workers", type=int, default=None,
-        help="process fan-out (default: REPRO_WORKERS env or serial)",
+        help=f"process fan-out ({_default('workers')})",
     )
     p_inj.add_argument(
         "--checkpoint-interval", type=_interval, default="auto",
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prot.add_argument("--seed", type=int, default=2022)
     p_prot.add_argument(
         "--workers", type=int, default=None,
-        help="process fan-out (default: REPRO_WORKERS env or serial)",
+        help=f"process fan-out ({_default('workers')})",
     )
     p_prot.add_argument(
         "--profile-source", choices=PROFILE_SOURCES, default="fi",
@@ -336,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--seed", type=int, default=2022)
     p_an.add_argument(
         "--workers", type=int, default=None,
-        help="process fan-out (default: REPRO_WORKERS env or serial)",
+        help=f"process fan-out ({_default('workers')})",
     )
 
     p_fleet = sub.add_parser(
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated job mix (default: all 11 apps)")
     g.add_argument("--workers", type=int, default=None,
                    help="process fan-out for defective-host jobs "
-                   "(default: REPRO_WORKERS env or serial)")
+                   f"({_default('workers')})")
     p_fr = fleet_sub.add_parser(
         "run", parents=[common, fleet_common],
         help="simulate one fleet under one resilience policy",
@@ -456,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = cache_sub.add_parser(name, parents=[common], help=desc)
         p.add_argument(
             "--cache-dir", metavar="PATH", default=None,
-            help=f"cache directory (default: the {CACHE_DIR_ENV} environment)",
+            help=f"cache directory (default: the {KNOBS['cache'].env} "
+            "environment)",
         )
 
     p_srv = sub.add_parser(
@@ -473,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="PATH", default=None,
         help="campaign cache for request dedup — repeated identical SUBMITs "
         f"answer from it with zero trials dispatched (default: the "
-        f"{CACHE_DIR_ENV} environment, else no dedup)",
+        f"{KNOBS['cache'].env} environment, else no dedup)",
     )
 
     p_sub = sub.add_parser(
@@ -534,9 +524,7 @@ def _cmd_inject(args, out) -> int:
     )
     camp = run_campaign(
         app.program, args.faults, args.seed, args=a, bindings=b,
-        rel_tol=app.rel_tol, abs_tol=app.abs_tol, workers=args.workers,
-        checkpoint_interval=args.checkpoint_interval,
-        max_retries=args.max_retries, task_timeout=args.task_timeout,
+        rel_tol=app.rel_tol, abs_tol=app.abs_tol,
     )
     lo, hi = camp.sdc_confidence()
     print(f"{app.name}: {camp.counts!r}", file=out)
@@ -563,7 +551,6 @@ def _inject_profile(args, app, a, b, out) -> int:
         seed=args.seed,
         rel_tol=app.rel_tol,
         abs_tol=app.abs_tol,
-        workers=args.workers,
     )
     verified = sum(1 for v in profile.provenance.values() if v == "fi")
     print(
@@ -631,12 +618,12 @@ def _cmd_analyze(args, out) -> int:
     from repro.exp.config import TINY
     from repro.exp.modelval import render_model_validation, run_model_validation
 
+    # workers=None defers to --workers, through the command's run scope.
     scale = TINY.with_(
         per_instr_trials=args.trials,
         seed=args.seed,
-        workers=args.workers,
+        workers=None,
         protection_levels=(args.level,),
-        cache_dir=None,  # the ambient cache scope (per --cache-dir) applies
     )
     rows = run_model_validation(
         scale, apps=(app.name,), verify_margin=args.verify_margin
@@ -710,13 +697,13 @@ def _cmd_fleet(args, out) -> int:
         result = run_fleet(
             args.hosts, args.defect_rate, parse_policy(args.policy),
             args.seed, rounds=args.rounds, apps=apps,
-            n_defective=args.defective, workers=args.workers,
+            n_defective=args.defective,
         )
         print(render_fleet_summary(result), file=out)
         return 0
     results = run_sweep(
         args.hosts, args.defect_rate, args.seed, rounds=args.rounds,
-        apps=apps, n_defective=args.defective, workers=args.workers,
+        apps=apps, n_defective=args.defective,
     )
     print(render_sweep(results), file=out)
     if args.check_monotone and not sweep_is_monotone(results):
@@ -725,16 +712,14 @@ def _cmd_fleet(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
-    import os
-
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV, "").strip()
-    if not cache_dir:
+    store = resolve_field("cache", args.cache_dir)
+    if store is None:
         print(
-            f"no cache directory: pass --cache-dir or set {CACHE_DIR_ENV}",
+            "no cache directory: pass --cache-dir or set "
+            f"{KNOBS['cache'].env}",
             file=sys.stderr,
         )
         return 2
-    store = store_for(cache_dir)
     if args.cache_command == "stats":
         print(store.stats().render(), file=out)
     elif args.cache_command == "clear":
@@ -781,7 +766,6 @@ def _cmd_protect_detectors(args, out) -> int:
             seed=args.seed,
             rel_tol=app.rel_tol,
             abs_tol=app.abs_tol,
-            workers=args.workers,
             validate_faults=args.faults,
         ),
     )
@@ -834,7 +818,6 @@ def _cmd_protect(args, out) -> int:
                 seed=args.seed,
                 rel_tol=app.rel_tol,
                 abs_tol=app.abs_tol,
-                workers=args.workers,
                 profile_source=args.profile_source,
             ),
         )
@@ -852,9 +835,7 @@ def _cmd_protect(args, out) -> int:
                     max_inputs=args.search_inputs,
                     per_instruction_trials=max(2, args.trials // 2),
                     ga=GAConfig(),
-                    workers=args.workers,
                 ),
-                workers=args.workers,
             ),
         )
         protected, selection = res.protected, res.selection
@@ -881,14 +862,10 @@ def _cmd_protect(args, out) -> int:
             pu = run_campaign(
                 app.program, args.faults, args.seed + 10 + k, args=ia,
                 bindings=ib, rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-                workers=args.workers,
-                max_retries=args.max_retries, task_timeout=args.task_timeout,
             ).sdc_probability
             pp = run_campaign(
                 prog_prot, args.faults, args.seed + 1000 + k, args=ia,
                 bindings=ib, rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-                workers=args.workers,
-                max_retries=args.max_retries, task_timeout=args.task_timeout,
             ).sdc_probability
             cov = measured_coverage(pu, pp)
             if cov is not None:
@@ -993,11 +970,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "submit": lambda: _cmd_submit(args, out),
     }
     handler = handlers[args.command]
-    # serve installs its own cache/fabric scopes around the event loop and
-    # submit runs no campaigns locally, so neither goes through _with_cache.
+    # serve installs its own run scope around each request and submit runs
+    # no campaigns locally, so neither goes through _in_run_scope.
     if args.command not in ("cache", "serve", "submit"):
         inner = handler
-        handler = lambda: _with_cache(args, inner)  # noqa: E731
+        handler = lambda: _in_run_scope(args, inner)  # noqa: E731
     trace = getattr(args, "trace", None)
     progress = getattr(args, "progress", False)
     want_dashboard = getattr(args, "dashboard", False)
@@ -1023,24 +1000,29 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 3
 
 
-def _with_cache(args, handler) -> int:
-    """Run a command handler under its requested cache and engine scopes.
+def _in_run_scope(args, handler) -> int:
+    """Run a command handler under the one run scope its flags describe.
 
-    The engine scope makes ``--engine``/``--batch-size`` ambient, so every
-    campaign a command triggers — including nested ones inside hybrid
-    verification or protection evaluation — picks them up without each
-    layer growing executor parameters. The fabric scope does the same for
-    ``--transport``/``--adapters`` (docs/FABRIC.md).
+    Every campaign the command triggers — including nested ones inside
+    hybrid verification or protection evaluation — resolves these settings
+    (:mod:`repro.runconfig`) without any layer forwarding them. A flag the
+    command lacks, or leaves at ``None``, defers to the environment.
     """
-    from repro.fabric.harness import fabric_scope
-    from repro.vm.batch import engine_scope
+    def flag(name: str):
+        return getattr(args, name, None)
 
-    spec = _cache_spec(args)
-    with cache_scope(spec) as store, engine_scope(
-        getattr(args, "engine", None), getattr(args, "batch_size", None)
-    ), fabric_scope(
-        getattr(args, "transport", None), getattr(args, "adapters", None)
+    with run_scope(
+        workers=flag("workers"),
+        engine=flag("engine"),
+        batch_size=flag("batch_size"),
+        checkpoint_interval=flag("checkpoint_interval"),
+        transport=flag("transport"),
+        addrs=flag("adapters"),
+        max_retries=flag("max_retries"),
+        task_timeout=flag("task_timeout"),
+        cache=False if flag("no_cache") else flag("cache_dir"),
     ):
+        store = resolve_field("cache")
         if store is not None:
             log.info("campaign cache: %s", store.root)
         return handler()

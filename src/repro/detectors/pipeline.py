@@ -22,7 +22,7 @@ from repro.detectors.optimizer import (
 from repro.detectors.validate import ConfigValidation, validate_frontier
 from repro.detectors.zoo import DETECTOR_KINDS, DetectorContext, make_detectors
 from repro.ir.module import Module
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
@@ -46,7 +46,6 @@ class FrontierConfig:
     seed: int = 2022
     rel_tol: float = 0.0
     abs_tol: float = 0.0
-    workers: int | None = 0
     #: Whole-program faults per configuration validation (0 = skip FI).
     validate_faults: int = 0
 
@@ -59,7 +58,7 @@ class FrontierResult:
     profile: object = field(repr=False, default=None)
     candidates: list = field(repr=False, default_factory=list)
     validations: list[ConfigValidation] = field(default_factory=list)
-    stopwatch: Stopwatch = None
+    stopwatch: PhaseTimer = None
 
 
 def build_frontier(
@@ -69,7 +68,7 @@ def build_frontier(
     config: FrontierConfig = FrontierConfig(),
 ) -> FrontierResult:
     """Trace (and optionally FI-validate) one app's detector frontier."""
-    sw = Stopwatch()
+    sw = PhaseTimer()
     program = Program(module)
     with sw.phase("profile"):
         dyn = profile_run(program, args=args, bindings=bindings)
@@ -82,7 +81,6 @@ def build_frontier(
             seed=config.seed,
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
-            workers=config.workers,
             dyn_profile=dyn,
         )
     with sw.phase("candidates"):
@@ -106,7 +104,6 @@ def build_frontier(
                 bindings=bindings,
                 rel_tol=config.rel_tol,
                 abs_tol=config.abs_tol,
-                workers=config.workers,
             )
     return FrontierResult(
         points=points,

@@ -12,9 +12,9 @@ sums named global arrays before every return of ``@main`` and traps when the
 sum leaves its golden band.
 
 When the plan assigns "dup" with sync placement to every selected iid the
-emitted module is *byte-identical* to the legacy ``sid.duplication`` output:
-``repro.sid.duplication`` is now a thin shim over this pass, so classic SID
-and the detector zoo share one code path by construction.
+emitted module is *byte-identical* to classic SID's duplication:
+:func:`duplicate_instructions` (which ``repro.sid`` exports) is that plan,
+so classic SID and the detector zoo share one code path by construction.
 """
 
 from __future__ import annotations

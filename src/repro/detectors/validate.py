@@ -62,7 +62,6 @@ def validate_config(
     bindings=None,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
-    workers: int | None = 0,
     baseline: CampaignResult | None = None,
     app: str | None = None,
 ) -> ConfigValidation:
@@ -74,13 +73,13 @@ def validate_config(
     if baseline is None:
         baseline = run_campaign(
             program, n_faults, seed, args=args, bindings=bindings,
-            rel_tol=rel_tol, abs_tol=abs_tol, workers=workers,
+            rel_tol=rel_tol, abs_tol=abs_tol,
         )
     protected = _protect(program, config)
     prot_program = Program(protected.module)
     campaign = run_campaign(
         prot_program, n_faults, seed, args=args, bindings=bindings,
-        rel_tol=rel_tol, abs_tol=abs_tol, workers=workers,
+        rel_tol=rel_tol, abs_tol=abs_tol,
     )
     cov = measured_coverage(
         baseline.counts.sdc_probability, campaign.counts.sdc_probability
@@ -142,7 +141,6 @@ def validate_frontier(
         program, n_faults, seed, args=args, bindings=bindings,
         rel_tol=kwargs.get("rel_tol", 0.0),
         abs_tol=kwargs.get("abs_tol", 0.0),
-        workers=kwargs.get("workers", 0),
     )
     out: list[ConfigValidation] = []
     seen: dict[int, ConfigValidation] = {}

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.active import active_cache
 from repro.cache.keys import value_profile_key
 from repro.ir.printer import print_module
 from repro.obs.core import current as _obs_current
+from repro.runconfig import resolve_field
 from repro.vm.interpreter import INJECTABLE_OPCODES, Program
 
 __all__ = ["ValueRecord", "ValueProfile", "mine_value_profile"]
@@ -120,7 +120,7 @@ def mine_value_profile(
     ``cache`` overrides the ambient campaign cache; pass ``False`` to force
     a fresh mining run.
     """
-    store = active_cache() if cache is None else (cache or None)
+    store = resolve_field("cache", cache)
     key = None
     t = _obs_current()
     if store is not None:

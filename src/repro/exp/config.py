@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.runconfig import run_scope
+
 __all__ = ["ScaleConfig", "TINY", "SMALL", "FULL"]
 
 
@@ -37,31 +39,32 @@ class ScaleConfig:
     protection_levels: tuple[float, ...] = (0.3, 0.5, 0.7)
     #: Master seed.
     seed: int = 2022
-    #: Process fan-out for FI campaigns (0 = serial, None = REPRO_WORKERS).
+    # The execution fields below (workers ... transport) form the run
+    # configuration (repro.runconfig) a driver installs with run_scope();
+    # None leaves a field to the enclosing scope or the environment.
+    #: Process fan-out for FI campaigns (0 = serial).
     workers: int | None = 0
     #: Checkpoint-resume for FI campaigns: "auto" = interval heuristic
     #: (about 16 snapshots per golden run), an int = snapshot every that
     #: many instructions, None/0 = cold replay. Outcomes are identical.
     checkpoint_interval: int | str | None = "auto"
     #: Campaign-cache directory: campaigns reuse results persisted there
-    #: across runs (None = ambient cache, REPRO_CACHE_DIR or none; False =
-    #: explicitly disabled for this study even if one is installed).
+    #: across runs (False = caching disabled for this study even if one is
+    #: installed).
     cache_dir: str | None = None
     #: Supervisor: retries per failed worker chunk before a typed
-    #: HarnessError surfaces (None = REPRO_MAX_RETRIES env, else 2).
+    #: HarnessError surfaces.
     max_retries: int | None = None
     #: Supervisor: per-chunk wall-clock deadline in seconds for hung-worker
-    #: detection (None = REPRO_TASK_TIMEOUT env, else off).
+    #: detection.
     task_timeout: float | None = None
     #: Apps to include (None = all 11).
     apps: tuple[str, ...] | None = None
     #: Trial executor for FI campaigns: "scalar" runs one interpreter per
     #: trial; "batch" vectorizes trials in lockstep over numpy columns
-    #: (bit-identical outcomes, ~20-35x cold throughput). None defers to
-    #: REPRO_ENGINE (default scalar).
+    #: (bit-identical outcomes, much higher throughput).
     engine: str | None = None
-    #: Trials per lockstep batch when engine="batch" (None = REPRO_BATCH_SIZE
-    #: env, else the engine default).
+    #: Trials per lockstep batch when engine="batch".
     batch_size: int | None = None
     #: Source of per-instruction SDC probabilities for protection profiles:
     #: "fi" (inject — the paper's method), "model" (static error-propagation
@@ -70,9 +73,7 @@ class ScaleConfig:
     profile_source: str = "fi"
     #: Dispatch fabric for FI campaigns: "local" keeps the in-host process
     #: pool; "inproc"/"socketpair"/"tcp" route chunks through
-    #: repro.fabric adapters (bit-identical outcomes either way). None
-    #: defers to REPRO_FABRIC_TRANSPORT (default local); tcp endpoints
-    #: come from REPRO_FABRIC_ADDR.
+    #: repro.fabric adapters (bit-identical outcomes either way).
     transport: str | None = None
     #: Detector zoo kinds for frontier studies (repro.detectors order).
     detectors: tuple[str, ...] = ("dup", "range", "store", "checksum")
@@ -82,6 +83,21 @@ class ScaleConfig:
     def with_(self, **kw) -> "ScaleConfig":
         """A modified copy (dataclasses.replace wrapper)."""
         return replace(self, **kw)
+
+    def run_scope(self):
+        """Install this scale's execution fields as the ambient run
+        configuration, so every campaign a driver runs resolves them."""
+        interval = self.checkpoint_interval
+        return run_scope(
+            workers=self.workers,
+            engine=self.engine,
+            batch_size=self.batch_size,
+            checkpoint_interval=0 if interval is None else interval,
+            transport=self.transport,
+            max_retries=self.max_retries,
+            task_timeout=self.task_timeout,
+            cache=self.cache_dir,
+        )
 
 
 #: Seconds-scale preset for unit/integration tests.

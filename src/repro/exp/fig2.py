@@ -10,13 +10,11 @@ expected bar reproduces Table II.
 from __future__ import annotations
 
 from repro.apps import all_app_names, get_app
-from repro.cache.active import cache_scope
 from repro.exp.config import ScaleConfig
 from repro.exp.results import CoverageStudyResult
 from repro.exp.runner import evaluate_protection, generate_eval_inputs
 from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.util.rng import derive_seed
-from repro.vm.batch import engine_scope
 
 __all__ = ["run_fig2_study"]
 
@@ -32,11 +30,9 @@ def run_fig2_study(
     """
     study = CoverageStudyResult(technique="sid", scale=scale.name)
     apps = scale.apps if scale.apps is not None else tuple(all_app_names())
-    # The engine scope reaches classic_sid's per-instruction sweeps too,
-    # not only the evaluation campaigns.
-    with cache_scope(scale.cache_dir), engine_scope(
-        scale.engine, scale.batch_size
-    ):
+    # The scale's run configuration reaches classic_sid's per-instruction
+    # sweeps too, not only the evaluation campaigns.
+    with scale.run_scope():
         return _run_fig2_apps(scale, study, apps, measure_duplication)
 
 
@@ -58,7 +54,6 @@ def _run_fig2_apps(scale, study, apps, measure_duplication):
                     seed=derive_seed(scale.seed, "sid", app_name, level),
                     rel_tol=app.rel_tol,
                     abs_tol=app.abs_tol,
-                    workers=scale.workers,
                     profile_source=scale.profile_source,
                 ),
             )

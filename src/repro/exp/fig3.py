@@ -70,14 +70,8 @@ def find_incubative_example(
             bindings=bindings,
             rel_tol=app.rel_tol,
             abs_tol=app.abs_tol,
-            workers=scale.workers,
         )
         return fi.sdc_probabilities()
-
-    ref = sdc_map(app.reference_input, 0)
-    candidates = generate_eval_inputs(
-        app, max(3, scale.eval_inputs // 2), derive_seed(scale.seed, "fig3", app_name)
-    )
 
     def rank(ex: IncubativeExample) -> tuple:
         """Incubative-ness: near-zero on the reference input first (the
@@ -89,24 +83,29 @@ def find_incubative_example(
             ex.swing,
         )
 
+    candidates = generate_eval_inputs(
+        app, max(3, scale.eval_inputs // 2), derive_seed(scale.seed, "fig3", app_name)
+    )
     best: IncubativeExample | None = None
-    for k, inp in enumerate(candidates, start=1):
-        alt = sdc_map(inp, k)
-        for iid, p_alt in alt.items():
-            p_ref = ref.get(iid, 0.0)
-            if p_alt <= p_ref:
-                continue
-            instr = app.module.instruction(iid)
-            ex = IncubativeExample(
-                app=app_name,
-                iid=iid,
-                opcode=instr.opcode,
-                text=format_instruction(instr),
-                ref_sdc_prob=p_ref,
-                alt_sdc_prob=p_alt,
-                alt_input=inp,
-            )
-            if best is None or rank(ex) > rank(best):
-                best = ex
+    with scale.run_scope():
+        ref = sdc_map(app.reference_input, 0)
+        for k, inp in enumerate(candidates, start=1):
+            alt = sdc_map(inp, k)
+            for iid, p_alt in alt.items():
+                p_ref = ref.get(iid, 0.0)
+                if p_alt <= p_ref:
+                    continue
+                instr = app.module.instruction(iid)
+                ex = IncubativeExample(
+                    app=app_name,
+                    iid=iid,
+                    opcode=instr.opcode,
+                    text=format_instruction(instr),
+                    ref_sdc_prob=p_ref,
+                    alt_sdc_prob=p_alt,
+                    alt_input=inp,
+                )
+                if best is None or rank(ex) > rank(best):
+                    best = ex
     assert best is not None, "no instruction showed an SDC-probability swing"
     return best

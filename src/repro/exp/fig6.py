@@ -16,7 +16,6 @@ from repro.minpsid.ga import GAConfig
 from repro.minpsid.pipeline import MINPSIDConfig, minpsid
 from repro.minpsid.search import InputSearchConfig
 from repro.util.rng import derive_seed
-from repro.vm.batch import engine_scope
 
 __all__ = ["minpsid_config_for", "run_fig6_study"]
 
@@ -35,11 +34,7 @@ def minpsid_config_for(scale: ScaleConfig, level: float, app_name: str) -> MINPS
                 population_size=scale.ga_population,
                 max_generations=scale.ga_generations,
             ),
-            workers=scale.workers,
-            cache_dir=scale.cache_dir,
         ),
-        workers=scale.workers,
-        cache_dir=scale.cache_dir,
         profile_source=scale.profile_source,
     )
 
@@ -55,9 +50,9 @@ def run_fig6_study(
     """
     study = CoverageStudyResult(technique="minpsid", scale=scale.name)
     apps = scale.apps if scale.apps is not None else tuple(all_app_names())
-    # The engine scope reaches MINPSID's search sweeps too, not only the
-    # evaluation campaigns.
-    with engine_scope(scale.engine, scale.batch_size):
+    # The scale's run configuration reaches MINPSID's reference and search
+    # sweeps too, not only the evaluation campaigns.
+    with scale.run_scope():
         return _run_fig6_apps(scale, study, apps, measure_duplication)
 
 

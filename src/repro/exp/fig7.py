@@ -55,7 +55,6 @@ def _reference_benefits(app, scale: ScaleConfig) -> dict[int, float]:
         bindings=bindings,
         rel_tol=app.rel_tol,
         abs_tol=app.abs_tol,
-        workers=scale.workers,
         profile=prof,
     )
     return build_cost_benefit_profile(app.module, prof, fi).benefit
@@ -63,31 +62,31 @@ def _reference_benefits(app, scale: ScaleConfig) -> dict[int, float]:
 
 def run_fig7_study(app_name: str, scale: ScaleConfig) -> SearchComparison:
     """Compare search strategies on one app under the same budget."""
-    app = get_app(app_name)
-    ref_benefits = _reference_benefits(app, scale)
-    out = SearchComparison(app=app_name)
-    for strategy in ("ga", "random"):
-        cfg = InputSearchConfig(
-            max_inputs=scale.search_max_inputs,
-            stall_limit=max(scale.search_stall, scale.search_max_inputs),  # fixed budget
-            per_instruction_trials=scale.search_per_instr_trials,
-            ga=GAConfig(
-                population_size=scale.ga_population,
-                max_generations=scale.ga_generations,
-            ),
-            strategy=strategy,
-            workers=scale.workers,
-        )
-        outcome = run_input_search(
-            app,
-            reference_benefits=ref_benefits,
-            seed=derive_seed(scale.seed, "fig7", app_name, strategy),
-            config=cfg,
-        )
-        if strategy == "ga":
-            out.ga_trace = outcome.trace
-            out.ga_found = len(outcome.incubative)
-        else:
-            out.random_trace = outcome.trace
-            out.random_found = len(outcome.incubative)
+    with scale.run_scope():
+        app = get_app(app_name)
+        ref_benefits = _reference_benefits(app, scale)
+        out = SearchComparison(app=app_name)
+        for strategy in ("ga", "random"):
+            cfg = InputSearchConfig(
+                max_inputs=scale.search_max_inputs,
+                stall_limit=max(scale.search_stall, scale.search_max_inputs),  # fixed budget
+                per_instruction_trials=scale.search_per_instr_trials,
+                ga=GAConfig(
+                    population_size=scale.ga_population,
+                    max_generations=scale.ga_generations,
+                ),
+                strategy=strategy,
+            )
+            outcome = run_input_search(
+                app,
+                reference_benefits=ref_benefits,
+                seed=derive_seed(scale.seed, "fig7", app_name, strategy),
+                config=cfg,
+            )
+            if strategy == "ga":
+                out.ga_trace = outcome.trace
+                out.ga_found = len(outcome.incubative)
+            else:
+                out.random_trace = outcome.trace
+                out.random_found = len(outcome.incubative)
     return out

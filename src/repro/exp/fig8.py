@@ -39,11 +39,14 @@ class TimingRow:
 def run_fig8_study(app_names: list[str], scale: ScaleConfig, level: float = 0.5) -> list[TimingRow]:
     """Time the MINPSID pipeline on each app."""
     rows = []
-    for name in app_names:
-        app = get_app(name)
-        res = minpsid(app, minpsid_config_for(scale, level, name))
-        sw = res.stopwatch
-        rows.append(TimingRow(app=name, phases=dict(sw.totals), total=sw.total()))
+    with scale.run_scope():
+        for name in app_names:
+            app = get_app(name)
+            res = minpsid(app, minpsid_config_for(scale, level, name))
+            sw = res.stopwatch
+            rows.append(
+                TimingRow(app=name, phases=dict(sw.totals), total=sw.total())
+            )
     return rows
 
 

@@ -41,41 +41,41 @@ def run_fig9_study(
     base = CoverageStudyResult(technique="sid", scale=scale.name)
     hardened = CoverageStudyResult(technique="minpsid", scale=scale.name)
 
-    for ds_app in case_study_apps(scale):
-        # Protection is built on the *generator-backed* app — the paper
-        # protects the program as usual; only the evaluation inputs are
-        # real-world datasets.
-        from repro.apps import get_app
+    with scale.run_scope():
+        for ds_app in case_study_apps(scale):
+            # Protection is built on the *generator-backed* app — the paper
+            # protects the program as usual; only the evaluation inputs are
+            # real-world datasets.
+            from repro.apps import get_app
 
-        gen_app = get_app(ds_app.name)
-        args, bindings = gen_app.encode(gen_app.reference_input)
-        inputs = ds_app.dataset_inputs()
+            gen_app = get_app(ds_app.name)
+            args, bindings = gen_app.encode(gen_app.reference_input)
+            inputs = ds_app.dataset_inputs()
 
-        for level in scale.protection_levels:
-            sid = classic_sid(
-                gen_app.module, args, bindings,
-                SIDConfig(
-                    protection_level=level,
-                    per_instruction_trials=scale.per_instr_trials,
-                    seed=derive_seed(scale.seed, "fig9-sid", ds_app.name, level),
-                    rel_tol=gen_app.rel_tol, abs_tol=gen_app.abs_tol,
-                    workers=scale.workers,
-                    profile_source=scale.profile_source,
-                ),
-            )
-            base.results.append(
-                evaluate_protection(
-                    ds_app, sid.protected, sid.expected_coverage,
-                    technique="sid", protection_level=level,
-                    inputs=inputs, scale=scale,
+            for level in scale.protection_levels:
+                sid = classic_sid(
+                    gen_app.module, args, bindings,
+                    SIDConfig(
+                        protection_level=level,
+                        per_instruction_trials=scale.per_instr_trials,
+                        seed=derive_seed(scale.seed, "fig9-sid", ds_app.name, level),
+                        rel_tol=gen_app.rel_tol, abs_tol=gen_app.abs_tol,
+                        profile_source=scale.profile_source,
+                    ),
                 )
-            )
-            mres = minpsid(gen_app, minpsid_config_for(scale, level, ds_app.name))
-            hardened.results.append(
-                evaluate_protection(
-                    ds_app, mres.protected, mres.expected_coverage,
-                    technique="minpsid", protection_level=level,
-                    inputs=inputs, scale=scale,
+                base.results.append(
+                    evaluate_protection(
+                        ds_app, sid.protected, sid.expected_coverage,
+                        technique="sid", protection_level=level,
+                        inputs=inputs, scale=scale,
+                    )
                 )
-            )
+                mres = minpsid(gen_app, minpsid_config_for(scale, level, ds_app.name))
+                hardened.results.append(
+                    evaluate_protection(
+                        ds_app, mres.protected, mres.expected_coverage,
+                        technique="minpsid", protection_level=level,
+                        inputs=inputs, scale=scale,
+                    )
+                )
     return base, hardened

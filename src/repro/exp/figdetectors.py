@@ -47,24 +47,24 @@ def run_figdetectors_study(
 ) -> list[tuple[str, FrontierResult]]:
     """Trace + FI-validate each app's frontier; ``[(app, result), ...]``."""
     out = []
-    for name in detectors_dimensions(scale):
-        app = get_app(name)
-        a, b = app.encode(app.reference_input)
-        res = build_frontier(
-            app.module, a, b,
-            FrontierConfig(
-                detectors=scale.detectors,
-                budgets=scale.frontier_budgets,
-                profile_source="model",
-                per_instruction_trials=scale.per_instr_trials,
-                seed=seed if seed is not None else scale.seed,
-                rel_tol=app.rel_tol,
-                abs_tol=app.abs_tol,
-                workers=scale.workers,
-                validate_faults=scale.campaign_faults,
-            ),
-        )
-        out.append((name, res))
+    with scale.run_scope():
+        for name in detectors_dimensions(scale):
+            app = get_app(name)
+            a, b = app.encode(app.reference_input)
+            res = build_frontier(
+                app.module, a, b,
+                FrontierConfig(
+                    detectors=scale.detectors,
+                    budgets=scale.frontier_budgets,
+                    profile_source="model",
+                    per_instruction_trials=scale.per_instr_trials,
+                    seed=seed if seed is not None else scale.seed,
+                    rel_tol=app.rel_tol,
+                    abs_tol=app.abs_tol,
+                    validate_faults=scale.campaign_faults,
+                ),
+            )
+            out.append((name, res))
     return out
 
 

@@ -34,11 +34,12 @@ def run_figfleet_study(scale: ScaleConfig, seed: int | None = None):
     """Run the policy ladder; returns ``[(policy_name, FleetResult), ...]``."""
     hosts, defective, rounds, apps = fleet_dimensions(scale)
     apps = scale.apps or apps  # --apps narrows the job mix here too
-    return run_sweep(
-        hosts, 0.01, seed if seed is not None else scale.seed,
-        rounds=rounds, apps=list(apps) if apps else None,
-        n_defective=defective, workers=scale.workers,
-    )
+    with scale.run_scope():
+        return run_sweep(
+            hosts, 0.01, seed if seed is not None else scale.seed,
+            rounds=rounds, apps=list(apps) if apps else None,
+            n_defective=defective,
+        )
 
 
 def render_figfleet(results) -> str:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.analysis.model import predict_sdc_probabilities
 from repro.analysis.validate import ValidationResult, validate_model
 from repro.apps.registry import get_app
-from repro.cache.active import cache_scope
 from repro.exp.config import ScaleConfig
 from repro.fi.campaign import run_model_guided_campaign, run_per_instruction_campaign
 from repro.sid.profiles import build_cost_benefit_profile
@@ -99,7 +98,7 @@ def run_model_validation(
 
     names = apps or scale.apps or tuple(all_app_names())
     out: list[AppModelValidation] = []
-    with cache_scope(scale.cache_dir):
+    with scale.run_scope():
         for name in names:
             app = get_app(name)
             args, bindings = app.encode(app.reference_input)
@@ -114,11 +113,7 @@ def run_model_validation(
                 bindings=bindings,
                 rel_tol=app.rel_tol,
                 abs_tol=app.abs_tol,
-                workers=scale.workers,
                 profile=dyn,
-                checkpoint_interval=scale.checkpoint_interval,
-                max_retries=scale.max_retries,
-                task_timeout=scale.task_timeout,
             )
             fi_alt = run_per_instruction_campaign(
                 program,
@@ -128,11 +123,7 @@ def run_model_validation(
                 bindings=bindings,
                 rel_tol=app.rel_tol,
                 abs_tol=app.abs_tol,
-                workers=scale.workers,
                 profile=dyn,
-                checkpoint_interval=scale.checkpoint_interval,
-                max_retries=scale.max_retries,
-                task_timeout=scale.task_timeout,
             )
             predicted = predict_sdc_probabilities(
                 app.module, dyn, rel_tol=app.rel_tol
@@ -146,13 +137,9 @@ def run_model_validation(
                 bindings=bindings,
                 rel_tol=app.rel_tol,
                 abs_tol=app.abs_tol,
-                workers=scale.workers,
                 profile=dyn,
                 protection_levels=scale.protection_levels,
                 verify_margin=verify_margin,
-                checkpoint_interval=scale.checkpoint_interval,
-                max_retries=scale.max_retries,
-                task_timeout=scale.task_timeout,
             )
             fi_profile = build_cost_benefit_profile(
                 app.module, dyn, fi, source="fi"

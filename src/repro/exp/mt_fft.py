@@ -121,35 +121,36 @@ def run_mt_fft_study(
 ) -> list[MtFftRow]:
     """Protect and evaluate the threaded FFT at each thread count."""
     rows: list[MtFftRow] = []
-    for t in thread_counts:
-        app = ThreadedFftApp(num_threads=t)
-        args, bindings = app.encode(app.reference_input)
-        inputs = generate_eval_inputs(
-            app, scale.eval_inputs, derive_seed(scale.seed, "mt-eval", t)
-        )
-        sid = classic_sid(
-            app.module, args, bindings,
-            SIDConfig(
-                protection_level=level,
-                per_instruction_trials=scale.per_instr_trials,
-                seed=derive_seed(scale.seed, "mt-sid", t),
-                rel_tol=app.rel_tol, abs_tol=app.abs_tol, workers=scale.workers,
-            ),
-        )
-        sid_eval = evaluate_protection(
-            app, sid.protected, sid.expected_coverage,
-            technique="sid", protection_level=level, inputs=inputs, scale=scale,
-        )
-        mres = minpsid(app, minpsid_config_for(scale, level, app.name))
-        min_eval = evaluate_protection(
-            app, mres.protected, mres.expected_coverage,
-            technique="minpsid", protection_level=level, inputs=inputs, scale=scale,
-        )
-        rows.append(
-            MtFftRow(
-                threads=t,
-                sid_loss=_avg_loss(sid_eval),
-                minpsid_loss=_avg_loss(min_eval),
+    with scale.run_scope():
+        for t in thread_counts:
+            app = ThreadedFftApp(num_threads=t)
+            args, bindings = app.encode(app.reference_input)
+            inputs = generate_eval_inputs(
+                app, scale.eval_inputs, derive_seed(scale.seed, "mt-eval", t)
             )
-        )
+            sid = classic_sid(
+                app.module, args, bindings,
+                SIDConfig(
+                    protection_level=level,
+                    per_instruction_trials=scale.per_instr_trials,
+                    seed=derive_seed(scale.seed, "mt-sid", t),
+                    rel_tol=app.rel_tol, abs_tol=app.abs_tol,
+                ),
+            )
+            sid_eval = evaluate_protection(
+                app, sid.protected, sid.expected_coverage,
+                technique="sid", protection_level=level, inputs=inputs, scale=scale,
+            )
+            mres = minpsid(app, minpsid_config_for(scale, level, app.name))
+            min_eval = evaluate_protection(
+                app, mres.protected, mres.expected_coverage,
+                technique="minpsid", protection_level=level, inputs=inputs, scale=scale,
+            )
+            rows.append(
+                MtFftRow(
+                    threads=t,
+                    sid_loss=_avg_loss(sid_eval),
+                    minpsid_loss=_avg_loss(min_eval),
+                )
+            )
     return rows

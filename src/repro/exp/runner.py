@@ -15,16 +15,13 @@ zero campaigns and replays persisted, bit-identical results.
 from __future__ import annotations
 
 from repro.apps.base import App, Input
-from repro.cache.active import cache_scope
+from repro.detectors.transform import ProtectedModule
 from repro.errors import Trap
 from repro.exp.config import ScaleConfig
 from repro.exp.results import AppLevelResult
 from repro.fi.campaign import run_campaign
 from repro.sid.coverage import measured_coverage
-from repro.sid.duplication import ProtectedModule
 from repro.util.rng import RngStream, derive_seed
-from repro.fabric.harness import fabric_scope
-from repro.vm.batch import engine_scope
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
 
@@ -105,9 +102,7 @@ def evaluate_protection(
     )
     prog_unprot = app.program
     prog_prot = Program(protected.module)
-    with cache_scope(scale.cache_dir), engine_scope(
-        scale.engine, scale.batch_size
-    ), fabric_scope(scale.transport):
+    with scale.run_scope():
         for k, inp in enumerate(inputs):
             args, bindings = app.encode(inp)
             seed_u = derive_seed(
@@ -120,19 +115,11 @@ def evaluate_protection(
                 prog_unprot, scale.campaign_faults, seed_u,
                 args=args, bindings=bindings,
                 rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-                workers=scale.workers,
-                checkpoint_interval=scale.checkpoint_interval,
-                max_retries=scale.max_retries,
-                task_timeout=scale.task_timeout,
             ).sdc_probability
             pp = run_campaign(
                 prog_prot, scale.campaign_faults, seed_p,
                 args=args, bindings=bindings,
                 rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-                workers=scale.workers,
-                checkpoint_interval=scale.checkpoint_interval,
-                max_retries=scale.max_retries,
-                task_timeout=scale.task_timeout,
             ).sdc_probability
             result.sdc_unprotected.append(pu)
             result.sdc_protected.append(pp)

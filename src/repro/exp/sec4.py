@@ -52,7 +52,6 @@ class Sec4AppResult:
 
 def _sdc_origins(
     program: Program, protected, app: App, inp: Input, faults: int, seed: int,
-    workers: int,
 ) -> tuple[set[int], list[int]]:
     """Origins (original iids) of SDC-causing faults on the protected binary.
 
@@ -61,7 +60,7 @@ def _sdc_origins(
     args, bindings = app.encode(inp)
     res = run_campaign(
         program, faults, seed, args=args, bindings=bindings,
-        rel_tol=app.rel_tol, abs_tol=app.abs_tol, workers=workers,
+        rel_tol=app.rel_tol, abs_tol=app.abs_tol,
     )
     origins: list[int] = []
     from repro.fi.outcome import Outcome
@@ -83,62 +82,61 @@ def run_sec4_analysis(app_name: str, scale: ScaleConfig) -> Sec4AppResult:
         app, scale.eval_inputs, derive_seed(scale.seed, "sec4-eval", app_name)
     )
 
-    # 1/2: target instructions per protection level on SID binaries.
-    for level in scale.protection_levels:
-        sid = classic_sid(
-            app.module, args, bindings,
-            SIDConfig(
-                protection_level=level,
-                per_instruction_trials=scale.per_instr_trials,
-                seed=derive_seed(scale.seed, "sec4-sid", app_name, level),
-                rel_tol=app.rel_tol, abs_tol=app.abs_tol, workers=scale.workers,
-            ),
-        )
-        prog = Program(sid.protected.module)
-        ref_origins, _ = _sdc_origins(
-            prog, sid.protected, app, app.reference_input,
-            scale.campaign_faults,
-            derive_seed(scale.seed, "sec4-ref", app_name, level),
-            scale.workers,
-        )
-        targets: set[int] = set()
-        all_new_origins: list[int] = []
-        for k, inp in enumerate(inputs):
-            origins, per_fault = _sdc_origins(
-                prog, sid.protected, app, inp, scale.campaign_faults,
-                derive_seed(scale.seed, "sec4-in", app_name, level, k),
-                scale.workers,
+    with scale.run_scope():
+        # 1/2: target instructions per protection level on SID binaries.
+        for level in scale.protection_levels:
+            sid = classic_sid(
+                app.module, args, bindings,
+                SIDConfig(
+                    protection_level=level,
+                    per_instruction_trials=scale.per_instr_trials,
+                    seed=derive_seed(scale.seed, "sec4-sid", app_name, level),
+                    rel_tol=app.rel_tol, abs_tol=app.abs_tol,
+                ),
             )
-            targets |= origins - ref_origins
-            all_new_origins.extend(o for o in per_fault if o not in ref_origins)
-        result.targets_by_level[level] = targets
-        if level == scale.protection_levels[-1]:
-            result._last_new_origins = all_new_origins  # type: ignore[attr-defined]
+            prog = Program(sid.protected.module)
+            ref_origins, _ = _sdc_origins(
+                prog, sid.protected, app, app.reference_input,
+                scale.campaign_faults,
+                derive_seed(scale.seed, "sec4-ref", app_name, level),
+            )
+            targets: set[int] = set()
+            all_new_origins: list[int] = []
+            for k, inp in enumerate(inputs):
+                origins, per_fault = _sdc_origins(
+                    prog, sid.protected, app, inp, scale.campaign_faults,
+                    derive_seed(scale.seed, "sec4-in", app_name, level, k),
+                )
+                targets |= origins - ref_origins
+                all_new_origins.extend(o for o in per_fault if o not in ref_origins)
+            result.targets_by_level[level] = targets
+            if level == scale.protection_levels[-1]:
+                result._last_new_origins = all_new_origins  # type: ignore[attr-defined]
 
-    levels = list(scale.protection_levels)
-    for a, b in zip(levels, levels[1:]):
-        ta, tb = result.targets_by_level[a], result.targets_by_level[b]
-        result.persistence[(a, b)] = len(ta & tb) / len(ta) if ta else 0.0
+        levels = list(scale.protection_levels)
+        for a, b in zip(levels, levels[1:]):
+            ta, tb = result.targets_by_level[a], result.targets_by_level[b]
+            result.persistence[(a, b)] = len(ta & tb) / len(ta) if ta else 0.0
 
-    # 3: incubative identification from per-instruction FI across inputs.
-    program = app.program
-    history = []
-    for k, inp in enumerate([app.reference_input] + inputs[: max(2, scale.search_max_inputs)]):
-        a2, b2 = app.encode(inp)
-        prof = profile_run(program, args=a2, bindings=b2)
-        fi = run_per_instruction_campaign(
-            program, scale.search_per_instr_trials,
-            derive_seed(scale.seed, "sec4-fi", app_name, k),
-            args=a2, bindings=b2, rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-            workers=scale.workers, profile=prof,
-        )
-        total = prof.total_cycles or 1
-        history.append(
-            {
-                iid: c.sdc_probability * prof.instr_cycles[iid] / total
-                for iid, c in fi.per_iid.items()
-            }
-        )
+        # 3: incubative identification from per-instruction FI across inputs.
+        program = app.program
+        history = []
+        for k, inp in enumerate([app.reference_input] + inputs[: max(2, scale.search_max_inputs)]):
+            a2, b2 = app.encode(inp)
+            prof = profile_run(program, args=a2, bindings=b2)
+            fi = run_per_instruction_campaign(
+                program, scale.search_per_instr_trials,
+                derive_seed(scale.seed, "sec4-fi", app_name, k),
+                args=a2, bindings=b2, rel_tol=app.rel_tol, abs_tol=app.abs_tol,
+                profile=prof,
+            )
+            total = prof.total_cycles or 1
+            history.append(
+                {
+                    iid: c.sdc_probability * prof.instr_cycles[iid] / total
+                    for iid, c in fi.per_iid.items()
+                }
+            )
     result.incubative = find_incubative(history, IncubativeConfig())
     n_inj = len(injectable_iids(app.module))
     result.incubative_fraction = len(result.incubative) / n_inj if n_inj else 0.0

@@ -27,15 +27,7 @@ from repro.fabric.frames import (
     PROTOCOL_VERSION,
     encode_frame,
 )
-from repro.fabric.harness import (
-    ADDR_ENV,
-    TRANSPORT_ENV,
-    TRANSPORTS,
-    FabricPool,
-    fabric_scope,
-    resolve_fabric,
-    resolve_transport,
-)
+from repro.fabric.harness import TRANSPORTS, FabricPool, pool_factory
 from repro.fabric.protocol import MESSAGES, MessageSpec
 
 __all__ = [
@@ -47,10 +39,6 @@ __all__ = [
     "MESSAGES",
     "MessageSpec",
     "TRANSPORTS",
-    "TRANSPORT_ENV",
-    "ADDR_ENV",
     "FabricPool",
-    "fabric_scope",
-    "resolve_fabric",
-    "resolve_transport",
+    "pool_factory",
 ]

@@ -21,10 +21,10 @@ Failure mapping (docs/FABRIC.md §errors):
   fails pending futures with ``BrokenProcessPool`` — exactly the signal
   that makes the supervisor respawn the pool, which reconnects everything.
 
-Transport selection mirrors the engine knob: explicit argument beats the
-ambient :func:`fabric_scope` beats ``REPRO_FABRIC_TRANSPORT`` beats the
-default ``local`` (no fabric — plain process pool). TCP adapter endpoints
-come from ``--listen``-style ``HOST:PORT`` lists via ``REPRO_FABRIC_ADDR``.
+The transport and TCP endpoints are fields of the run configuration
+(:mod:`repro.runconfig`): a campaign resolves them with every other knob
+and hands the result to :func:`pool_factory`; ``local`` (the default)
+means no fabric, the plain process pool.
 
 Health is visible as ``fabric.*`` obs counters (adapters connected,
 chunks per adapter, disconnects, reconnects, handshake failures) — the
@@ -35,12 +35,10 @@ guarantee.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 
 from repro.errors import (
     ConfigError,
@@ -58,130 +56,34 @@ from repro.fabric.protocol import (
 from repro.fabric.transport import (
     Transport,
     connect_tcp,
-    parse_addr,
     spawn_socketpair_adapter,
 )
+from repro.runconfig import TRANSPORTS
 
-__all__ = [
-    "TRANSPORTS",
-    "TRANSPORT_ENV",
-    "ADDR_ENV",
-    "FabricPool",
-    "fabric_scope",
-    "resolve_transport",
-    "resolve_addrs",
-    "resolve_fabric",
-]
-
-#: Recognized transport names. ``local`` means *no* fabric: the plain
-#: supervised process pool (or serial execution) of repro.util.parallel.
-TRANSPORTS = ("local", "inproc", "socketpair", "tcp")
-
-#: Ambient transport selection (same precedence slot as ``REPRO_ENGINE``).
-TRANSPORT_ENV = "REPRO_FABRIC_TRANSPORT"
-#: Comma-separated ``HOST:PORT`` list of TCP adapter endpoints.
-ADDR_ENV = "REPRO_FABRIC_ADDR"
-
-#: Ambient (transport, addrs) overrides; innermost non-None wins.
-_SCOPE: list = []
+__all__ = ["TRANSPORTS", "FabricPool", "pool_factory"]
 
 
-def resolve_transport(transport: str | None = None) -> str:
-    """Resolve the fabric transport: explicit > scope > env > ``local``."""
-    if transport is None:
-        for t, _addrs in reversed(_SCOPE):
-            if t is not None:
-                transport = t
-                break
-    if transport is None:
-        transport = os.environ.get(TRANSPORT_ENV) or "local"
-    if transport not in TRANSPORTS:
-        raise ConfigError(
-            f"unknown fabric transport {transport!r}; expected one of "
-            f"{', '.join(TRANSPORTS)}"
-        )
-    return transport
+def pool_factory(run):
+    """The supervisor's pool factory for a resolved run configuration.
 
-
-def resolve_addrs(addrs=None) -> tuple[tuple[str, int], ...]:
-    """Resolve TCP adapter endpoints: explicit > scope > env.
-
-    Accepts a comma-separated ``HOST:PORT`` string or an iterable of such
-    strings / ``(host, port)`` pairs; raises :class:`ConfigError` when the
-    tcp transport is selected with no endpoints configured.
+    ``None`` for the ``local`` transport (keep the plain process pool);
+    otherwise a callable with the supervisor's factory signature
+    ``(max_workers=, initializer=, initargs=) -> FabricPool`` over
+    ``run.transport``, dialing ``run.addrs`` under tcp.
     """
-    if addrs is None:
-        for _t, a in reversed(_SCOPE):
-            if a is not None:
-                addrs = a
-                break
-    if addrs is None:
-        addrs = os.environ.get(ADDR_ENV, "").strip() or None
-    if addrs is None:
-        raise ConfigError(
-            "the tcp fabric transport needs adapter endpoints: pass "
-            f"--adapters/addrs or set {ADDR_ENV} to a comma-separated "
-            "HOST:PORT list"
-        )
-    if isinstance(addrs, str):
-        addrs = [a for a in addrs.split(",") if a.strip()]
-    out = []
-    for a in addrs:
-        if isinstance(a, str):
-            try:
-                out.append(parse_addr(a))
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
-        else:
-            host, port = a
-            out.append((host, int(port)))
-    if not out:
-        raise ConfigError(f"empty fabric endpoint list (check {ADDR_ENV})")
-    return tuple(out)
+    if run.transport == "local":
+        return None
 
-
-@contextmanager
-def fabric_scope(transport: str | None = None, addrs=None):
-    """Ambient fabric selection for code paths without explicit threading.
-
-    The CLI wraps command execution in this scope so deeply nested campaign
-    calls pick up ``--transport`` (and the endpoint list) without every
-    intermediate layer growing parameters — the exact shape of
-    :func:`repro.vm.batch.engine_scope`.
-    """
-    _SCOPE.append((transport, addrs))
-    try:
-        yield
-    finally:
-        _SCOPE.pop()
-
-
-def resolve_fabric(transport: str | None = None, addrs=None):
-    """Resolve the transport and build the supervisor's pool factory.
-
-    Returns ``(kind, pool_factory)`` where ``pool_factory`` is ``None`` for
-    the ``local`` transport (keep the plain process pool) and otherwise a
-    callable with the supervisor's factory signature
-    ``(max_workers=, initializer=, initargs=) -> FabricPool``. Endpoint
-    resolution for tcp happens here, eagerly, so a missing
-    ``REPRO_FABRIC_ADDR`` is a configuration-time error rather than a
-    mid-campaign one.
-    """
-    kind = resolve_transport(transport)
-    if kind == "local":
-        return kind, None
-    endpoints = resolve_addrs(addrs) if kind == "tcp" else None
-
-    def pool_factory(max_workers: int = 1, initializer=None, initargs=()):
+    def factory(max_workers: int = 1, initializer=None, initargs=()):
         return FabricPool(
-            kind,
+            run.transport,
             max_workers=max_workers,
             initializer=initializer,
             initargs=initargs,
-            addrs=endpoints,
+            addrs=run.addrs,
         )
 
-    return kind, pool_factory
+    return factory
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.cache.active import cache_scope
 from repro.errors import ConnectionClosed, FrameError, HandshakeError
 from repro.fabric.frames import FrameDecoder
-from repro.fabric.harness import fabric_scope
 from repro.fabric.protocol import (
     SUPPORTED_VERSIONS,
     decode_message,
@@ -45,6 +43,7 @@ from repro.fabric.protocol import (
 )
 from repro.fabric.transport import Transport, connect_tcp
 from repro.obs.sink import TraceSink
+from repro.runconfig import run_scope
 
 __all__ = ["ForwardSink", "CampaignService", "run_serve", "submit"]
 
@@ -133,25 +132,22 @@ def _load_request_program(request: dict):
     raise ValueError("SUBMIT needs either 'app' or 'module'")
 
 
-def _execute_request(request: dict, forward, scopes=(None, None, None)) -> dict:
+def _execute_request(request: dict, forward, run: dict | None = None) -> dict:
     """Run one campaign (executor thread) and shape the DONE body.
 
-    ``scopes`` is the server's ``(cache, transport, adapters)``
-    configuration, installed here — around the campaign, not around the
-    accept loop — so the ambient scope is held exactly while a request
+    ``run`` holds the server's run-configuration fields (cache, transport,
+    endpoints), installed here as one run scope — around the campaign, not
+    around the accept loop — so it is held exactly while a request
     executes and never leaks to other code sharing the process (``None``
-    entries keep the environment defaults). A request may still narrow
+    fields keep the environment defaults). A request may still narrow
     ``workers``/``engine`` for itself.
     """
     from repro.fi.campaign import run_campaign
     from repro.obs.core import session
 
-    cache, transport, adapters = scopes
     program, args, bindings, meta = _load_request_program(request)
     t0 = time.perf_counter()
-    with cache_scope(cache), fabric_scope(transport, adapters), session(
-        sink=ForwardSink(forward)
-    ) as t:
+    with run_scope(**(run or {})), session(sink=ForwardSink(forward)) as t:
         result = run_campaign(
             program,
             int(request.get("n_faults", 100)),
@@ -190,7 +186,7 @@ class CampaignService:
 
     def __init__(self, cache=None, transport=None, adapters=None) -> None:
         self._lock = asyncio.Lock()
-        self._scopes = (cache, transport, adapters)
+        self._run = dict(cache=cache, transport=transport, addrs=adapters)
         #: Writers of currently open client connections, so a shutdown can
         #: say goodbye instead of slamming sockets shut.
         self._writers: set = set()
@@ -280,7 +276,7 @@ class CampaignService:
         async with self._lock:
             task = loop.run_in_executor(
                 None, _execute_request, dict(request or {}), forward,
-                self._scopes,
+                self._run,
             )
 
             async def pump() -> None:
@@ -358,9 +354,10 @@ def run_serve(
     ``cache`` is a directory for the campaign cache (``None`` keeps the
     ambient/environment cache — set one, or dedup is off); ``transport`` /
     ``adapters`` pick the dispatch fabric for every campaign the service
-    runs, with the usual ``REPRO_FABRIC_*`` environment fallback. The
-    scopes are installed around each request's execution, not around the
-    accept loop, so nothing ambient leaks between requests.
+    runs, with the usual ``REPRO_FABRIC_*`` environment fallback. They
+    form one run scope (:mod:`repro.runconfig`), installed around each
+    request's execution, not around the accept loop, so nothing ambient
+    leaks between requests.
 
     SIGINT/SIGTERM end the service cleanly: the listener closes, every
     open connection gets a ``BYE``, and the call returns (letting the CLI

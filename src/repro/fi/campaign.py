@@ -27,7 +27,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.cache.active import active_cache
 from repro.cache.keys import per_instruction_key, whole_program_key
 from repro.fi.faultmodel import (
     FaultSite,
@@ -43,13 +42,10 @@ from repro.ir.printer import print_module
 from repro.obs.core import current as _obs_current, install_worker
 from repro.obs.progress import progress_scope
 from repro.obs.spans import span as _span
-from repro.util.parallel import parallel_map, resolve_workers
+from repro.runconfig import UNSET, RunConfig, resolve
+from repro.util.parallel import parallel_map
 from repro.util.rng import RngStream
-from repro.vm.batch import (
-    resolve_batch_size,
-    resolve_engine,
-    run_trials_lockstep,
-)
+from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import CheckpointStore, record_checkpoints
 from repro.vm.interpreter import Program
 from repro.vm.profiler import DynamicProfile, profile_run
@@ -384,21 +380,22 @@ def _golden_pass(
     args,
     bindings,
     profile: DynamicProfile | None,
-    checkpoint_interval,
+    run: RunConfig,
     checkpoints: CheckpointStore | None,
 ) -> tuple[DynamicProfile, CheckpointStore | None]:
     """The golden profile and checkpoint store a campaign's trials need.
 
     Precedence: an explicit pre-recorded ``checkpoints`` store wins;
-    otherwise ``checkpoint_interval`` selects recording (``"auto"`` applies
-    :func:`~repro.vm.checkpoint.auto_interval`, a positive int is taken
-    literally, ``None``/``0`` keeps every trial cold). A campaign without a
+    otherwise ``run.checkpoint_interval`` selects recording (``"auto"``
+    applies :func:`~repro.vm.checkpoint.auto_interval`, a positive int is
+    taken literally, ``0`` keeps every trial cold). A campaign without a
     ``profile`` that records takes both from one profiled recording run,
     so it executes the golden program once before its trials.
     """
-    if checkpoints is None and checkpoint_interval not in (None, 0):
+    if checkpoints is None and run.checkpoint_interval:
         interval = (
-            None if checkpoint_interval == "auto" else int(checkpoint_interval)
+            None if run.checkpoint_interval == "auto"
+            else run.checkpoint_interval
         )
         if profile is None:
             checkpoints = record_checkpoints(
@@ -424,14 +421,9 @@ def _dispatch_sites(
     bindings,
     rel_tol: float,
     abs_tol: float,
-    workers: int | None,
+    run: RunConfig,
     obs_label: str = "fi",
     obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    engine: str | None = None,
-    batch_size: int | None = None,
-    transport: str | None = None,
 ) -> list[tuple[int, Outcome]]:
     """Run every fault site, serially or across supervised workers.
 
@@ -447,22 +439,20 @@ def _dispatch_sites(
     ``per_fault`` (and every downstream number) is byte-identical across
     engines, stores and worker counts.
 
-    ``engine``/``batch_size`` default through :func:`resolve_engine` /
-    :func:`resolve_batch_size` (explicit > ``engine_scope`` >
-    ``REPRO_ENGINE``/``REPRO_BATCH_SIZE`` > scalar). ``transport`` selects
-    the dispatch fabric the same way (explicit > ``fabric_scope`` >
-    ``REPRO_FABRIC_TRANSPORT`` > ``local``): anything but ``local`` swaps
-    the process pool for transport-backed adapters
-    (:mod:`repro.fabric.harness`) behind the same supervisor. Like the
-    engine and the worker count, the transport is an execution strategy,
-    never part of a cache key: every combination produces bit-identical
-    outcome lists.
+    ``run`` is the campaign's resolved run configuration
+    (:mod:`repro.runconfig`). A transport other than ``local`` swaps the
+    process pool for transport-backed adapters (:mod:`repro.fabric`,
+    loaded only then) behind the same supervisor. Like the engine and the
+    worker count, the transport is an execution strategy, never part of a
+    cache key: every combination produces bit-identical outcome lists.
     """
-    from repro.fabric.harness import resolve_fabric
+    workers = max(1, run.workers)
+    pool_factory = None
+    if run.transport != "local":
+        from repro.fabric import harness
 
-    workers = max(1, resolve_workers(workers))
-    _kind, pool_factory = resolve_fabric(transport)
-    lockstep = resolve_engine(engine) == "batch"
+        pool_factory = harness.pool_factory(run)
+    lockstep = run.engine == "batch"
     snap = [
         store.snapshot_index_for(s.iid, s.instance) if store is not None
         else -1
@@ -474,7 +464,7 @@ def _dispatch_sites(
         for k in order
     ]
     if lockstep:
-        size = resolve_batch_size(batch_size)
+        size = run.batch_size
         small = len(rows) <= size  # one batch: nothing to spread
     else:
         size = max(8, len(rows) // (workers * 4))
@@ -515,12 +505,10 @@ def _dispatch_sites(
             out = parallel_map(
                 _inject_chunk,
                 chunks,
-                workers=workers,
                 initializer=_init_worker,
                 initargs=init_args,
                 on_result=on_result,
-                max_retries=max_retries,
-                task_timeout=task_timeout,
+                run=run,
                 pool_factory=pool_factory,
             )
         done = [row for chunk_rows, _info in out for row in chunk_rows]
@@ -539,18 +527,21 @@ def _dispatch_sites(
 # ---------------------------------------------------------------------------
 
 
-def _cache_for(cache):
-    """Resolve the ``cache`` argument of an entry point to a store or None.
-
-    ``None`` (the default) defers to the installed/ambient cache,
-    ``False`` disables caching for this call, and an explicit
-    :class:`~repro.cache.CampaignCache` is used as given.
-    """
-    if cache is False:
-        return None
-    if cache is None:
-        return active_cache()
-    return cache
+def _run_config(
+    workers, engine, batch_size, transport, cache, checkpoint_interval
+) -> RunConfig:
+    """An entry point's run configuration; its keywords are the explicit
+    layer (``None`` = not set), except that an explicit
+    ``checkpoint_interval=None`` keeps meaning cold replay."""
+    if checkpoint_interval is None:
+        checkpoint_interval = 0
+    elif checkpoint_interval is UNSET:
+        checkpoint_interval = None
+    return resolve(
+        workers=workers, engine=engine, batch_size=batch_size,
+        transport=transport, cache=cache,
+        checkpoint_interval=checkpoint_interval,
+    )
 
 
 def _note_cache_hit(label: str, key: str, trials: int) -> None:
@@ -629,13 +620,11 @@ def run_campaign(
     bindings: dict[str, list] | None = None,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
-    workers: int | None = 0,
+    workers: int | None = None,
     profile: DynamicProfile | None = None,
-    checkpoint_interval: int | str | None = "auto",
+    checkpoint_interval=UNSET,
     checkpoints: CheckpointStore | None = None,
     cache=None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
     engine: str | None = None,
     batch_size: int | None = None,
     transport: str | None = None,
@@ -644,29 +633,27 @@ def run_campaign(
 
     Pass a pre-computed golden ``profile`` to skip the profiling run (the
     pipelines reuse one profile across many campaigns on the same input).
-    Trials resume from golden checkpoints: ``checkpoint_interval`` is
-    ``"auto"`` (about 16 snapshots per golden run) or a step count, and
-    without a ``profile`` the recording run profiles too; ``None``/``0``
-    replays every trial cold from instruction 0. Outcomes are bit-identical
-    either way. A pre-recorded ``checkpoints`` store skips even the
-    recording run. ``workers=None`` defers to the ``REPRO_WORKERS``
-    environment.
-    ``cache`` controls result caching (see :func:`_cache_for`); a hit
-    returns a bit-identical result without profiling or injecting.
-    ``max_retries``/``task_timeout`` tune the pooled path's supervisor
-    (worker crash/hang recovery; ``None`` defers to ``REPRO_MAX_RETRIES``
-    / ``REPRO_TASK_TIMEOUT``) and never affect results — a supervised
-    campaign is bit-identical to a serial one or raises a
-    :class:`~repro.errors.HarnessError`, never returns partial data.
-    ``engine``/``batch_size`` select the trial executor (``"batch"``
-    vectorizes trials in lockstep, same outcomes bit-for-bit; ``None``
-    defers to ``engine_scope``/``REPRO_ENGINE``) — like the worker count,
-    they never enter cache keys. ``transport`` selects the dispatch fabric
-    (``None`` defers to ``fabric_scope``/``REPRO_FABRIC_TRANSPORT``; see
-    :func:`_dispatch_sites`) — also an execution strategy with no effect
-    on results or cache keys.
+    A pre-recorded ``checkpoints`` store skips even the recording run.
+
+    How the campaign executes comes from the run configuration
+    (:mod:`repro.runconfig`, DESIGN.md §7.12): ``workers``, ``engine``,
+    ``batch_size``, ``transport``, ``cache`` and ``checkpoint_interval``
+    are its explicit layer over the ambient scope and the environment, and
+    ``None`` leaves a field to them — except ``checkpoint_interval=None``
+    (or ``0``), which replays every trial cold. Trials otherwise resume
+    from golden checkpoints (``"auto"``: about 16 snapshots per golden
+    run; an int: every that many instructions), and without a ``profile``
+    the recording run profiles too. ``cache=False`` turns result caching
+    off for this call; a hit returns a bit-identical result without
+    profiling or injecting. None of these settings changes the outcomes
+    or enters a cache key; a supervised pooled campaign is bit-identical
+    to a serial one or raises a :class:`~repro.errors.HarnessError`,
+    never returns partial data.
     """
-    store_cache = _cache_for(cache)
+    run = _run_config(
+        workers, engine, batch_size, transport, cache, checkpoint_interval
+    )
+    store_cache = run.cache
     key = None
     if store_cache is not None:
         key = whole_program_key(
@@ -678,7 +665,7 @@ def run_campaign(
             _note_cache_hit("fi.whole-program", key, cached.trials)
             return cached
     profile, store = _golden_pass(
-        program, args, bindings, profile, checkpoint_interval, checkpoints
+        program, args, bindings, profile, run, checkpoints
     )
     rng = RngStream(seed, "campaign")
     sites = sample_fault_sites(program.module, profile, n_faults, rng)
@@ -692,7 +679,7 @@ def run_campaign(
                 "trials": len(sites),
                 "seed": seed,
                 "checkpointed": store is not None,
-                "engine": resolve_engine(engine),
+                "engine": run.engine,
             },
             campaign=cid,
         )
@@ -702,14 +689,13 @@ def run_campaign(
         {
             "label": "fi.whole-program",
             "trials": len(sites),
-            "engine": resolve_engine(engine),
+            "engine": run.engine,
         },
         campaign=cid,
     ):
         per_fault = _dispatch_sites(
             program, sites, store, profile, args, bindings, rel_tol, abs_tol,
-            workers, "fi campaign", cid, max_retries, task_timeout,
-            engine, batch_size, transport,
+            run, "fi campaign", cid,
         )
     counts = OutcomeCounts()
     for _, o in per_fault:
@@ -738,14 +724,12 @@ def run_per_instruction_campaign(
     bindings: dict[str, list] | None = None,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
-    workers: int | None = 0,
+    workers: int | None = None,
     profile: DynamicProfile | None = None,
     only_iids: list[int] | None = None,
-    checkpoint_interval: int | str | None = "auto",
+    checkpoint_interval=UNSET,
     checkpoints: CheckpointStore | None = None,
     cache=None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
     engine: str | None = None,
     batch_size: int | None = None,
     transport: str | None = None,
@@ -753,17 +737,19 @@ def run_per_instruction_campaign(
     """Per-instruction campaign over every executed injectable instruction.
 
     ``only_iids`` restricts the sweep (used by incremental passes that only
-    need a subset re-measured). ``checkpoint_interval``/``checkpoints``,
-    ``workers``, and ``max_retries``/``task_timeout`` behave as in
-    :func:`run_campaign` — per-instruction sweeps replay the golden prefix
-    hardest (trials × instructions), so they gain the most from checkpoint
-    resume. ``cache`` behaves as in :func:`run_campaign`; on a hit only the
-    golden profile is (re)computed — and even that is skipped when the
-    caller supplies one.
+    need a subset re-measured). ``checkpoints`` and the run-configuration
+    keywords behave as in :func:`run_campaign` — per-instruction sweeps
+    replay the golden prefix hardest (trials × instructions), so they gain
+    the most from checkpoint resume. On a cache hit only the golden
+    profile is (re)computed — and even that is skipped when the caller
+    supplies one.
     """
     module = program.module
     targets = only_iids if only_iids is not None else injectable_iids(module)
-    store_cache = _cache_for(cache)
+    run = _run_config(
+        workers, engine, batch_size, transport, cache, checkpoint_interval
+    )
+    store_cache = run.cache
     key = None
     if store_cache is not None:
         key = per_instruction_key(
@@ -780,7 +766,7 @@ def run_per_instruction_campaign(
                 _note_cache_hit("fi.per-instruction", key, trials)
                 return cached
     profile, store = _golden_pass(
-        program, args, bindings, profile, checkpoint_interval, checkpoints
+        program, args, bindings, profile, run, checkpoints
     )
     rng = RngStream(seed, "per-instr")
     all_sites: list[FaultSite] = []
@@ -802,7 +788,7 @@ def run_per_instruction_campaign(
                 "n_iids": len(targets),
                 "trials_per_instruction": trials_per_instruction,
                 "checkpointed": store is not None,
-                "engine": resolve_engine(engine),
+                "engine": run.engine,
             },
             campaign=cid,
         )
@@ -812,14 +798,13 @@ def run_per_instruction_campaign(
         {
             "label": "fi.per-instruction",
             "trials": len(all_sites),
-            "engine": resolve_engine(engine),
+            "engine": run.engine,
         },
         campaign=cid,
     ):
         per_fault = _dispatch_sites(
             program, all_sites, store, profile, args, bindings, rel_tol,
-            abs_tol, workers, "per-instruction fi", cid, max_retries,
-            task_timeout, engine, batch_size, transport,
+            abs_tol, run, "per-instruction fi", cid,
         )
     per_iid: dict[int, OutcomeCounts] = {}
     agg = OutcomeCounts()
@@ -892,15 +877,13 @@ def run_model_guided_campaign(
     bindings: dict[str, list] | None = None,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
-    workers: int | None = 0,
+    workers: int | None = None,
     profile: DynamicProfile | None = None,
     protection_levels: tuple[float, ...] = (0.3, 0.5, 0.7),
     verify_margin: float = 0.3,
-    checkpoint_interval: int | str | None = "auto",
+    checkpoint_interval=UNSET,
     checkpoints: CheckpointStore | None = None,
     cache=None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
     masking=None,
     engine: str | None = None,
     batch_size: int | None = None,
@@ -966,8 +949,6 @@ def run_model_guided_campaign(
         checkpoint_interval=checkpoint_interval,
         checkpoints=checkpoints,
         cache=cache,
-        max_retries=max_retries,
-        task_timeout=task_timeout,
         engine=engine,
         batch_size=batch_size,
         transport=transport,

@@ -18,8 +18,9 @@ from repro.fi.campaign import CampaignResult, run_campaign
 from repro.fi.faultmodel import sample_fault_sites
 from repro.fi.injector import inject_one
 from repro.fi.outcome import classify_run
+from repro.runconfig import resolve_field
 from repro.util.rng import RngStream
-from repro.vm.batch import BatchStats, resolve_batch_size, run_trials_lockstep
+from repro.vm.batch import BatchStats, run_trials_lockstep
 from repro.vm.checkpoint import auto_interval
 from repro.vm.profiler import profile_run
 
@@ -251,7 +252,7 @@ def measure_batch_throughput(
     rng = RngStream(seed, "campaign")
     sites = sample_fault_sites(program.module, profile, n_faults, rng)
     limit = profile.steps * 8 + 10_000
-    width = resolve_batch_size(batch_size)
+    width = resolve_field("batch_size", batch_size)
     repeats = max(1, repeats)
 
     scalar_seconds = float("inf")

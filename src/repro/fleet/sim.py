@@ -185,7 +185,6 @@ class FleetSim:
         policy: FleetPolicy,
         seed: int,
         rounds: int,
-        workers: int | None = None,
     ) -> None:
         if rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -196,7 +195,6 @@ class FleetSim:
         self.policy = policy
         self.seed = seed
         self.rounds = rounds
-        self.workers = workers
         self.health = HealthTracker(
             HealthPolicy(policy.quarantine_at, policy.readmit_after)
         )
@@ -271,7 +269,7 @@ class FleetSim:
             if t is not None:
                 t.count("fleet.jobs", len(active))
             results = (
-                parallel_map(_run_fleet_job, items, workers=self.workers)
+                parallel_map(_run_fleet_job, items)
                 if items else []
             )
             for host, (outcome, visits, corrupted, ndet) in zip(
@@ -401,7 +399,6 @@ def run_fleet(
     rounds: int = 32,
     apps=None,
     n_defective: int | None = None,
-    workers: int | None = None,
 ) -> FleetResult:
     """Seed a fleet, prepare the job mix, simulate — the CLI's one call."""
     specs = build_job_specs(apps, protection=policy.protection, seed=seed)
@@ -409,7 +406,7 @@ def run_fleet(
         n_hosts, defect_rate, seed, job_mix_opcodes(specs),
         n_defective=n_defective,
     )
-    sim = FleetSim(hosts, specs, policy, seed, rounds, workers=workers)
+    sim = FleetSim(hosts, specs, policy, seed, rounds)
     return sim.run()
 
 

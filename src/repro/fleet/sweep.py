@@ -44,7 +44,6 @@ def run_sweep(
     rounds: int = 32,
     apps=None,
     n_defective: int | None = None,
-    workers: int | None = None,
     ladder=SWEEP_LADDER,
 ) -> list[tuple[str, FleetResult]]:
     """Simulate the same fleet under each ladder policy."""
@@ -52,7 +51,7 @@ def run_sweep(
     for name, policy in ladder:
         result = run_fleet(
             n_hosts, defect_rate, policy, seed, rounds=rounds, apps=apps,
-            n_defective=n_defective, workers=workers,
+            n_defective=n_defective,
         )
         out.append((name, result))
     return out

@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import App
-from repro.cache.active import cache_scope
+from repro.detectors.transform import ProtectedModule, duplicate_instructions
 from repro.minpsid.reprioritize import reprioritize
 from repro.minpsid.search import InputSearchConfig, SearchOutcome, run_input_search
-from repro.sid.duplication import ProtectedModule, duplicate_instructions
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.vm.profiler import profile_run
 
 __all__ = ["MINPSIDConfig", "MINPSIDResult", "minpsid"]
@@ -33,14 +32,10 @@ class MINPSIDConfig:
     search: InputSearchConfig = InputSearchConfig()
     knapsack_method: str = "greedy"
     check_placement: str = "sync"
-    workers: int | None = 0
     #: Disable re-prioritization (ablation: search without using its result).
     apply_reprioritization: bool = True
     #: "max" (paper) or "mean" benefit update (ablation).
     reprioritize_rule: str = "max"
-    #: Campaign-cache directory for every FI sweep of the pipeline
-    #: (None = ambient cache, False = disabled for this run).
-    cache_dir: str | None = None
     #: Source of the reference-input SDC probabilities (①②): "fi" (the
     #: paper's per-instruction campaign), "model" (static prediction only),
     #: or "hybrid" (model + FI verification near the knapsack cut). The
@@ -60,7 +55,7 @@ class MINPSIDResult:
     #: The original reference-input profile (pre-re-prioritization).
     reference_profile: CostBenefitProfile = field(repr=False, default=None)
     search: SearchOutcome = None
-    stopwatch: Stopwatch = None
+    stopwatch: PhaseTimer = None
 
     @property
     def expected_coverage(self) -> float:
@@ -74,18 +69,14 @@ class MINPSIDResult:
 def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
     """Run MINPSID end-to-end on an application.
 
-    With a campaign cache active (``config.cache_dir`` or an installed
-    store), the reference per-instruction sweep (①②) and every searched
-    input's sweep (⑤) replay persisted results when nothing relevant
-    changed — re-running the pipeline after an unrelated edit costs golden
-    runs and the GA, not fault injection.
+    Every FI sweep runs under the ambient run configuration
+    (:mod:`repro.runconfig`). With a campaign cache installed there, the
+    reference per-instruction sweep (①②) and every searched input's sweep
+    (⑤) replay persisted results when nothing relevant changed —
+    re-running the pipeline after an unrelated edit costs golden runs and
+    the GA, not fault injection.
     """
-    with cache_scope(config.cache_dir):
-        return _minpsid(app, config)
-
-
-def _minpsid(app: App, config: MINPSIDConfig) -> MINPSIDResult:
-    sw = Stopwatch()
+    sw = PhaseTimer()
     module = app.module
     program = app.program
     args, bindings = app.encode(app.reference_input)
@@ -103,7 +94,6 @@ def _minpsid(app: App, config: MINPSIDConfig) -> MINPSIDResult:
             seed=config.seed,
             rel_tol=app.rel_tol,
             abs_tol=app.abs_tol,
-            workers=config.workers,
             protection_levels=(config.protection_level,),
             dyn_profile=dyn,
         )

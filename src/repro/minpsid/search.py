@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.apps.base import App, Input
-from repro.cache.active import cache_scope
 from repro.fi.campaign import run_per_instruction_campaign
 from repro.minpsid.ga import GAConfig, GeneticInputSearch
 from repro.minpsid.incubative import (
@@ -30,7 +29,7 @@ from repro.minpsid.incubative import (
 from repro.minpsid.wcfg import fitness_score, indexed_cfg_list
 from repro.obs.core import current as _obs_current
 from repro.obs.log import get_logger
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.util.rng import RngStream
 from repro.vm.profiler import DynamicProfile, profile_run
 
@@ -55,13 +54,6 @@ class InputSearchConfig:
     incubative: IncubativeConfig = IncubativeConfig()
     #: "ga" (MINPSID) or "random" (the Fig. 7 baseline searcher).
     strategy: str = "ga"
-    #: Process fan-out for the per-input FI campaigns.
-    workers: int | None = 0
-    #: Campaign-cache directory for the per-input FI sweeps (None = ambient
-    #: cache, False = disabled). The GA revisits inputs across generations
-    #: and across protection levels, so searched-input sweeps are the
-    #: highest-hit-rate consumers of the cache.
-    cache_dir: str | None = None
 
 
 @dataclass
@@ -87,9 +79,7 @@ def _benefit_map(
     inp: Input,
     trials: int,
     seed: int,
-    workers: int,
     profile: DynamicProfile | None = None,
-    cache=None,
 ) -> tuple[BenefitMap, int]:
     """Per-instruction FI on one input → its Eq.-2 benefit map."""
     args, bindings = app.encode(inp)
@@ -104,9 +94,7 @@ def _benefit_map(
         bindings=bindings,
         rel_tol=app.rel_tol,
         abs_tol=app.abs_tol,
-        workers=workers,
         profile=profile,
-        cache=cache,
     )
     total = profile.total_cycles or 1
     benefits: BenefitMap = {}
@@ -122,32 +110,21 @@ def run_input_search(
     reference_benefits: BenefitMap,
     seed: int,
     config: InputSearchConfig = InputSearchConfig(),
-    stopwatch: Stopwatch | None = None,
+    stopwatch: PhaseTimer | None = None,
 ) -> SearchOutcome:
     """Run the search engine starting from the app's reference input.
 
     ``reference_benefits`` is the benefit map already measured during SID
     preparation (①), so the reference input costs no extra FI here. With a
-    campaign cache active (``config.cache_dir`` or an installed store), a
-    searched input whose sweep was already measured — in an earlier run, an
-    earlier protection level, or an earlier search round — replays the
-    persisted result; per-round reuse is reported in the ``search.round``
-    telemetry event (``cache_hits``).
+    campaign cache installed in the ambient run configuration
+    (:mod:`repro.runconfig`), a searched input whose sweep was already
+    measured — in an earlier run, an earlier protection level, or an
+    earlier search round — replays the persisted result; per-round reuse is
+    reported in the ``search.round`` telemetry event (``cache_hits``). The
+    GA revisits inputs across generations and protection levels, so these
+    sweeps are the cache's highest-hit-rate consumers.
     """
-    with cache_scope(config.cache_dir):
-        return _run_input_search(
-            app, reference_benefits, seed, config, stopwatch
-        )
-
-
-def _run_input_search(
-    app: App,
-    reference_benefits: BenefitMap,
-    seed: int,
-    config: InputSearchConfig,
-    stopwatch: Stopwatch | None,
-) -> SearchOutcome:
-    sw = stopwatch or Stopwatch()
+    sw = stopwatch or PhaseTimer()
     rng = RngStream(seed, "input-search", config.strategy)
     program = app.program
 
@@ -205,7 +182,6 @@ def _run_input_search(
                 candidate,
                 config.per_instruction_trials,
                 seed=RngStream(seed, "fi", round_no).seed,
-                workers=config.workers,
                 profile=profile_cache.get(key),
             )
         outcome.fi_runs += runs

@@ -31,7 +31,7 @@ from repro.obs.events import SCHEMA_VERSION, make_record
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import JsonlTraceSink, MemorySink, NullSink, TraceSink
-from repro.obs.timers import PhaseTimer, Stopwatch
+from repro.obs.timers import PhaseTimer
 
 __all__ = [
     "Telemetry",
@@ -48,5 +48,4 @@ __all__ = [
     "MemorySink",
     "JsonlTraceSink",
     "PhaseTimer",
-    "Stopwatch",
 ]

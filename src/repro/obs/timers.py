@@ -1,4 +1,4 @@
-"""Exclusive-time phase timers (absorbing ``util.timing.Stopwatch``).
+"""Exclusive-time phase timers (the pipelines' Fig. 8 breakdown).
 
 Semantics
 ---------
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 
 from repro.obs.core import current
 
-__all__ = ["PhaseTimer", "Stopwatch"]
+__all__ = ["PhaseTimer"]
 
 
 class PhaseTimer:
@@ -75,6 +75,3 @@ class PhaseTimer:
         parts = ", ".join(f"{k}={v:.3f}s" for k, v in self.totals.items())
         return f"{type(self).__name__}({parts})"
 
-
-#: Backwards-compatible name — the MINPSID pipeline's original timer.
-Stopwatch = PhaseTimer

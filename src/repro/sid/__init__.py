@@ -9,7 +9,7 @@ compile-time duplication+check transformation.
 from repro.sid.profiles import CostBenefitProfile, build_cost_benefit_profile
 from repro.sid.knapsack import knapsack_select, greedy_knapsack, dp_knapsack
 from repro.sid.selection import SelectionResult, select_instructions
-from repro.sid.duplication import ProtectedModule, duplicate_instructions
+from repro.detectors.transform import ProtectedModule, duplicate_instructions
 from repro.sid.coverage import expected_coverage, measured_coverage
 from repro.sid.pipeline import SIDConfig, SIDResult, classic_sid
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.module import Module
-from repro.obs.timers import Stopwatch
-from repro.sid.duplication import ProtectedModule, duplicate_instructions
+from repro.detectors.transform import ProtectedModule, duplicate_instructions
+from repro.obs.timers import PhaseTimer
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
 from repro.vm.interpreter import Program
@@ -40,8 +40,6 @@ class SIDConfig:
     #: Output comparison tolerances (per-app SDC criterion).
     rel_tol: float = 0.0
     abs_tol: float = 0.0
-    #: Process fan-out for FI campaigns (0/1 = serial).
-    workers: int | None = 0
     #: Where SDC probabilities come from: "fi" (inject — the paper's
     #: method), "model" (static prediction), or "hybrid" (predict, verify
     #: near the knapsack cut).
@@ -57,7 +55,7 @@ class SIDResult:
     profile: CostBenefitProfile = field(repr=False)
     #: Phase breakdown of the pipeline run (same phases as MINPSID's, minus
     #: the search engine — that is the baseline's whole point).
-    stopwatch: Stopwatch = None
+    stopwatch: PhaseTimer = None
 
     @property
     def expected_coverage(self) -> float:
@@ -71,7 +69,7 @@ def classic_sid(
     config: SIDConfig = SIDConfig(),
 ) -> SIDResult:
     """Run the full baseline SID pipeline on the reference input."""
-    sw = Stopwatch()
+    sw = PhaseTimer()
     program = Program(module)
     with sw.phase("per_inst_fi_ref"):
         dyn = profile_run(program, args=args, bindings=bindings)
@@ -84,7 +82,6 @@ def classic_sid(
             seed=config.seed,
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
-            workers=config.workers,
             protection_levels=(config.protection_level,),
             dyn_profile=dyn,
         )

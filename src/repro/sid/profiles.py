@@ -130,7 +130,6 @@ def build_profile_from_source(
     seed: int = 2022,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
-    workers: int | None = 0,
     protection_levels: tuple[float, ...] = (0.3, 0.5, 0.7),
     verify_margin: float = 0.3,
     dyn_profile: DynamicProfile | None = None,
@@ -175,7 +174,6 @@ def build_profile_from_source(
             bindings=bindings,
             rel_tol=rel_tol,
             abs_tol=abs_tol,
-            workers=workers,
             profile=dyn,
         )
         return build_cost_benefit_profile(module, dyn, fi, source="fi")
@@ -198,7 +196,6 @@ def build_profile_from_source(
         bindings=bindings,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        workers=workers,
         profile=dyn,
         protection_levels=protection_levels,
         verify_margin=verify_margin,

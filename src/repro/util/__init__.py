@@ -20,7 +20,7 @@ from repro.util.rng import RngStream, derive_seed
 from repro.util.parallel import parallel_map
 from repro.util.supervisor import SupervisorConfig, parse_chaos, supervised_map
 from repro.util.tables import format_table
-from repro.util.timing import Stopwatch
+from repro.obs.timers import PhaseTimer
 
 __all__ = [
     "bit_width",
@@ -43,5 +43,5 @@ __all__ = [
     "parse_chaos",
     "stable_digest",
     "format_table",
-    "Stopwatch",
+    "PhaseTimer",
 ]

@@ -10,66 +10,23 @@ The pooled path is executed by the supervisor in
 :mod:`repro.util.supervisor`: worker crashes, hangs, and exceptions are
 retried with backoff and a broken pool is respawned (degrading to serial
 execution as the last resort), so one bad worker no longer aborts an
-hours-long campaign. The supervision knobs (``max_retries``,
-``task_timeout``) default to the ``REPRO_MAX_RETRIES`` /
-``REPRO_TASK_TIMEOUT`` environment, and the deterministic ``REPRO_CHAOS``
-hook can inject harness faults for testing the recovery paths.
+hours-long campaign. The worker count and the supervision knobs
+(``max_retries``, ``task_timeout``, the deterministic ``REPRO_CHAOS`` hook
+for testing the recovery paths) come from the run configuration
+(:mod:`repro.runconfig`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.util.supervisor import (
-    SupervisorConfig,
-    resolve_config,
-    supervised_map,
-)
+from repro.runconfig import RunConfig, default_workers, resolve
+from repro.util.supervisor import SupervisorConfig, supervised_map
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "default_workers", "resolve_workers"]
-
-#: Opt-in environment override consulted when ``workers=None``:
-#: unset/empty -> serial, ``auto`` -> :func:`default_workers`, else an int.
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def default_workers() -> int:
-    """Default worker count: leave two cores for the orchestrator."""
-    return max(1, (os.cpu_count() or 2) - 2)
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a worker request to a concrete count.
-
-    An explicit integer wins. ``None`` defers to the ``REPRO_WORKERS``
-    environment variable — ``auto`` picks :func:`default_workers`, a number
-    is taken literally, and anything unset/empty falls back to 0 (serial),
-    so campaigns stay predictable unless the user opts in. An *unparsable*
-    value also falls back to serial, but loudly: a warning goes through the
-    ``repro`` logger so a misconfigured run is visible, not silently slow.
-    """
-    if workers is not None:
-        return max(0, workers)
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 0
-    if raw.lower() == "auto":
-        return default_workers()
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        from repro.obs.log import get_logger
-
-        get_logger("util.parallel").warning(
-            "unparsable %s=%r: expected an integer or 'auto'; "
-            "falling back to serial execution",
-            WORKERS_ENV, raw,
-        )
-        return 0
+__all__ = ["parallel_map", "default_workers"]
 
 
 def parallel_map(
@@ -81,29 +38,24 @@ def parallel_map(
     initializer: Callable | None = None,
     initargs: tuple = (),
     on_result: Callable[[R], None] | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    supervisor: SupervisorConfig | None = None,
+    run: RunConfig | None = None,
     pool_factory: Callable | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``items``, optionally across supervised processes.
 
-    ``workers=None`` consults ``REPRO_WORKERS`` via :func:`resolve_workers`;
-    0/1 workers (or a single item) runs serially in-process, which is what
-    the test suite uses. ``chunksize=None`` picks ~4 chunks per worker so
-    callers don't inherit the pathological pool default of 1 item per IPC
-    round-trip. ``initializer(*initargs)`` runs once per worker process
-    (and once in-process on the serial path) — campaign workers use it to
-    seed their per-process program/checkpoint caches. ``on_result`` is
-    invoked in the parent, in submission order, as each result becomes
-    available — the telemetry layer uses it to stream progress and merge
-    worker metric deltas while later items are still running. Order of
-    results always matches the order of ``items``.
-
-    The pooled path is self-healing (see :mod:`repro.util.supervisor`):
-    ``max_retries`` bounds per-chunk re-submissions and ``task_timeout``
-    sets the hung-worker deadline in seconds; both default to their
-    environment knobs. An explicit ``supervisor`` config overrides both.
+    ``run`` is the resolved run configuration the pool follows (worker
+    count, retries, deadline, chaos); without one it resolves here, with
+    ``workers`` as the explicit layer over the ambient scope and
+    ``REPRO_WORKERS``. 0/1 workers (or a single item) runs serially
+    in-process, which is what the test suite uses. ``chunksize=None``
+    picks ~4 chunks per worker so callers don't inherit the pathological
+    pool default of 1 item per IPC round-trip. ``initializer(*initargs)``
+    runs once per worker process (and once in-process on the serial path)
+    — campaign workers use it to seed their per-process program/checkpoint
+    caches. ``on_result`` is invoked in the parent, in submission order,
+    as each result becomes available — the telemetry layer uses it to
+    stream progress and merge worker metric deltas while later items are
+    still running. Order of results always matches the order of ``items``.
 
     ``pool_factory`` (see :func:`repro.util.supervisor.supervised_map`)
     replaces the process pool with another executor — the campaign fabric
@@ -112,8 +64,9 @@ def parallel_map(
     silently bypassed by the serial shortcut.
     """
     items = list(items)
-    workers = resolve_workers(workers)
-    if pool_factory is None and (workers <= 1 or len(items) <= 1):
+    if run is None:
+        run = resolve(workers=workers)
+    if pool_factory is None and (run.workers <= 1 or len(items) <= 1):
         if initializer is not None:
             initializer(*initargs)
         out: list[R] = []
@@ -123,17 +76,14 @@ def parallel_map(
             if on_result is not None:
                 on_result(r)
         return out
-    config = supervisor if supervisor is not None else resolve_config(
-        max_retries=max_retries, task_timeout=task_timeout
-    )
     return supervised_map(
         fn,
         items,
-        workers=workers,
+        workers=run.workers,
         chunksize=chunksize,
         initializer=initializer,
         initargs=initargs,
         on_result=on_result,
-        config=config,
+        config=SupervisorConfig.from_run(run),
         pool_factory=pool_factory,
     )

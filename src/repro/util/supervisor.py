@@ -38,7 +38,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import (
@@ -49,6 +49,7 @@ from repro.errors import (
     WorkerError,
     WorkerTimeout,
 )
+from repro.runconfig import resolve
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -59,20 +60,9 @@ __all__ = [
     "parse_chaos",
     "set_chaos_identity",
     "chaos_identity",
-    "resolve_config",
     "supervised_map",
-    "MAX_RETRIES_ENV",
-    "TASK_TIMEOUT_ENV",
-    "CHAOS_ENV",
     "CHAOS_IDENTITY_ENV",
 ]
-
-#: Environment default for :attr:`SupervisorConfig.max_retries`.
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-#: Environment default for :attr:`SupervisorConfig.task_timeout` (seconds).
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-#: Deterministic harness-fault injection spec, e.g. ``crash@1,hang@3#0``.
-CHAOS_ENV = "REPRO_CHAOS"
 
 #: An injected hang sleeps this long — far past any sane task deadline, so
 #: the supervisor's kill path (not the sleep expiring) ends it.
@@ -105,65 +95,11 @@ class SupervisorConfig:
     #: Parsed chaos faults shipped to workers (see :func:`parse_chaos`).
     chaos: tuple["ChaosFault", ...] = ()
 
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        _warn_env(name, raw)
-        return None
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        _warn_env(name, raw)
-        return None
-
-
-def _warn_env(name: str, raw: str) -> None:
-    from repro.obs.log import get_logger
-
-    get_logger("util.supervisor").warning(
-        "unparsable %s=%r: ignoring it and using the default", name, raw
-    )
-
-
-def resolve_config(
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    chaos_spec: str | None = None,
-) -> SupervisorConfig:
-    """Build a config: explicit arguments beat environment beat defaults.
-
-    ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT`` supply ambient defaults
-    (a warning is logged for unparsable values); ``REPRO_CHAOS`` supplies
-    the chaos spec when ``chaos_spec`` is ``None``. A ``task_timeout`` of
-    0 or less disables hang detection.
-    """
-    cfg = SupervisorConfig()
-    if max_retries is None:
-        max_retries = _env_int(MAX_RETRIES_ENV)
-    if max_retries is not None:
-        cfg = replace(cfg, max_retries=max(0, int(max_retries)))
-    if task_timeout is None:
-        task_timeout = _env_float(TASK_TIMEOUT_ENV)
-    if task_timeout is not None:
-        cfg = replace(
-            cfg, task_timeout=float(task_timeout) if task_timeout > 0 else None
-        )
-    if chaos_spec is None:
-        chaos_spec = os.environ.get(CHAOS_ENV, "").strip() or None
-    if chaos_spec:
-        cfg = replace(cfg, chaos=parse_chaos(chaos_spec))
-    return cfg
+    @classmethod
+    def from_run(cls, run) -> "SupervisorConfig":
+        """The policy of a resolved :class:`repro.runconfig.RunConfig`."""
+        return cls(max_retries=run.max_retries, task_timeout=run.task_timeout,
+                   chaos=run.chaos)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +166,7 @@ def parse_chaos(spec: str) -> tuple[ChaosFault, ...]:
             attempt = 0 if not hsep else (None if att_s == "*" else int(att_s))
         except ValueError:
             raise ConfigError(
-                f"bad {CHAOS_ENV} entry {part!r}: expected "
+                f"bad REPRO_CHAOS entry {part!r}: expected "
                 f"kind@chunk[#attempt|#*][@target] with kind in "
                 f"{_CHAOS_KINDS} and chunk an index or '*'"
             ) from None
@@ -678,9 +614,10 @@ def supervised_map(
     results, ``on_result`` streamed in order, per-worker ``initializer``),
     plus the recovery behaviour described in the module docstring.
     ``chunksize`` groups items into per-future chunks (default ~4 chunks per
-    worker); ``config`` defaults to :func:`resolve_config`'s environment
-    resolution. ``workers <= 1`` or a single item runs serially in-process —
-    chaos and supervision never apply there.
+    worker); ``config`` defaults to the policy of the ambient run
+    configuration (:func:`repro.runconfig.resolve`). ``workers <= 1`` or
+    a single item runs serially in-process — chaos and supervision never
+    apply there.
 
     ``pool_factory`` swaps the executor: any callable with the
     ``ProcessPoolExecutor(max_workers=, initializer=, initargs=)``
@@ -693,7 +630,7 @@ def supervised_map(
     """
     items = list(items)
     if config is None:
-        config = resolve_config()
+        config = SupervisorConfig.from_run(resolve())
     if pool_factory is None and (workers <= 1 or len(items) <= 1):
         if initializer is not None:
             initializer(*initargs)

@@ -83,21 +83,19 @@ golden trajectory. Batched trials therefore carry no ``sticky`` hook;
 the fleet simulator (:mod:`repro.fleet`) runs its defective-host jobs
 through ``Program.run(sticky=...)`` on the scalar interpreter directly,
 which also keeps fleet summaries byte-identical under ``REPRO_ENGINE``
-overrides (the engine scope only routes FI *campaign* trials).
+overrides (the run configuration's engine only routes FI *campaign*
+trials).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as _np
 
 from repro.errors import (
     ArithmeticTrap,
-    ConfigError,
     DetectedError,
     HangTimeout,
     IRError,
@@ -106,34 +104,19 @@ from repro.errors import (
 )
 from repro.obs.core import current as _obs_current
 from repro.obs.spans import span as _span
+from repro.runconfig import DEFAULT_BATCH_SIZE, ENGINES, run_scope
 from repro.util.bitops import flip_value, float64_to_bits
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
 from repro.vm.memory import SEG_MASK, SEG_SHIFT
-from repro.vm.ops import coerce_load, f32, fdiv, fmath, int_op
+from repro.vm.ops import coerce_load, f32, fdiv, fmath, fnan, int_op
 
 __all__ = [
     "ENGINES",
-    "ENGINE_ENV",
-    "BATCH_SIZE_ENV",
     "DEFAULT_BATCH_SIZE",
     "BatchStats",
     "engine_scope",
-    "resolve_engine",
-    "resolve_batch_size",
     "run_trials_lockstep",
 ]
-
-#: Recognised execution engines for FI campaigns.
-ENGINES = ("scalar", "batch")
-#: Environment variable selecting the campaign execution engine.
-ENGINE_ENV = "REPRO_ENGINE"
-#: Environment variable overriding the lockstep batch width.
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-#: Default rows per lockstep batch. Wide enough to amortize the golden
-#: mirror replay (~one scalar run per batch) far below the per-trial scalar
-#: cost, small enough that column working sets stay cache-resident; the
-#: measured per-trial sweet spot on the bundled apps.
-DEFAULT_BATCH_SIZE = 1024
 
 #: Steps between lockstep maintenance passes (column garbage collection +
 #: row retirement). Large enough that scanning every live column costs a
@@ -142,73 +125,11 @@ DEFAULT_BATCH_SIZE = 1024
 _MAINT_INTERVAL = 2048
 
 _M64 = (1 << 64) - 1
-
-# Ambient engine overrides installed by engine_scope(); innermost last.
-_SCOPE: list = []
+_QUIET = _np.uint64(1 << 51)
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve the campaign engine: explicit > ambient scope > env > default.
-
-    Raises :class:`ConfigError` for unknown names.
-    """
-    if engine is None:
-        for eng, _size in reversed(_SCOPE):
-            if eng is not None:
-                engine = eng
-                break
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "scalar"
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
-
-def resolve_batch_size(batch_size: int | None = None) -> int:
-    """Resolve the lockstep batch width: explicit > scope > env > default."""
-    if batch_size is None:
-        for _eng, size in reversed(_SCOPE):
-            if size is not None:
-                batch_size = size
-                break
-    if batch_size is None:
-        raw = os.environ.get(BATCH_SIZE_ENV)
-        if raw:
-            try:
-                batch_size = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{BATCH_SIZE_ENV} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            batch_size = DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    return batch_size
-
-
-@contextmanager
-def engine_scope(engine: str | None = None, batch_size: int | None = None):
-    """Ambient engine selection for code paths without explicit threading.
-
-    The CLI wraps command execution in this scope so that deeply nested
-    campaign calls (supervisor retries, hybrid verify bands, model-guided
-    refinement) pick up ``--engine``/``--batch-size`` without every
-    intermediate layer growing parameters.
-    """
-    if engine is not None and engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    if batch_size is not None and batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    _SCOPE.append((engine, batch_size))
-    try:
-        yield
-    finally:
-        _SCOPE.pop()
+def engine_scope(engine=None, batch_size=None):  # bench/study.py imports it
+    return run_scope(engine=engine, batch_size=batch_size)
 
 
 @dataclass
@@ -766,6 +687,8 @@ class _BatchRun:
                             val = a * b
                         else:
                             val = fdiv(a, b)
+                        if val != val and op != 16:
+                            val = fnan(a, val)
                         if d[7]:
                             val = f32(val)
                     elif op == 17:
@@ -1351,6 +1274,12 @@ class _BatchRun:
             col = A * B
         else:
             col = A / B
+        nan = col != col
+        if nan.any():
+            # Two NaN operands: the first one wins, quieted (ops.fnan).
+            first = nan & (A != A)
+            col[first] = (A[first].view(self._U64) | _QUIET).view(self._F64)
+        if op == 16:
             # 0-divisors take the interpreter's formula row by row: its
             # NaN payload (math.nan) differs from the hardware 0/0 qNaN.
             zero = (B == 0.0) & self.exec_mask
@@ -1633,6 +1562,8 @@ class _BatchRun:
                         val = a * b
                     else:
                         val = fdiv(a, b)
+                    if val != val and op != 16:
+                        val = fnan(a, val)
                     if d[7]:
                         val = f32(val)
                     ca, cb = self._operand_cols(d, gslots, cols)

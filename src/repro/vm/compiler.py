@@ -78,6 +78,7 @@ _CODE_CACHE_MAX = 512
 _HELPERS = {
     "_f32": ops.f32,
     "_fdiv": ops.fdiv,
+    "_fnan": ops.fnan,
     "_coerce": ops.coerce_load,
     "_Detected": DetectedError,
     **{f"_fm{i}": fn for i, fn in enumerate(ops.FMATH)},
@@ -179,7 +180,8 @@ class _Source:
         """Store a value-producing instruction's result, with its hooks."""
         iid, dest = d[1], d[2]
         if self.hooked:
-            self.emit(f"v = {expr}")
+            if expr != "v":
+                self.emit(f"v = {expr}")
             self.emit(f"v = _hook(st, {iid}, v)")
             expr = "v"
         self.emit(f"slots[{dest}] = {expr}")
@@ -238,11 +240,19 @@ class _Source:
         op = d[0]
         opnd = self.operand
         if op <= 16 and op in _BINOP:
-            expr = f"{opnd(d[3], d[4])} {_BINOP[op]} {opnd(d[5], d[6])}"
+            a = opnd(d[3], d[4])
+            expr = f"{a} {_BINOP[op]} {opnd(d[5], d[6])}"
             if op <= 2:
                 expr = f"({expr}) & {d[7]}"
-            elif op >= 13 and d[7]:
-                expr = f"_f32({expr})"
+            elif op >= 13:
+                # A finite constant first operand never picks the NaN.
+                if d[3] != 0 or d[4] != d[4]:
+                    self.emit(f"v = {expr}")
+                    self.emit("if v != v:")
+                    self.emit(f"v = _fnan({a}, v)", 2)
+                    expr = "v"
+                if d[7]:
+                    expr = f"_f32({expr})"
             self.value(d, expr)
         elif op <= 12:  # shifts, div/rem
             a, mask, w = opnd(d[3], d[4]), d[7], d[8]

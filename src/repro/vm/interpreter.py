@@ -48,7 +48,7 @@ from repro.util.bitops import flip_value
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
 from repro.vm.compiler import CompiledProgram
 from repro.vm.memory import MAX_SEGMENT_ELEMS, SEG_MASK, SEG_SHIFT
-from repro.vm.ops import f32 as _f32
+from repro.vm.ops import f32 as _f32, fnan as _fnan
 
 __all__ = ["Program", "RunResult", "FaultSpec", "INJECTABLE_OPCODES"]
 
@@ -1092,25 +1092,27 @@ class Program:
                 elif op <= 16:  # float binop ----------------------------
                     a = d[4] if d[3] == 0 else slots[d[4]]
                     b = d[6] if d[5] == 0 else slots[d[6]]
-                    if op == 13:
-                        val = a + b
-                    elif op == 14:
-                        val = a - b
-                    elif op == 15:
-                        val = a * b
+                    if op == 16 and b == 0.0:
+                        if a == 0.0 or a != a:
+                            val = math.nan
+                        else:
+                            val = math.copysign(math.inf, a) * math.copysign(
+                                1.0, b
+                            )
                     else:
-                        if b == 0.0:
-                            if a == 0.0 or a != a:
-                                val = math.nan
-                            else:
-                                val = math.copysign(math.inf, a) * math.copysign(
-                                    1.0, b
-                                )
+                        if op == 13:
+                            val = a + b
+                        elif op == 14:
+                            val = a - b
+                        elif op == 15:
+                            val = a * b
                         else:
                             try:
                                 val = a / b
                             except OverflowError:
                                 val = math.copysign(math.inf, a) * math.copysign(1.0, b)
+                        if val != val:
+                            val = _fnan(a, val)
                     if d[7]:
                         val = _f32(val)
                 elif op == 17:  # icmp -----------------------------------

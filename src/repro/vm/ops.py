@@ -4,13 +4,15 @@ Most IR opcodes are one Python expression (``(a + b) & mask``), which the
 compile tier (:mod:`repro.vm.compiler`) writes straight into its generated
 block functions. The opcodes below are *irregular*: they trap, pick NaN
 payloads, call libm, or reinterpret raw bits, so their CPython result has
-to be spelled out with care. They live here once, and both the generated
+to be spelled out with care. So is the NaN a float binop returns when both
+operands are NaN (:func:`fnan`). They live here once, and both the generated
 code and the batch engine's scalar fixup tier (:mod:`repro.vm.batch`)
 call them, so the two executors cannot drift apart.
 
 The reference ``if``-chain (``Program._exec_fn``) keeps its own inline
 copy on purpose: it is the independent oracle the differential tests
-compare the compile tier against.
+compare the compile tier against. It shares only :func:`fnan`, a choice
+of rule rather than a formula.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "f32",
     "fdiv",
     "fmath",
+    "fnan",
     "int_op",
     "lshr",
     "sdiv",
@@ -45,6 +48,8 @@ _unpack_Q = struct.Struct("<Q").unpack
 _pack_I = struct.Struct("<I").pack
 
 _M64 = (1 << 64) - 1
+#: The quiet bit of a binary64 NaN.
+_QUIET = 1 << 51
 #: Every float at or beyond this magnitude is an integer.
 _TWO52 = 4503599627370496.0
 
@@ -117,6 +122,23 @@ def int_op(op: int, a: int, b: int, d: list) -> int:
 # -- floating point ----------------------------------------------------------
 
 
+def fnan(a: float, r: float) -> float:
+    """The NaN result ``r`` of ``a <op> b``, by the SSE rule: a NaN first
+    operand wins, with its quiet bit set.
+
+    Only two NaN operands need the rule — hardware returns a lone NaN
+    operand quieted whichever side it is on — but CPython decides their
+    order itself: a warm ``+``/``*`` specialized to ``BINARY_OP_ADD_FLOAT``
+    keeps the first operand's payload, the generic ``float_add`` the
+    second's, and numpy's loops choose their own. Every executor applies
+    this to the NaN results of ``fadd``/``fsub``/``fmul``/``fdiv``, so a
+    run's bits do not depend on how warm the interpreter is.
+    """
+    if a != a:
+        return _unpack_d(_pack_Q(_unpack_Q(_pack_d(a))[0] | _QUIET))[0]
+    return r
+
+
 def fdiv(a: float, b: float) -> float:
     """IEEE division with the interpreter's 0-divisor NaN payloads."""
     if b == 0.0:
@@ -124,9 +146,10 @@ def fdiv(a: float, b: float) -> float:
             return math.nan
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
     try:
-        return a / b
+        r = a / b
     except OverflowError:  # pragma: no cover - float operands never raise
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return r if r == r else fnan(a, r)
 
 
 def _sqrt(x: float) -> float:

@@ -16,10 +16,10 @@ from repro.analysis.model import (
 )
 from repro.analysis.summaries import module_summaries, summarize_function
 from repro.analysis.validate import spearman, top_k_overlap, validate_model
-from repro.cache.active import cache_scope
 from repro.fi.faultmodel import injectable_iids
 from repro.ir.parser import parse_module
 from repro.obs import MemorySink, session
+from repro.runconfig import run_scope
 from repro.vm.profiler import profile_run
 
 LOOP = """
@@ -114,7 +114,7 @@ class TestSummaries:
         self, loop_module, tmp_path
     ):
         sink = MemorySink()
-        with cache_scope(tmp_path / "store"), session(sink=sink):
+        with run_scope(cache=tmp_path / "store"), session(sink=sink):
             module_summaries(loop_module, DEFAULT_MASKING)
             module_summaries(loop_module, DEFAULT_MASKING)
         counters = sink.records[-1]["fields"]["counters"]
@@ -125,7 +125,7 @@ class TestSummaries:
         self, loop_module, tmp_path
     ):
         sink = MemorySink()
-        with cache_scope(tmp_path / "store"), session(sink=sink):
+        with run_scope(cache=tmp_path / "store"), session(sink=sink):
             module_summaries(loop_module, DEFAULT_MASKING)
             module_summaries(loop_module, MaskingModel(cmp_equality=0.999))
         counters = sink.records[-1]["fields"]["counters"]

@@ -9,9 +9,9 @@ and its FI subset rides the ordinary per-instruction machinery.
 import pytest
 
 from repro.analysis.model import model_verify_set, predict_sdc_probabilities
-from repro.cache.active import cache_scope
 from repro.fi.campaign import run_model_guided_campaign
 from repro.fi.faultmodel import injectable_iids
+from repro.runconfig import run_scope
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.profiler import profile_run
 
@@ -122,7 +122,7 @@ class TestHybridDeterminism:
     def test_bit_identical_across_cold_and_warm_cache(
         self, pathfinder_app, tmp_path
     ):
-        with cache_scope(tmp_path / "store"):
+        with run_scope(cache=tmp_path / "store"):
             cold = _hybrid(pathfinder_app)
             warm = _hybrid(pathfinder_app)
         uncached = _hybrid(pathfinder_app, cache=False)
@@ -146,7 +146,6 @@ class TestHybridDeterminism:
                 seed=SEED,
                 rel_tol=app.rel_tol,
                 abs_tol=app.abs_tol,
-                workers=None,
                 protection_levels=(0.5,),
             )
 

@@ -10,11 +10,11 @@ and checkpoint settings.
 
 from __future__ import annotations
 
-from repro.cache.active import cache_scope
 from repro.cache.store import CampaignCache
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
+from repro.runconfig import resolve_field, run_scope
 
 
 def _kwargs(app):
@@ -232,7 +232,8 @@ class TestAmbientScope:
         self, pathfinder_app, tmp_path
     ):
         kw = _kwargs(pathfinder_app)
-        with cache_scope(str(tmp_path)) as store:
+        with run_scope(cache=str(tmp_path)):
+            store = resolve_field("cache")
             cold = run_campaign(pathfinder_app.program, 20, seed=3, **kw)
             with session(sink=MemorySink()) as t:
                 warm = run_campaign(pathfinder_app.program, 20, seed=3, **kw)
@@ -248,7 +249,7 @@ class TestAmbientScope:
         run_campaign(pathfinder_app.program, 20, seed=3, **kw)
         store = CampaignCache(tmp_path)
         assert store.stats().entries == 1
-        with cache_scope(False), session(sink=MemorySink()) as t:
+        with run_scope(cache=False), session(sink=MemorySink()) as t:
             run_campaign(pathfinder_app.program, 20, seed=3, **kw)
         counters = t.metrics.counters
         assert counters.get("cache.hit", 0) == 0
@@ -259,7 +260,8 @@ class TestAmbientScope:
         self, pathfinder_app, tmp_path
     ):
         kw = _kwargs(pathfinder_app)
-        with cache_scope(str(tmp_path)) as store:
+        with run_scope(cache=str(tmp_path)):
+            store = resolve_field("cache")
             run_campaign(
                 pathfinder_app.program, 20, seed=3, cache=False, **kw
             )
@@ -283,10 +285,10 @@ class TestFailedCampaignsNeverPublish:
         kw = _kwargs(pathfinder_app)
         store = CampaignCache(tmp_path)
         monkeypatch.setenv("REPRO_CHAOS", "exc@0#*")
-        with pytest.raises(HarnessError):
+        with pytest.raises(HarnessError), run_scope(max_retries=1):
             run_campaign(
                 pathfinder_app.program, 48, seed=31, workers=2,
-                max_retries=1, cache=store, **kw,
+                cache=store, **kw,
             )
         assert store.stats().entries == 0
 

@@ -19,7 +19,11 @@ import pytest
 from repro.errors import HarnessError, Trap, WorkerError
 from repro.exp.runner import generate_eval_inputs
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
-from repro.util.supervisor import CHAOS_ENV, MAX_RETRIES_ENV, TASK_TIMEOUT_ENV
+from repro.runconfig import KNOBS, run_scope
+
+CHAOS_ENV = KNOBS["chaos"].env
+MAX_RETRIES_ENV = KNOBS["max_retries"].env
+TASK_TIMEOUT_ENV = KNOBS["task_timeout"].env
 
 FAULTS = 48
 SEED = 31
@@ -103,10 +107,9 @@ class TestExhaustionIsTypedNotPartial:
     ):
         chaos_env("exc@0#*")
         kw = _kwargs(pathfinder_app)
-        with pytest.raises(HarnessError) as ei:
+        with pytest.raises(HarnessError) as ei, run_scope(max_retries=1):
             run_campaign(
-                pathfinder_app.program, FAULTS, seed=SEED, workers=2,
-                max_retries=1, **kw,
+                pathfinder_app.program, FAULTS, seed=SEED, workers=2, **kw,
             )
         # Typed, with a failure summary — not a raw worker traceback.
         assert isinstance(ei.value, WorkerError)

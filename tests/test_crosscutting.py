@@ -3,6 +3,7 @@ error taxonomy, and the public API surface."""
 
 import pytest
 
+from repro.detectors.transform import duplicate_instructions
 from repro.errors import (
     ArithmeticTrap,
     ConfigError,
@@ -17,7 +18,6 @@ from repro.errors import (
     VerificationError,
 )
 from repro.fi.faultmodel import injectable_iids
-from repro.sid.duplication import duplicate_instructions
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.cache.active import cache_scope
 from repro.detectors import (
     ChecksumDetector,
     DetectorContext,
@@ -32,6 +31,7 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs import MemorySink
 from repro.obs.core import session
+from repro.runconfig import run_scope
 from repro.sid.profiles import build_cost_benefit_profile
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
@@ -187,7 +187,7 @@ class TestValueProfile:
     def test_warm_rebuild_from_cache(self, sumsq, tmp_path):
         _, p = sumsq
         sink = MemorySink()
-        with cache_scope(tmp_path / "store"), session(sink=sink):
+        with run_scope(cache=tmp_path / "store"), session(sink=sink):
             cold = mine_value_profile(p, args=[16], bindings=DATA)
             warm = mine_value_profile(p, args=[16], bindings=DATA)
         counters = sink.records[-1]["fields"]["counters"]

@@ -80,41 +80,65 @@ class TestResults:
         assert study.average_loss_fraction(0.3) == 0.0
 
 
-class TestEngineScope:
-    def test_scale_engine_reaches_every_campaign(self, monkeypatch):
-        """``ScaleConfig.engine`` alone, with no caller scope and no cache,
-        sends every campaign of both studies to the lockstep engine: the
-        SID and MINPSID sweeps as well as the evaluation campaigns."""
+class TestScaleReach:
+    def test_scale_fields_reach_every_campaign(self, monkeypatch, tmp_path):
+        """Each execution field of a ``ScaleConfig`` alone, with no caller
+        scope or environment, reaches every campaign of a TINY bfs fig2 +
+        fig6 study: the SID and MINPSID sweeps as well as the evaluation
+        campaigns. The run configuration each campaign resolved is captured
+        at dispatch; the trials then run serially on the local pool, so the
+        pool, fabric and supervisor settings are checked without paying for
+        them."""
+        from dataclasses import replace
+
         import repro.fi.campaign as campaign
+        from repro.cache.store import store_for
         from repro.exp.fig2 import run_fig2_study
         from repro.exp.fig6 import run_fig6_study
+        from repro.runconfig import KNOBS
 
-        for var in ("REPRO_ENGINE", "REPRO_CACHE_DIR", "REPRO_WORKERS"):
-            monkeypatch.delenv(var, raising=False)
-        lockstep_calls = []
-        reached = []
-        real_lockstep = campaign.run_trials_lockstep
+        for knob in KNOBS.values():
+            if knob.env:
+                monkeypatch.delenv(knob.env, raising=False)
+        # ScaleConfig field -> (RunConfig field, scale value, resolved value)
+        table = {
+            "workers": ("workers", 2, 2),
+            "engine": ("engine", "batch", "batch"),
+            "batch_size": ("batch_size", 16, 16),
+            "checkpoint_interval": ("checkpoint_interval", None, 0),
+            "transport": ("transport", "inproc", "inproc"),
+            "max_retries": ("max_retries", 0, 0),
+            "task_timeout": ("task_timeout", 30.0, 30.0),
+            "cache_dir": ("cache", str(tmp_path), store_for(tmp_path)),
+        }
+        seen = []
         real_dispatch = campaign._dispatch_sites
 
-        def lockstep(*args, **kwargs):
-            lockstep_calls.append(1)
-            return real_lockstep(*args, **kwargs)
+        def dispatch(program, sites, store, *args):
+            run, label = args[5], args[6]
+            seen.append((label, run, store))
+            local = replace(run, workers=0, transport="local")
+            return real_dispatch(
+                program, sites, store, *args[:5], local, *args[6:]
+            )
 
-        def dispatch(program, sites, *args, **kwargs):
-            before = len(lockstep_calls)
-            out = real_dispatch(program, sites, *args, **kwargs)
-            reached.append(not sites or len(lockstep_calls) > before)
-            return out
-
-        monkeypatch.setattr(campaign, "run_trials_lockstep", lockstep)
         monkeypatch.setattr(campaign, "_dispatch_sites", dispatch)
-        scale = MICRO.with_(apps=("bfs",), eval_inputs=1, campaign_faults=10,
-                            per_instr_trials=1, search_per_instr_trials=1,
-                            ga_population=2, engine="batch")
+        scale = TINY.with_(
+            apps=("bfs",), eval_inputs=1, campaign_faults=10,
+            per_instr_trials=1, search_per_instr_trials=1, ga_population=2,
+            **{name: value for name, (_, value, _) in table.items()},
+        )
         run_fig2_study(scale)
         run_fig6_study(scale)
-        assert len(reached) >= 5
-        assert all(reached)
+        labels = [label for label, _, _ in seen]
+        assert labels.count("per-instruction fi") >= 3  # SID, MINPSID, search
+        assert labels.count("fi campaign") >= 4  # evaluation campaigns
+        missed = {
+            name: sum(getattr(run, field) != want for _, run, _ in seen)
+            for name, (field, _, want) in table.items()
+        }
+        assert not any(missed.values()), missed
+        assert all(store is None for _, _, store in seen)  # cold replay
 
 
 class TestCheckpointDefault:

@@ -17,18 +17,17 @@ import sys
 import pytest
 
 from repro.errors import ConfigError
-from repro.fabric.harness import (
-    ADDR_ENV,
-    TRANSPORT_ENV,
-    fabric_scope,
-    resolve_fabric,
-    resolve_transport,
-)
+from repro.fabric.harness import pool_factory
 from repro.fabric.transport import _adapter_env, adapter_command
 from repro.fi.campaign import run_campaign
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
-from repro.util.supervisor import CHAOS_ENV, MAX_RETRIES_ENV
+from repro.runconfig import KNOBS, resolve, run_scope
+
+ADDR_ENV = KNOBS["addrs"].env
+TRANSPORT_ENV = KNOBS["transport"].env
+CHAOS_ENV = KNOBS["chaos"].env
+MAX_RETRIES_ENV = KNOBS["max_retries"].env
 
 from tests.conftest import cached_app
 
@@ -78,7 +77,7 @@ class TestByteIdenticalAcrossTransports:
     @pytest.mark.parametrize("transport", ["inproc", "socketpair"])
     def test_local_transports(self, needle, serial, transport, workers):
         a, b = needle.encode(needle.reference_input)
-        with fabric_scope(transport):
+        with run_scope(transport=transport):
             got = run_campaign(
                 needle.program, FAULTS, SEED, args=a, bindings=b,
                 workers=workers, **_kwargs(needle),
@@ -89,7 +88,7 @@ class TestByteIdenticalAcrossTransports:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_tcp_loopback(self, needle, serial, tcp_adapters, workers):
         a, b = needle.encode(needle.reference_input)
-        with fabric_scope("tcp", ",".join(tcp_adapters)):
+        with run_scope(transport="tcp", addrs=",".join(tcp_adapters)):
             got = run_campaign(
                 needle.program, FAULTS, SEED, args=a, bindings=b,
                 workers=workers, **_kwargs(needle),
@@ -116,7 +115,7 @@ class TestDisconnectRecovery:
         monkeypatch.setenv(CHAOS_ENV, "crash@1")
         monkeypatch.setenv(MAX_RETRIES_ENV, "3")
         a, b = needle.encode(needle.reference_input)
-        with session(sink=MemorySink()) as t, fabric_scope("socketpair"):
+        with session(sink=MemorySink()) as t, run_scope(transport="socketpair"):
             got = run_campaign(
                 needle.program, FAULTS, SEED, args=a, bindings=b,
                 workers=2, **_kwargs(needle),
@@ -139,7 +138,7 @@ class TestDisconnectRecovery:
 
     def test_chunks_are_attributed_per_adapter_label(self, needle):
         a, b = needle.encode(needle.reference_input)
-        with session(sink=MemorySink()) as t, fabric_scope("inproc"):
+        with session(sink=MemorySink()) as t, run_scope(transport="inproc"):
             run_campaign(
                 needle.program, 10, SEED, args=a, bindings=b,
                 workers=2, **_kwargs(needle),
@@ -153,7 +152,7 @@ class TestDisconnectRecovery:
         pools advertising ``supports_chaos = False``."""
         monkeypatch.setenv(CHAOS_ENV, "crash@1")
         a, b = needle.encode(needle.reference_input)
-        with fabric_scope("inproc"):
+        with run_scope(transport="inproc"):
             got = run_campaign(
                 needle.program, FAULTS, SEED, args=a, bindings=b,
                 workers=2, **_kwargs(needle),
@@ -164,25 +163,25 @@ class TestDisconnectRecovery:
 class TestTransportResolution:
     def test_precedence_explicit_over_scope_over_env(self, monkeypatch):
         monkeypatch.setenv(TRANSPORT_ENV, "socketpair")
-        assert resolve_transport() == "socketpair"
-        with fabric_scope("inproc"):
-            assert resolve_transport() == "inproc"
-            assert resolve_transport("local") == "local"
+        assert resolve().transport == "socketpair"
+        with run_scope(transport="inproc"):
+            assert resolve().transport == "inproc"
+            assert resolve(transport="local").transport == "local"
         monkeypatch.delenv(TRANSPORT_ENV)
-        assert resolve_transport() == "local"
+        assert resolve().transport == "local"
 
     def test_unknown_transport_is_a_config_error(self):
         with pytest.raises(ConfigError, match="transport"):
-            resolve_transport("carrier-pigeon")
+            resolve(transport="carrier-pigeon")
 
     def test_tcp_without_endpoints_is_a_config_error(self, monkeypatch):
         monkeypatch.delenv(ADDR_ENV, raising=False)
         with pytest.raises(ConfigError, match="endpoint"):
-            resolve_fabric("tcp")
+            resolve(transport="tcp")
 
     def test_local_yields_no_pool_factory(self):
-        kind, factory = resolve_fabric("local")
-        assert kind == "local" and factory is None
+        run = resolve(transport="local")
+        assert run.transport == "local" and pool_factory(run) is None
 
     def test_fabric_counters_only_appear_on_fabric_runs(self, needle):
         a, b = needle.encode(needle.reference_input)

@@ -4,7 +4,7 @@ The ``--engine`` knob is an execution strategy, not an experiment parameter:
 a batch campaign must return byte-identical results to a scalar one (same
 per-fault outcome list, same counts), hit the same cache entries, and never
 leak into a cache key. Engine selection resolves explicit argument >
-``engine_scope`` > environment > default, with configuration errors raised
+``run_scope`` > environment > default, with configuration errors raised
 at resolution time rather than mid-campaign.
 """
 
@@ -17,14 +17,10 @@ from repro.errors import ConfigError
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
-from repro.vm.batch import (
-    BATCH_SIZE_ENV,
-    DEFAULT_BATCH_SIZE,
-    ENGINE_ENV,
-    engine_scope,
-    resolve_batch_size,
-    resolve_engine,
-)
+from repro.runconfig import DEFAULT_BATCH_SIZE, KNOBS, resolve, run_scope
+
+ENGINE_ENV = KNOBS["engine"].env
+BATCH_SIZE_ENV = KNOBS["batch_size"].env
 
 ARGS = [32]
 
@@ -87,48 +83,48 @@ def test_engine_never_enters_cache_keys(sumsq_program, sumsq_data, tmp_path):
 def test_engine_resolution_precedence(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
     monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
-    assert resolve_engine() == "scalar"
-    assert resolve_batch_size() == DEFAULT_BATCH_SIZE
+    assert resolve().engine == "scalar"
+    assert resolve().batch_size == DEFAULT_BATCH_SIZE
 
     monkeypatch.setenv(ENGINE_ENV, "batch")
     monkeypatch.setenv(BATCH_SIZE_ENV, "64")
-    assert resolve_engine() == "batch"
-    assert resolve_batch_size() == 64
+    assert resolve().engine == "batch"
+    assert resolve().batch_size == 64
 
-    with engine_scope("scalar", 16):
-        assert resolve_engine() == "scalar"  # scope beats env
-        assert resolve_batch_size() == 16
-        with engine_scope(None, None):  # no-op overlay defers outward
-            assert resolve_engine() == "scalar"
-            assert resolve_batch_size() == 16
-        with engine_scope("batch"):  # inner scope beats outer
-            assert resolve_engine() == "batch"
-            assert resolve_batch_size() == 16  # size still from outer
-        assert resolve_engine("batch") == "batch"  # explicit beats scope
-        assert resolve_batch_size(4) == 4
-    assert resolve_engine() == "batch"  # env visible again
+    with run_scope(engine="scalar", batch_size=16):
+        assert resolve().engine == "scalar"  # scope beats env
+        assert resolve().batch_size == 16
+        with run_scope(engine=None, batch_size=None):  # defers outward
+            assert resolve().engine == "scalar"
+            assert resolve().batch_size == 16
+        with run_scope(engine="batch"):  # inner scope beats outer
+            assert resolve().engine == "batch"
+            assert resolve().batch_size == 16  # size still from outer
+        assert resolve(engine="batch").engine == "batch"  # explicit beats scope
+        assert resolve(batch_size=4).batch_size == 4
+    assert resolve().engine == "batch"  # env visible again
 
 
 def test_engine_config_errors(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
     monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
     with pytest.raises(ConfigError, match="unknown engine"):
-        resolve_engine("simd")
+        resolve(engine="simd")
     with pytest.raises(ConfigError, match="unknown engine"):
-        with engine_scope("simd"):
+        with run_scope(engine="simd"):
             pass
     with pytest.raises(ConfigError, match="batch size"):
-        resolve_batch_size(0)
+        resolve(batch_size=0)
     with pytest.raises(ConfigError, match="batch size"):
-        with engine_scope(batch_size=-3):
+        with run_scope(batch_size=-3):
             pass
     monkeypatch.setenv(ENGINE_ENV, "vector")
     with pytest.raises(ConfigError, match="unknown engine"):
-        resolve_engine()
+        resolve()
     monkeypatch.delenv(ENGINE_ENV)
     monkeypatch.setenv(BATCH_SIZE_ENV, "lots")
     with pytest.raises(ConfigError, match="must be an integer"):
-        resolve_batch_size()
+        resolve()
 
 
 def test_campaign_rejects_unknown_engine(sumsq_program, sumsq_data):

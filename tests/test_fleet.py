@@ -29,6 +29,7 @@ from repro.fleet.sweep import sweep_is_monotone
 from repro.obs.core import session
 from repro.obs.fleetview import render_fleet
 from repro.obs.sink import MemorySink
+from repro.runconfig import run_scope
 
 #: The shared tiny-fleet configuration (seed 3 exercises every outcome
 #: class: escapes, detections, crashes, and in-field catches).
@@ -37,8 +38,8 @@ SEED = 3
 
 
 def _small_run(policy="default", seed=SEED, workers=0):
-    return run_fleet(24, 0.0, parse_policy(policy), seed, workers=workers,
-                     **SMALL)
+    with run_scope(workers=workers):
+        return run_fleet(24, 0.0, parse_policy(policy), seed, **SMALL)
 
 
 class TestPolicy:
@@ -119,14 +120,16 @@ class TestFleetSim:
         specs = build_job_specs(SMALL["apps"], protection=0.5)
         opcodes = job_mix_opcodes(specs)
         hosts = seed_fleet(24, 0.0, SEED, opcodes, n_defective=2)
-        r = FleetSim(hosts, specs, parse_policy("default"), SEED,
-                     rounds=8, workers=0).run()
+        with run_scope(workers=0):
+            r = FleetSim(hosts, specs, parse_policy("default"), SEED,
+                         rounds=8).run()
         assert render_fleet_summary(r) == render_fleet_summary(_small_run())
 
 
 class TestSweep:
     def test_sweep_runs_ladder_and_renders(self):
-        results = run_sweep(24, 0.0, SEED, workers=0, **SMALL)
+        with run_scope(workers=0):
+            results = run_sweep(24, 0.0, SEED, **SMALL)
         names = [name for name, _ in results]
         assert names == ["lax", "default", "strict", "paranoid"]
         text = render_sweep(results)
@@ -135,7 +138,8 @@ class TestSweep:
         assert "monotone" in text.lower()
 
     def test_monotone_check_is_order_sensitive(self):
-        results = run_sweep(24, 0.0, SEED, workers=0, **SMALL)
+        with run_scope(workers=0):
+            results = run_sweep(24, 0.0, SEED, **SMALL)
         assert sweep_is_monotone(results) == (
             "NOT MONOTONE" not in render_sweep(results)
         )

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.detectors.transform import duplicate_instructions
 from repro.errors import ParseError
 from repro.ir import parse_module, print_module
 from repro.ir.printer import format_instruction
-from repro.sid.duplication import duplicate_instructions
 from repro.vm.interpreter import Program
 from tests.conftest import build_branchy_module, build_sum_squares_module
 

@@ -27,21 +27,27 @@ from repro.errors import (
 )
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
-from repro.util.parallel import WORKERS_ENV, resolve_workers
+from repro.runconfig import KNOBS, resolve
 from repro.util.supervisor import (
-    CHAOS_ENV,
-    MAX_RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
     CHAOS_IDENTITY_ENV,
     ChaosFault,
     SupervisorConfig,
     chaos_identity,
     maybe_chaos,
     parse_chaos,
-    resolve_config,
     set_chaos_identity,
     supervised_map,
 )
+
+WORKERS_ENV = KNOBS["workers"].env
+MAX_RETRIES_ENV = KNOBS["max_retries"].env
+TASK_TIMEOUT_ENV = KNOBS["task_timeout"].env
+CHAOS_ENV = KNOBS["chaos"].env
+
+
+def _policy(**explicit) -> SupervisorConfig:
+    """The supervisor policy of the run configuration ``explicit`` resolves."""
+    return SupervisorConfig.from_run(resolve(**explicit))
 
 
 def _square(x):  # module-level: must pickle into pool workers
@@ -132,7 +138,7 @@ class TestResolveConfig:
     def test_defaults(self, monkeypatch):
         for env in (MAX_RETRIES_ENV, TASK_TIMEOUT_ENV, CHAOS_ENV):
             monkeypatch.delenv(env, raising=False)
-        cfg = resolve_config()
+        cfg = _policy()
         assert cfg.max_retries == 2
         assert cfg.task_timeout is None
         assert cfg.chaos == ()
@@ -141,7 +147,7 @@ class TestResolveConfig:
         monkeypatch.setenv(MAX_RETRIES_ENV, "5")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
         monkeypatch.setenv(CHAOS_ENV, "exc@2")
-        cfg = resolve_config()
+        cfg = _policy()
         assert cfg.max_retries == 5
         assert cfg.task_timeout == 1.5
         assert cfg.chaos == (ChaosFault("exc", 2, 0),)
@@ -149,19 +155,19 @@ class TestResolveConfig:
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv(MAX_RETRIES_ENV, "5")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
-        cfg = resolve_config(max_retries=1, task_timeout=9.0)
+        cfg = _policy(max_retries=1, task_timeout=9.0)
         assert cfg.max_retries == 1
         assert cfg.task_timeout == 9.0
 
     def test_nonpositive_timeout_disables_hang_detection(self):
-        assert resolve_config(task_timeout=0).task_timeout is None
-        assert resolve_config(task_timeout=-1).task_timeout is None
+        assert _policy(task_timeout=0).task_timeout is None
+        assert _policy(task_timeout=-1).task_timeout is None
 
     def test_unparsable_env_warns_and_uses_default(self, monkeypatch, caplog):
         monkeypatch.setenv(MAX_RETRIES_ENV, "many")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "soon")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            cfg = resolve_config()
+            cfg = _policy()
         assert cfg.max_retries == 2
         assert cfg.task_timeout is None
         assert MAX_RETRIES_ENV in caplog.text
@@ -174,14 +180,14 @@ class TestResolveWorkersWarning:
     ):
         monkeypatch.setenv(WORKERS_ENV, "lots")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            assert resolve_workers(None) == 0
+            assert resolve().workers == 0
         assert WORKERS_ENV in caplog.text
         assert "serial" in caplog.text
 
     def test_valid_env_stays_silent(self, monkeypatch, caplog):
         monkeypatch.setenv(WORKERS_ENV, "3")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            assert resolve_workers(None) == 3
+            assert resolve().workers == 3
         assert not caplog.records
 
 

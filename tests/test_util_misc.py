@@ -1,17 +1,15 @@
-"""Tests for parallel map, tables and the stopwatch."""
+"""Tests for parallel map, worker-count resolution, tables and the phase timer."""
 
 import time
 
 import pytest
 
-from repro.util.parallel import (
-    WORKERS_ENV,
-    default_workers,
-    parallel_map,
-    resolve_workers,
-)
+from repro.obs.timers import PhaseTimer
+from repro.runconfig import KNOBS, resolve
+from repro.util.parallel import default_workers, parallel_map
 from repro.util.tables import format_percent, format_table, render_candlestick_row
-from repro.util.timing import Stopwatch
+
+WORKERS_ENV = KNOBS["workers"].env
 
 
 def _square(x):
@@ -73,31 +71,31 @@ class TestParallelMap:
 class TestResolveWorkers:
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "7")
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == 0
+        assert resolve(workers=3).workers == 3
+        assert resolve(workers=0).workers == 0
 
     def test_negative_clamped(self):
-        assert resolve_workers(-4) == 0
+        assert resolve(workers=-4).workers == 0
 
     def test_none_without_env_is_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers(None) == 0
+        assert resolve().workers == 0
 
     def test_env_integer(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(None) == 5
+        assert resolve().workers == 5
 
     def test_env_auto(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "auto")
-        assert resolve_workers(None) == default_workers()
+        assert resolve().workers == default_workers()
 
     def test_env_garbage_falls_back_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
-        assert resolve_workers(None) == 0
+        assert resolve().workers == 0
 
     def test_env_empty_is_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "  ")
-        assert resolve_workers(None) == 0
+        assert resolve().workers == 0
 
     def test_parallel_map_honors_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
@@ -130,28 +128,21 @@ class TestTables:
 
 
 class TestStopwatch:
+    """Flat (un-nested) use of :class:`PhaseTimer`, the pipelines' stopwatch.
+
+    Nesting and trace emission are covered in ``test_obs_core``.
+    """
+
     def test_accumulates(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with sw.phase("a"):
             time.sleep(0.01)
         with sw.phase("a"):
             time.sleep(0.01)
         assert sw.totals["a"] >= 0.02
 
-    def test_fractions_sum_to_one(self):
-        sw = Stopwatch()
-        with sw.phase("a"):
-            time.sleep(0.005)
-        with sw.phase("b"):
-            time.sleep(0.005)
-        fr = sw.fractions()
-        assert pytest.approx(sum(fr.values()), abs=1e-9) == 1.0
-
-    def test_empty_fractions(self):
-        assert Stopwatch().fractions() == {}
-
     def test_phase_records_on_exception(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with pytest.raises(ValueError):
             with sw.phase("x"):
                 raise ValueError

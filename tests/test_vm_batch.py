@@ -12,6 +12,7 @@ message for traps), not just classified outcomes.
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 
@@ -208,3 +209,38 @@ def test_empty_batch():
     program = Program(_tail_module())
     results, stats = run_trials_lockstep(program, [])
     assert results == [] and stats.trials == 0
+
+
+def _two_nan_module() -> Module:
+    """Every float binop, both operand orders, on two loaded NaNs."""
+    m = Module("nan2")
+    g = m.add_global("data", F64, 2)
+    b = Builder.new_function(m, "main", [], VOID)
+    x = b.load(b.gep(g, b.i64(0)), F64)
+    y = b.load(b.gep(g, b.i64(1)), F64)
+    for op in ("fadd", "fsub", "fmul", "fdiv"):
+        b.emit_output(b.binop(op, x, y))
+        b.emit_output(b.binop(op, y, x))
+    b.ret()
+    return m.finalize()
+
+
+def test_two_nan_operands_with_different_payloads():
+    """Golden values, column rows and side trips all take the first NaN
+    operand, quieted (vm.ops.fnan), exactly like the scalar engine — also
+    for rows whose flip turns a NaN signalling, finite or infinite."""
+    nan = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+           for bits in (0x7FF8_0000_0000_0123, 0x7FF8_0000_0000_0456)]
+    program = Program(_two_nan_module())
+    bindings = {"data": nan}
+    loads = [
+        iid for iid in injectable_iids(program.module)
+        if program.module.instruction(iid).opcode == "load"
+    ]
+    sites = [FaultSite(iid, 1, bit) for iid in loads for bit in range(64)]
+    gold = program.run(bindings=bindings)
+    assert [float64_to_bits(v) for v in gold.output[:2]] == [
+        0x7FF8_0000_0000_0123, 0x7FF8_0000_0000_0456,
+    ]
+    _assert_rows_identical(program, sites, bindings=bindings,
+                           golden_output=gold.output)

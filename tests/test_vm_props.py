@@ -7,7 +7,8 @@ interpreter and requires the compile tier to match it bit for bit.
 import math
 import struct
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import Trap
@@ -149,6 +150,8 @@ class TestDeterminism:
 # -- compile tier vs reference, operator by operator -------------------------
 
 _NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+#: A signalling NaN (quiet bit clear) with its own payload.
+_SNAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0_0000_0000_0456))[0]
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, _NAN_PAYLOAD,
                   1.0, -1.5, 5e-324, 1.7976931348623157e308, 3.5e38, -1e-40)
 any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
@@ -201,6 +204,14 @@ class TestCompiledMatchesReference:
     @given(st.sampled_from(("fadd", "fsub", "fmul", "fdiv")),
            st.sampled_from((F32, F64)), any_floats, any_floats, st.booleans())
     @settings(max_examples=100, deadline=None)
+    # Two NaN operands: the first one's payload wins, whatever the order.
+    @example("fadd", F64, _NAN_PAYLOAD, math.nan, False)
+    @example("fadd", F64, math.nan, _NAN_PAYLOAD, True)
+    @example("fadd", F32, _NAN_PAYLOAD, math.nan, True)
+    @example("fmul", F64, math.nan, _NAN_PAYLOAD, False)
+    @example("fmul", F32, _NAN_PAYLOAD, math.nan, False)
+    @example("fsub", F64, _SNAN, _NAN_PAYLOAD, False)
+    @example("fdiv", F64, _NAN_PAYLOAD, _SNAN, True)
     def test_float_binops(self, op, t, a, b, folded):
         run_op(lambda bb, x, y: bb.binop(op, x, y), [(t, a), (t, b)], folded)
 
@@ -239,3 +250,31 @@ class TestCompiledMatchesReference:
     def test_select(self, c, a, b, folded):
         run_op(lambda bb, k, x, y: bb.select(k, x, y),
                [(I1, int(c)), (F64, a), (F64, b)], folded)
+
+
+class TestTwoNanOperands:
+    """CPython picks the payload of ``NaN + NaN`` by how warm the ``+`` is:
+    a specialized ``BINARY_OP_ADD_FLOAT`` keeps the first operand's, the
+    generic ``float_add`` the second's. Every executor pins it to the first
+    operand's NaN, quieted, so a cold pool worker and the warm parent
+    produce the same bits."""
+
+    @pytest.mark.parametrize("op", ["fadd", "fmul"])
+    @pytest.mark.parametrize("program", [Program, ReferenceProgram])
+    def test_cold_and_warm_runs_agree(self, op, program, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.vm import compiler
+
+        monkeypatch.setattr(compiler, "_CODE_CACHE", OrderedDict())  # cold
+        m = Module("nan2")
+        b = Builder.new_function(m, "main", [("x0", F64), ("x1", F64)], VOID)
+        b.emit_output(b.binop(op, b.function.arg("x0"), b.function.arg("x1")))
+        b.ret()
+        m.finalize()
+        p = program(m)
+        cold = p.run(args=[_NAN_PAYLOAD, math.nan]).output
+        for _ in range(50):
+            p.run(args=[1.5, 2.5])
+        warm = p.run(args=[_NAN_PAYLOAD, math.nan]).output
+        assert bits(cold) == bits(warm) == bits([_NAN_PAYLOAD])
