@@ -25,7 +25,6 @@ from repro.ir.module import Module
 from repro.obs.timers import PhaseTimer
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.interpreter import Program
-from repro.vm.profiler import profile_run
 
 __all__ = ["FrontierConfig", "FrontierResult", "build_frontier"]
 
@@ -71,7 +70,6 @@ def build_frontier(
     sw = PhaseTimer()
     program = Program(module)
     with sw.phase("profile"):
-        dyn = profile_run(program, args=args, bindings=bindings)
         profile = build_profile_from_source(
             program,
             args,
@@ -81,7 +79,6 @@ def build_frontier(
             seed=config.seed,
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
-            dyn_profile=dyn,
         )
     with sw.phase("candidates"):
         ctx = DetectorContext(

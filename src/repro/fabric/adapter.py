@@ -3,9 +3,10 @@
 An adapter is what a pool worker becomes when the pool is replaced by a
 byte stream. It accepts the handshake, then serves a simple request loop:
 
-* ``INIT`` — run a campaign worker initializer (e.g.
-  ``repro.fi.campaign._init_worker``) to pin per-process trial
-  context, exactly as a ``ProcessPoolExecutor`` initializer would;
+* ``INIT`` — run the initializer it carries, if any. The harness sends
+  none: its pool serves a whole run scope, so each campaign's context
+  (``repro.fi.campaign._init_worker`` and its arguments) rides in the
+  chunk payloads instead and runs once per map before the first item;
 * ``CHUNK`` — execute one supervisor chunk payload through
   :func:`repro.util.supervisor._run_chunk` (the *same* entry pool workers
   use, so metric scrubbing, chaos triggers, and worker-obs installation

@@ -39,6 +39,7 @@ import queue
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 from repro.errors import (
     ConfigError,
@@ -68,22 +69,27 @@ def pool_factory(run):
 
     ``None`` for the ``local`` transport (keep the plain process pool);
     otherwise a callable with the supervisor's factory signature
-    ``(max_workers=, initializer=, initargs=) -> FabricPool`` over
-    ``run.transport``, dialing ``run.addrs`` under tcp.
+    ``(max_workers=) -> FabricPool`` over ``run.transport``, dialing
+    ``run.addrs`` under tcp. Factories for the same transport and
+    endpoints compare equal, which is how a run scope's later campaigns
+    find the fabric pool its first one connected.
     """
     if run.transport == "local":
         return None
+    return _Factory(run.transport, run.addrs)
 
-    def factory(max_workers: int = 1, initializer=None, initargs=()):
+
+@dataclass(frozen=True)
+class _Factory:
+    """:func:`pool_factory`'s answer: a FabricPool maker with equality."""
+
+    transport: str
+    addrs: tuple | None
+
+    def __call__(self, max_workers: int = 1) -> "FabricPool":
         return FabricPool(
-            run.transport,
-            max_workers=max_workers,
-            initializer=initializer,
-            initargs=initargs,
-            addrs=run.addrs,
+            self.transport, max_workers=max_workers, addrs=self.addrs
         )
-
-    return factory
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +170,11 @@ class FabricPool:
         self,
         kind: str,
         max_workers: int = 1,
-        initializer=None,
-        initargs: tuple = (),
         addrs: tuple | None = None,
     ) -> None:
         if kind not in ("inproc", "socketpair", "tcp"):
             raise ConfigError(f"FabricPool cannot speak transport {kind!r}")
         self.kind = kind
-        self.initializer = initializer
-        self.initargs = initargs
         self.addrs = addrs or ()
         if kind == "inproc":
             # The inproc adapter shares the harness process and telemetry;
@@ -241,12 +243,10 @@ class FabricPool:
             handle = _AdapterHandle(transport, label=f"{host}:{port}")
         try:
             handshake_connect(transport, role="harness")
+            # The pool outlives campaigns, so INIT carries no campaign
+            # context: each chunk payload brings its map's initializer.
             transport.send_bytes(
-                encode_message(
-                    "INIT",
-                    {"initializer": self.initializer,
-                     "initargs": self.initargs},
-                )
+                encode_message("INIT", {"initializer": None, "initargs": ()})
             )
         except BaseException:
             handle.kill()
@@ -259,16 +259,25 @@ class FabricPool:
         old = self._processes.get(slot)
         if old is not None:
             old.kill()
+        if self._closed:
+            return None
         try:
             handle = self._connect(slot)
         except (HandshakeError, ProtocolError, OSError) as e:
             _count("fabric.handshake_failures")
             _log().warning("adapter slot %d reconnect failed: %s", slot, e)
             return None
-        _count("fabric.reconnects")
         with self._lock:
-            self._processes[slot] = handle
-            self._live += 1
+            closed = self._closed
+            if not closed:
+                self._processes[slot] = handle
+                self._live += 1
+        if closed:
+            # Shut down while connecting (a supervisor kill): shutdown()
+            # never saw this adapter, so it must not outlive the pool.
+            handle.kill()
+            return None
+        _count("fabric.reconnects")
         return handle
 
     def _slot_lost(self, slot: int) -> None:

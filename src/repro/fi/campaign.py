@@ -135,11 +135,12 @@ class PerInstructionResult:
 
 
 # ---------------------------------------------------------------------------
-# Parallel worker machinery. Workers rebuild the Program from module text and
-# cache it per process keyed by identity of the text object's hash. The pool
-# initializer seeds each worker once with the trial context (golden store,
-# output, input, tolerances), so per-chunk payloads stay small (just the
-# trial rows).
+# Parallel worker machinery. A worker serves every pooled campaign of its run
+# scope, one at a time. The per-map initializer seeds it once per campaign
+# with the trial context (golden store, output, input, tolerances) and the
+# Program, rebuilt from module text and kept while later campaigns inject
+# into the same text. A worker holds one context and one Program: both are
+# dropped before the next campaign's are decoded.
 #
 # Telemetry reducer: when the parent has an active obs session, workers
 # install a metrics-only telemetry (pid-guarded, so a forked child never
@@ -149,17 +150,16 @@ class PerInstructionResult:
 # match the serial path exactly.
 # ---------------------------------------------------------------------------
 
-_worker_cache: dict[int, Program] = {}
+_worker_cache: dict[str, Program] = {}
 _worker_ctx: dict = {}
 
 
 def _get_program(module_text: str) -> Program:
-    key = hash(module_text)
-    prog = _worker_cache.get(key)
+    prog = _worker_cache.get(module_text)
     if prog is None:
+        _worker_cache.clear()  # one program at a time, gone before decoding
         prog = Program(parse_module(module_text))
-        _worker_cache.clear()  # one campaign at a time; avoid unbounded growth
-        _worker_cache[key] = prog
+        _worker_cache[module_text] = prog
     return prog
 
 
@@ -301,8 +301,8 @@ def _init_worker(
     obs_enabled: bool = False,
     span_root: str | None = None,
 ) -> None:
-    """Per-process initializer: decode the program and pin the trial context
-    (``trial`` holds the chunk runner's arguments after the chunk)."""
+    """Per-map worker initializer: pin the campaign's program and trial
+    context (``trial`` holds the chunk runner's arguments after the chunk)."""
     _worker_ctx.clear()
     _worker_ctx.update(
         program=_get_program(module_text),

@@ -16,7 +16,6 @@ from repro.minpsid.search import InputSearchConfig, SearchOutcome, run_input_sea
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
 from repro.obs.timers import PhaseTimer
-from repro.vm.profiler import profile_run
 
 __all__ = ["MINPSIDConfig", "MINPSIDResult", "minpsid"]
 
@@ -82,9 +81,9 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
     args, bindings = app.encode(app.reference_input)
 
     # ①② SID preparation: reference-input profile + SDC probabilities from
-    # the configured source (FI campaign, static model, or hybrid).
+    # the configured source (FI campaign, static model, or hybrid). Its
+    # golden run serves the search engine too.
     with sw.phase("per_inst_fi_ref"):
-        dyn = profile_run(program, args=args, bindings=bindings)
         ref_profile = build_profile_from_source(
             program,
             args,
@@ -95,7 +94,6 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
             rel_tol=app.rel_tol,
             abs_tol=app.abs_tol,
             protection_levels=(config.protection_level,),
-            dyn_profile=dyn,
         )
 
     # ③–⑦ Input search engine.
@@ -105,6 +103,7 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
         seed=config.seed,
         config=config.search,
         stopwatch=sw,
+        ref_profile=ref_profile.dyn_profile,
     )
 
     # ⑧ Re-prioritization.

@@ -111,11 +111,14 @@ def run_input_search(
     seed: int,
     config: InputSearchConfig = InputSearchConfig(),
     stopwatch: PhaseTimer | None = None,
+    ref_profile: DynamicProfile | None = None,
 ) -> SearchOutcome:
     """Run the search engine starting from the app's reference input.
 
     ``reference_benefits`` is the benefit map already measured during SID
-    preparation (①), so the reference input costs no extra FI here. With a
+    preparation (①), so the reference input costs no extra FI here;
+    ``ref_profile``, the reference input's golden profile from that same
+    preparation, spares the search and its GA a golden run of it. With a
     campaign cache installed in the ambient run configuration
     (:mod:`repro.runconfig`), a searched input whose sweep was already
     measured — in an earlier run, an earlier protection level, or an
@@ -131,7 +134,10 @@ def run_input_search(
     ref_input = app.input_spec.validate(app.reference_input)
     ref_args, ref_bindings = app.encode(ref_input)
     with sw.phase("search_engine"):
-        ref_profile = profile_run(program, args=ref_args, bindings=ref_bindings)
+        if ref_profile is None:
+            ref_profile = profile_run(
+                program, args=ref_args, bindings=ref_bindings
+            )
         history_lists = [indexed_cfg_list(program, ref_profile)]
 
     outcome = SearchOutcome(
@@ -142,7 +148,9 @@ def run_input_search(
         fitness_trace=[0.0],
     )
 
-    profile_cache: dict[tuple, DynamicProfile] = {}
+    profile_cache: dict[tuple, DynamicProfile] = {
+        tuple(sorted(ref_input.items())): ref_profile
+    }
 
     def cfg_list_of(inp: Input):
         key = tuple(sorted(inp.items()))

@@ -8,7 +8,8 @@ environment variable and parser; :func:`run_scope` is the one ambient
 scope stack (the CLI, ``repro serve`` and every ``ScaleConfig`` driver
 install theirs, so nested campaigns need no forwarded knobs); and
 :func:`resolve` applies explicit > innermost scope > environment >
-default, written once.
+default, written once. The outermost scope of a process also owns the
+worker pool its pooled campaigns share (:class:`PoolSlot`).
 
 ``None`` means "not set" at every layer. The one exception: an explicit
 ``checkpoint_interval=None`` given to a campaign keeps meaning cold replay
@@ -33,11 +34,13 @@ __all__ = [
     "TRANSPORTS",
     "UNSET",
     "Knob",
+    "PoolSlot",
     "RunConfig",
     "default_workers",
     "resolve",
     "resolve_field",
     "run_scope",
+    "scope_pool",
 ]
 
 #: Recognised campaign trial engines.
@@ -297,6 +300,57 @@ def resolve(**explicit) -> RunConfig:
     return RunConfig(**fields)
 
 
+class PoolSlot:
+    """The worker pool the outermost run scope of a process owns.
+
+    Empty when the scope opens. The supervisor
+    (:mod:`repro.util.supervisor`) fills it on the scope's first pooled
+    map, reuses the pool for every later map with the same ``key``
+    (worker count and transport), and empties it when it kills the pool.
+    The scope's exit shuts the pool down with its workers joined. The
+    owning pid guards it: a forked child inherits the slot but never
+    sees it (:func:`scope_pool`).
+    """
+
+    __slots__ = ("pid", "key", "pool")
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.key = None
+        self.pool = None
+
+    def get(self, key, make: Callable):
+        """The slot's pool for ``key``; a pool of another key is shut
+        down first and replaced by ``make()``."""
+        if self.pool is None or self.key != key:
+            self.close()
+            self.pool, self.key = make(), key
+        return self.pool
+
+    def drop(self, pool) -> None:
+        """Forget ``pool`` (its killer tears it down), if the slot holds it."""
+        if self.pool is pool:
+            self.pool = self.key = None
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers to exit."""
+        pool, self.pool, self.key = self.pool, None, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+#: The outermost scope's slot (pid-guarded; see :func:`scope_pool`).
+_SLOT: PoolSlot | None = None
+
+
+def scope_pool() -> PoolSlot | None:
+    """This process's pool slot, or ``None`` outside every run scope."""
+    slot = _SLOT
+    if slot is None or slot.pid != os.getpid():
+        return None
+    return slot
+
+
 @contextmanager
 def run_scope(**fields):
     """Install run settings for a block; a ``None`` field stays unset here.
@@ -304,15 +358,26 @@ def run_scope(**fields):
     Values are validated on entry, so an unknown engine or a batch size
     below 1 raises :class:`~repro.errors.ConfigError` before the block
     runs. Scopes nest: the innermost scope that sets a field wins, and
-    leaving a scope restores what was ambient before it.
+    leaving a scope restores what was ambient before it. The outermost
+    scope of a process owns a :class:`PoolSlot`: its pooled maps share
+    one worker pool, shut down and joined when the scope exits, however
+    it exits.
     """
+    global _SLOT
     _known(fields)
     frame = {
         name: _parse(name, value)
         for name, value in fields.items() if value is not None
     }
+    outer = _SLOT
+    owner = scope_pool() is None
+    if owner:
+        _SLOT = PoolSlot()
     _STACK.append(frame)
     try:
         yield
     finally:
         _STACK.pop()
+        if owner:
+            slot, _SLOT = _SLOT, outer
+            slot.close()

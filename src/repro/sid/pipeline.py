@@ -16,7 +16,6 @@ from repro.obs.timers import PhaseTimer
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
 from repro.vm.interpreter import Program
-from repro.vm.profiler import profile_run
 
 __all__ = ["SIDConfig", "SIDResult", "classic_sid"]
 
@@ -72,7 +71,6 @@ def classic_sid(
     sw = PhaseTimer()
     program = Program(module)
     with sw.phase("per_inst_fi_ref"):
-        dyn = profile_run(program, args=args, bindings=bindings)
         profile = build_profile_from_source(
             program,
             args,
@@ -83,7 +81,6 @@ def classic_sid(
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
             protection_levels=(config.protection_level,),
-            dyn_profile=dyn,
         )
     with sw.phase("selection"):
         selection = select_instructions(

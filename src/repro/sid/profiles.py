@@ -53,6 +53,10 @@ class CostBenefitProfile:
     #: Hybrid provenance per iid: ``"fi"`` where trials were spent,
     #: ``"model"`` where the prediction was kept. Empty for pure profiles.
     provenance: dict[int, str] = field(default_factory=dict)
+    #: The golden run's dynamic profile the costs come from.
+    dyn_profile: DynamicProfile | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.benefit:
@@ -85,6 +89,7 @@ class CostBenefitProfile:
             total_cycles=self.total_cycles,
             source=self.source,
             provenance=dict(self.provenance),
+            dyn_profile=self.dyn_profile,
         )
 
 
@@ -118,6 +123,7 @@ def build_cost_benefit_profile(
         total_cycles=dyn_profile.total_cycles,
         source=source,
         provenance=dict(provenance) if provenance else {},
+        dyn_profile=dyn_profile,
     )
 
 
@@ -146,8 +152,10 @@ def build_profile_from_source(
       near the knapsack cut at the given ``protection_levels``.
 
     All three share the golden run (``dyn_profile`` may be passed to skip
-    re-profiling) and return a :class:`CostBenefitProfile` whose
-    ``source``/``provenance`` record what produced each probability.
+    re-profiling; without one, ``"fi"`` takes it from its sweep's golden
+    pass, which also records the sweep's checkpoints) and return a
+    :class:`CostBenefitProfile` whose ``source``/``provenance`` record what
+    produced each probability and whose ``dyn_profile`` is that golden run.
     """
     from repro.errors import ConfigError
     from repro.fi.campaign import (
@@ -162,9 +170,6 @@ def build_profile_from_source(
             f"{', '.join(PROFILE_SOURCES)}"
         )
     module = program.module
-    dyn = dyn_profile
-    if dyn is None:
-        dyn = profile_run(program, args=args, bindings=bindings)
     if source == "fi":
         fi = run_per_instruction_campaign(
             program,
@@ -174,9 +179,12 @@ def build_profile_from_source(
             bindings=bindings,
             rel_tol=rel_tol,
             abs_tol=abs_tol,
-            profile=dyn,
+            profile=dyn_profile,
         )
-        return build_cost_benefit_profile(module, dyn, fi, source="fi")
+        return build_cost_benefit_profile(module, fi.profile, fi, source="fi")
+    dyn = dyn_profile
+    if dyn is None:
+        dyn = profile_run(program, args=args, bindings=bindings)
     if source == "model":
         from repro.analysis.model import predict_sdc_probabilities
 

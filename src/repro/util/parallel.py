@@ -13,7 +13,9 @@ execution as the last resort), so one bad worker no longer aborts an
 hours-long campaign. The worker count and the supervision knobs
 (``max_retries``, ``task_timeout``, the deterministic ``REPRO_CHAOS`` hook
 for testing the recovery paths) come from the run configuration
-(:mod:`repro.runconfig`).
+(:mod:`repro.runconfig`), and so does the pool's lifetime: pooled maps
+inside one run scope share its pool, and a map outside every scope forks
+and joins its own.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ def parallel_map(
     in-process, which is what the test suite uses. ``chunksize=None``
     picks ~4 chunks per worker so callers don't inherit the pathological
     pool default of 1 item per IPC round-trip. ``initializer(*initargs)``
-    runs once per worker process (and once in-process on the serial path)
-    — campaign workers use it to seed their per-process program/checkpoint
-    caches. ``on_result`` is invoked in the parent, in submission order,
+    runs once per worker per map (and once in-process on the serial path)
+    before that worker's first item — campaign workers use it to pin the
+    campaign's program and checkpoint store. On the pooled path both must
+    pickle: they travel in the chunk payloads, because the pool outlives
+    the map. ``on_result`` is invoked in the parent, in submission order,
     as each result becomes available — the telemetry layer uses it to
     stream progress and merge worker metric deltas while later items are
     still running. Order of results always matches the order of ``items``.

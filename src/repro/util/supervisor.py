@@ -8,8 +8,8 @@ that pooled path with a *supervisor*: futures-based per-chunk dispatch with
 * **bounded retries with exponential backoff** — a chunk whose worker raised
   is re-submitted up to ``max_retries`` times before a typed
   :class:`~repro.errors.HarnessError` surfaces;
-* **pool recovery** — a broken pool is respawned (same worker count, same
-  initializer) and only unfinished chunks are re-submitted;
+* **pool recovery** — a broken pool is respawned (same worker count) and
+  only unfinished chunks are re-submitted;
 * **hang detection** — with ``task_timeout`` set, an in-flight chunk past its
   wall-clock deadline has its workers killed and is retried on a fresh pool;
 * **graceful degradation** — after ``max_pool_respawns`` crash-respawns the
@@ -19,6 +19,15 @@ that pooled path with a *supervisor*: futures-based per-chunk dispatch with
 Results are delivered in submission order regardless of completion order and
 work functions are deterministic, so a supervised run — retries, respawns,
 degradation and all — returns results **bit-identical** to a serial run.
+
+The pool belongs to the run scope (:func:`repro.runconfig.run_scope`), not
+to one map: the outermost scope's :class:`~repro.runconfig.PoolSlot` hands
+every pooled map with the same worker count and transport the same pool,
+and the scope's exit shuts it down with its workers joined. A map outside
+any scope opens its own, so its pool lives exactly as long as the call.
+Pools therefore hold no per-map state: a map's initializer travels,
+pickled once per map, inside every chunk payload (:class:`_MapTask`), and
+each worker runs it once before its first item of that map.
 
 The ``REPRO_CHAOS`` hook (:func:`parse_chaos`) injects worker crashes
 (``os._exit``), hangs, and exceptions *into the harness itself* —
@@ -35,11 +44,13 @@ counter guarantee: a healthy run emits none of them.
 from __future__ import annotations
 
 import os
+import pickle
 import time
+import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from repro.errors import (
     ChaosError,
@@ -49,7 +60,7 @@ from repro.errors import (
     WorkerError,
     WorkerTimeout,
 )
-from repro.runconfig import resolve
+from repro.runconfig import resolve, run_scope, scope_pool
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -252,6 +263,33 @@ def _scrub_worker_metrics() -> None:
         t._span_stack.clear()
 
 
+#: The map whose initializer this worker ran last (a :class:`_MapTask` token).
+_worker_map: str | None = None
+
+
+class _MapTask(NamedTuple):
+    """A map's ``fn`` carrying the map's initializer to the worker.
+
+    Stands in for ``fn`` in chunk payloads, so the payload keeps its shape.
+    ``init`` is ``(initializer, initargs)`` pickled once per map; a worker
+    unpickles and runs it before its first item of a map whose ``token``
+    it has not seen — once per worker per map, what a pool initializer
+    did when every map forked its own pool.
+    """
+
+    fn: Callable
+    token: str
+    init: bytes
+
+    def __call__(self, item):
+        global _worker_map
+        if _worker_map != self.token:
+            initializer, initargs = pickle.loads(self.init)
+            initializer(*initargs)
+            _worker_map = self.token
+        return self.fn(item)
+
+
 def _run_chunk(payload):
     """Pool-worker entry: apply ``fn`` to one chunk of items, in order."""
     fn, chunk_items, index, attempt, chaos = payload
@@ -317,9 +355,14 @@ class _Supervisor:
         self.workers = workers
         self.initializer = initializer
         self.initargs = initargs
+        # What workers run: fn itself, or fn with the map's initializer.
+        self.task = fn if initializer is None else _MapTask(
+            fn, uuid.uuid4().hex, pickle.dumps((initializer, initargs))
+        )
         self.on_result = on_result
         self.config = config
         self.pool_factory = pool_factory
+        self.slot = None           # the scope's PoolSlot, set by run()
         self.pool: ProcessPoolExecutor | None = None
         self.respawns = 0          # crash-triggered respawns (degrade budget)
         self.degraded = False
@@ -330,24 +373,26 @@ class _Supervisor:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self.pool is None:
             factory = self.pool_factory or ProcessPoolExecutor
-            self.pool = factory(
-                max_workers=self.workers,
-                initializer=self.initializer,
-                initargs=self.initargs,
+            self.pool = self.slot.get(
+                (self.workers, self.pool_factory),
+                lambda: factory(max_workers=self.workers),
             )
         return self.pool
 
     def _kill_pool(self) -> None:
-        """Tear the pool down hard — also ends hung or wedged workers."""
+        """Tear the pool down hard — also ends hung or wedged workers —
+        and take it out of the scope, whose next map gets a fresh one."""
         pool, self.pool = self.pool, None
         if pool is None:
             return
+        self.slot.drop(pool)
         for proc in list(getattr(pool, "_processes", {}).values()):
             try:
                 proc.kill()
             except Exception:
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        # The killed workers are reaped before the map goes on.
+        pool.shutdown(wait=True, cancel_futures=True)
 
     # -- ordered delivery -----------------------------------------------
     def _complete(self, chunk: _Chunk) -> None:
@@ -498,12 +543,17 @@ class _Supervisor:
 
     # -- main loop -------------------------------------------------------
     def run(self) -> list:
-        try:
-            self._loop()
-        finally:
-            pool, self.pool = self.pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        # Outside any run scope this one owns the pool, so the pool lives
+        # exactly as long as the call; inside one it stays for the next map.
+        with run_scope():
+            self.slot = scope_pool()
+            try:
+                self._loop()
+            except BaseException:
+                # Work may still be in flight: never hand that pool on.
+                self._kill_pool()
+                raise
+            self.pool = None
         out: list = []
         for chunk in self.chunks:
             out.extend(chunk.result)
@@ -576,7 +626,7 @@ class _Supervisor:
                  if getattr(pool, "supports_chaos", True) else ())
         fut = pool.submit(
             _run_chunk,
-            (self.fn, chunk.items, chunk.index, chunk.attempts, chaos),
+            (self.task, chunk.items, chunk.index, chunk.attempts, chaos),
         )
         chunk.deadline = (
             time.monotonic() + self.config.task_timeout
@@ -611,8 +661,10 @@ def supervised_map(
 
     The supervised equivalent of the pooled path of
     :func:`repro.util.parallel.parallel_map` (same contract: submission-order
-    results, ``on_result`` streamed in order, per-worker ``initializer``),
-    plus the recovery behaviour described in the module docstring.
+    results, ``on_result`` streamed in order, ``initializer(*initargs)``
+    once per worker per map — both must pickle), plus the recovery
+    behaviour described in the module docstring. The pool is the run
+    scope's (see the module docstring).
     ``chunksize`` groups items into per-future chunks (default ~4 chunks per
     worker); ``config`` defaults to the policy of the ambient run
     configuration (:func:`repro.runconfig.resolve`). ``workers <= 1`` or
@@ -620,10 +672,12 @@ def supervised_map(
     apply there.
 
     ``pool_factory`` swaps the executor: any callable with the
-    ``ProcessPoolExecutor(max_workers=, initializer=, initargs=)``
-    signature returning an executor-shaped pool (``submit``/``shutdown``/
-    killable ``_processes``) — this is how the fabric of
+    ``ProcessPoolExecutor(max_workers=)`` signature returning an
+    executor-shaped pool (``submit``/``shutdown``/killable
+    ``_processes``) — this is how the fabric of
     :mod:`repro.fabric.harness` reuses the supervisor as its scheduler.
+    Maps in one scope share a pool when their worker counts and factories
+    compare equal.
     With a factory set, dispatch always goes through the pool (the serial
     shortcut would silently bypass the chosen transport), using at least
     one worker slot.

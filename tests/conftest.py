@@ -8,6 +8,7 @@ the suite fast.
 
 from __future__ import annotations
 
+import logging
 import struct
 
 import pytest
@@ -17,6 +18,21 @@ from repro.ir.builder import Builder
 from repro.ir.module import Module
 from repro.ir.types import F64, I64, VOID
 from repro.vm.interpreter import Program
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logging():
+    """Put the ``repro`` logger back as it was before the test.
+
+    ``cli.main()`` installs a stderr handler (``configure_logging``) that
+    would otherwise outlive the test and print whatever a background
+    thread — the serve tests' module-scoped server — logs later.
+    """
+    logger = logging.getLogger("repro")
+    handlers, level = list(logger.handlers), logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
 
 
 class ReferenceProgram(Program):

@@ -177,6 +177,73 @@ class TestCheckpointDefault:
                               for recorded, resumed in sweeps)
 
 
+class TestReferenceGoldenRuns:
+    def test_reference_input_runs_golden_twice_per_study(
+        self, monkeypatch, tmp_path
+    ):
+        """A bfs fig2 + fig6 study at the benchmark's ``headline-cold``
+        sizes executes bfs's unprotected program on its reference input
+        twice, cold cache or warm: once per reference sweep (SID's and
+        MINPSID's), whose golden pass both profiles and records
+        checkpoints, or profiles alone on a cache hit. The SID and MINPSID
+        pipelines, the input search and its GA take the profile from
+        there."""
+        from repro.apps import get_app
+        from repro.exp.fig2 import run_fig2_study
+        from repro.exp.fig6 import run_fig6_study
+        from repro.ir.printer import print_module
+        from repro.runconfig import KNOBS, run_scope
+        from repro.vm.interpreter import Program
+
+        for knob in KNOBS.values():
+            if knob.env:
+                monkeypatch.delenv(knob.env, raising=False)
+        app = get_app("bfs")
+        reference = (print_module(app.module),
+                     app.encode(app.reference_input))
+        texts: dict = {}
+        runs = []
+
+        def on_reference(program, args, bindings) -> bool:
+            key = id(program.module)
+            if key not in texts:
+                texts[key] = print_module(program.module)
+            return (texts[key], (args, bindings)) == reference
+
+        real_run, real_recording = Program.run, Program.run_checkpointed
+
+        def run(self, args=None, bindings=None, fault=None, **kwargs):
+            if fault is None and on_reference(self, args, bindings):
+                runs.append("run")
+            return real_run(self, args, bindings, fault, **kwargs)
+
+        def run_checkpointed(self, args=None, bindings=None, **kwargs):
+            if on_reference(self, args, bindings):
+                runs.append("recording")
+            return real_recording(self, args, bindings, **kwargs)
+
+        monkeypatch.setattr(Program, "run", run)
+        monkeypatch.setattr(Program, "run_checkpointed", run_checkpointed)
+        # bench/workloads.py: the headline-cold study size, bfs alone.
+        scale = TINY.with_(
+            apps=("bfs",), seed=2022, campaign_faults=10, per_instr_trials=1,
+            search_per_instr_trials=1, eval_inputs=2, search_max_inputs=1,
+            search_stall=1, ga_population=4, ga_generations=2,
+            protection_levels=(0.5,),
+        )
+        studies = {}
+        for cache in ("cold", "warm"):
+            runs.clear()
+            with run_scope(cache=str(tmp_path)):
+                studies[cache] = (
+                    run_fig2_study(scale, measure_duplication=True).to_dict(),
+                    run_fig6_study(scale, measure_duplication=True).to_dict(),
+                )
+            expected = ["recording"] * 2 if cache == "cold" else ["run"] * 2
+            assert runs == expected, cache
+        assert studies["warm"] == studies["cold"]
+
+
 class TestDrivers:
     def test_fig2(self):
         from repro.exp.fig2 import run_fig2_study

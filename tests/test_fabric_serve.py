@@ -10,8 +10,10 @@ before any request is read.
 from __future__ import annotations
 
 import io
+import logging
 import re
 import threading
+import time
 
 import pytest
 
@@ -61,6 +63,24 @@ def server(tmp_path_factory):
     thread.start()
     assert ready.event.wait(timeout=20), "serve never announced its port"
     return ready.addr
+
+
+def _wait_for_warning(caplog, text: str, timeout: float = 20.0) -> None:
+    """Wait until the server thread logs a warning containing ``text``.
+
+    The server logs a rejected connection after answering it, so the
+    client side of a test finishes first; waiting keeps the record inside
+    the test that caused it.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if any(
+            r.levelno == logging.WARNING and text in r.getMessage()
+            for r in caplog.records
+        ):
+            return
+        time.sleep(0.01)
+    pytest.fail(f"the server never logged a warning containing {text!r}")
 
 
 def _request(**extra):
@@ -154,8 +174,9 @@ class TestSubmit:
 
 
 class TestServeHandshake:
-    def test_version_mismatch_rejected(self, server):
+    def test_version_mismatch_rejected(self, server, caplog):
         host, port = server
+        caplog.set_level(logging.WARNING, logger="repro")
         transport = connect_tcp(host, port, timeout=20)
         try:
             transport.send_bytes(encode_message(
@@ -166,22 +187,26 @@ class TestServeHandshake:
             assert body["code"] == "version-mismatch"
         finally:
             transport.close()
+        _wait_for_warning(caplog, "no common protocol version")
 
     def test_client_raises_handshake_error_on_rejection(
-        self, server, monkeypatch
+        self, server, monkeypatch, caplog
     ):
         host, port = server
         import repro.fabric.serve as serve_mod
 
+        caplog.set_level(logging.WARNING, logger="repro")
         monkeypatch.setattr(
             serve_mod, "hello_body",
             lambda role: dict(role=role, versions=[999]),
         )
         with pytest.raises(HandshakeError, match="version-mismatch"):
             submit(host, port, _request(), timeout=20)
+        _wait_for_warning(caplog, "no common protocol version")
 
-    def test_submit_before_hello_is_a_protocol_error(self, server):
+    def test_submit_before_hello_is_a_protocol_error(self, server, caplog):
         host, port = server
+        caplog.set_level(logging.WARNING, logger="repro")
         transport = connect_tcp(host, port, timeout=20)
         try:
             transport.send_bytes(encode_message("SUBMIT", _request()))
@@ -189,6 +214,7 @@ class TestServeHandshake:
             assert name == "ERROR" and body["code"] == "protocol"
         finally:
             transport.close()
+        _wait_for_warning(caplog, "expected HELLO, client sent SUBMIT")
 
     def test_decoder_survives_frame_split_across_tcp_reads(self, server):
         """Sanity: the server's incremental decoder reassembles a HELLO
