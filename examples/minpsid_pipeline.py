@@ -24,6 +24,7 @@ from repro.exp.runner import generate_eval_inputs
 from repro.ir.printer import format_instruction
 from repro.minpsid.ga import GAConfig
 from repro.minpsid.search import InputSearchConfig
+from repro.obs.spans import collect_phases, phase_seconds
 from repro.sid.coverage import measured_coverage
 from repro.vm import Program
 
@@ -44,7 +45,8 @@ def main(app_name: str = "fft") -> None:
             ga=GAConfig(population_size=6, max_generations=4),
         ),
     )
-    res = minpsid(app, cfg)
+    with collect_phases() as spans:
+        res = minpsid(app, cfg)
     print(f"\nMINPSID searched {len(res.search.inputs) - 1} inputs "
           f"(fitness trace: {[round(f, 1) for f in res.search.fitness_trace]})")
     print(f"incubative instructions found: {len(res.incubative)} "
@@ -53,9 +55,10 @@ def main(app_name: str = "fft") -> None:
         print(f"  e.g. {format_instruction(app.module.instruction(iid))}")
     print(f"expected coverage (conservative): {res.expected_coverage:.1%}")
     print("time breakdown (Fig. 8 shape):")
-    for phase, seconds in res.stopwatch.totals.items():
-        print(f"  {phase:26s} {seconds:7.2f}s "
-              f"({res.stopwatch.fractions().get(phase, 0):.0%})")
+    phases = phase_seconds(spans)
+    one_time = sum(phases.values())
+    for phase, seconds in phases.items():
+        print(f"  {phase:26s} {seconds:7.2f}s ({seconds / one_time:.0%})")
 
     # --- Baseline SID ----------------------------------------------------
     args, bindings = app.encode(app.reference_input)

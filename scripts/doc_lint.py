@@ -3,7 +3,7 @@
 
     python scripts/doc_lint.py
 
-Checks four invariants that keep the codebase navigable:
+Checks five invariants that keep the codebase navigable:
 
 * every public module under ``src/repro`` (any ``.py`` whose name does not
   start with a single underscore, plus package ``__init__``/``__main__``
@@ -21,7 +21,11 @@ Checks four invariants that keep the codebase navigable:
   that stay outside it, the flag table states each flag's default as the
   table does, and the "Environment knobs" paragraph (between the
   ``run-knobs`` markers) is exactly the one :func:`render_run_knobs`
-  generates — so the knob docs cannot drift from the one table.
+  generates — so the knob docs cannot drift from the one table;
+* every ``repro/…`` path that README.md, DESIGN.md, EXPERIMENTS.md or
+  ``docs/*.md`` names — a file, a package, ``dir/*``, or a brace list
+  such as ``repro/ir/{types,values}.py`` — exists under ``src/``, so a
+  renamed or deleted module cannot leave its docs pointing at nothing.
 
 Exits non-zero and lists the offenders if any check fails; CI runs it next
 to ``trace_lint.py`` so undocumented modules and silent subcommands are
@@ -269,6 +273,55 @@ def lint_run_knobs() -> list[str]:
     return problems
 
 
+#: The documents whose ``repro/…`` paths must resolve under ``src/``.
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
+#: A ``repro/…`` path: optional brace list, then ``.py`` or ``/*``. A
+#: dotted attribute (``repro/obs/core.current``) ends the path at the dot.
+_DOC_PATH = re.compile(
+    r"(?<![\w.])repro/[\w/]*(?:\{[\w,]+\})?[\w/]*(?:\.py|(?<=/)\*)?"
+)
+
+
+def _expand_braces(path: str) -> list[str]:
+    """``repro/ir/{a,b}.py`` -> ``[repro/ir/a.py, repro/ir/b.py]``."""
+    m = re.search(r"\{([\w,]+)\}", path)
+    if m is None:
+        return [path]
+    return [
+        path[: m.start()] + name + path[m.end() :]
+        for name in m.group(1).split(",")
+    ]
+
+
+def _doc_path_missing(path: str) -> bool:
+    """Whether one named ``repro/…`` path is absent under src/."""
+    target = SRC / path.removesuffix("/*").rstrip("/")
+    if path.endswith(".py"):
+        return not target.is_file()
+    return not (target.is_dir() or target.with_suffix(".py").is_file())
+
+
+def lint_doc_paths() -> list[str]:
+    """``repro/…`` paths named in the docs that do not exist under src/."""
+    problems = []
+    for pattern in DOCS:
+        for doc in sorted(ROOT.glob(pattern)):
+            text = doc.read_text()
+            for m in _DOC_PATH.finditer(text):
+                missing = [
+                    p for p in _expand_braces(m.group())
+                    if _doc_path_missing(p)
+                ]
+                if missing:
+                    line = text.count("\n", 0, m.start()) + 1
+                    problems.append(
+                        f"{doc.relative_to(ROOT)}:{line}: no "
+                        f"{', '.join(missing)} under src/"
+                    )
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.parse_args(argv)
@@ -278,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         + lint_cli_help()
         + lint_fabric_spec()
         + lint_run_knobs()
+        + lint_doc_paths()
     )
     if problems:
         print(f"doc lint: {len(problems)} problem(s)")

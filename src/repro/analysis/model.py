@@ -25,7 +25,6 @@ Composition (DETOx/FastFlip-style):
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.analysis.masking import DEFAULT_MASKING, MaskingModel
@@ -33,6 +32,7 @@ from repro.analysis.summaries import FunctionSummary, module_summaries
 from repro.fi.faultmodel import injectable_iids
 from repro.ir.module import Module
 from repro.obs.core import current as _obs_current
+from repro.obs.spans import span as _span
 from repro.vm.profiler import DynamicProfile
 
 __all__ = [
@@ -197,9 +197,30 @@ def predict_sdc_probabilities(
     ``cache`` controls section-summary reuse (``None`` = ambient store,
     ``False`` = always recompute). The prediction itself is a pure function
     of (module text, masking constants, dynamic profile, ``rel_tol``), so
-    it is deterministic across runs, workers, and cache states.
+    it is deterministic across runs, workers, and cache states. A traced
+    run records it as one ``model.predict`` span.
     """
-    t0 = time.perf_counter()
+    with _span("model.predict") as sp:
+        result = _predict(module, dyn_profile, rel_tol, masking, cache)
+        t = _obs_current()
+        if t is not None:
+            t.count("model.predictions", len(result.sdc_prob))
+            sp.fields.update(
+                module=module.name,
+                n_instructions=len(result.sdc_prob),
+                n_functions=len(module.functions),
+                whole_program_sdc=predicted_whole_program_sdc(result),
+            )
+    return result
+
+
+def _predict(
+    module: Module,
+    dyn_profile: DynamicProfile,
+    rel_tol: float,
+    masking: MaskingModel,
+    cache,
+) -> PredictedResult:
     summaries = module_summaries(module, masking, cache=cache)
     # local index <-> module iid maps, per function.
     iid_of: dict[tuple[str, int], int] = {}
@@ -226,23 +247,7 @@ def predict_sdc_probabilities(
         pred[iid] = p * masking.bit_observability(
             module.instruction(iid), rel_tol
         )
-    result = PredictedResult(
-        sdc_prob=pred, profile=dyn_profile, propagation=prop
-    )
-    t = _obs_current()
-    if t is not None:
-        t.count("model.predictions", len(pred))
-        t.emit(
-            "model.predict",
-            {
-                "module": module.name,
-                "n_instructions": len(pred),
-                "n_functions": len(module.functions),
-                "whole_program_sdc": predicted_whole_program_sdc(result),
-                "seconds": time.perf_counter() - t0,
-            },
-        )
-    return result
+    return PredictedResult(sdc_prob=pred, profile=dyn_profile, propagation=prop)
 
 
 def predicted_whole_program_sdc(predicted: PredictedResult) -> float:

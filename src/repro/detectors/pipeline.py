@@ -22,7 +22,7 @@ from repro.detectors.optimizer import (
 from repro.detectors.validate import ConfigValidation, validate_frontier
 from repro.detectors.zoo import DETECTOR_KINDS, DetectorContext, make_detectors
 from repro.ir.module import Module
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import phase
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.interpreter import Program
 
@@ -57,7 +57,6 @@ class FrontierResult:
     profile: object = field(repr=False, default=None)
     candidates: list = field(repr=False, default_factory=list)
     validations: list[ConfigValidation] = field(default_factory=list)
-    stopwatch: PhaseTimer = None
 
 
 def build_frontier(
@@ -67,9 +66,8 @@ def build_frontier(
     config: FrontierConfig = FrontierConfig(),
 ) -> FrontierResult:
     """Trace (and optionally FI-validate) one app's detector frontier."""
-    sw = PhaseTimer()
     program = Program(module)
-    with sw.phase("profile"):
+    with phase("profile"):
         profile = build_profile_from_source(
             program,
             args,
@@ -80,18 +78,18 @@ def build_frontier(
             rel_tol=config.rel_tol,
             abs_tol=config.abs_tol,
         )
-    with sw.phase("candidates"):
+    with phase("candidates"):
         ctx = DetectorContext(
             program=program, profile=profile, args=args, bindings=bindings
         )
         candidates = gather_candidates(
             make_detectors(config.detectors), ctx
         )
-    with sw.phase("frontier"):
+    with phase("frontier"):
         points = pareto_frontier(candidates, profile, budgets=config.budgets)
     validations: list[ConfigValidation] = []
     if config.validate_faults > 0:
-        with sw.phase("validate"):
+        with phase("validate"):
             validations = validate_frontier(
                 program,
                 points,
@@ -107,5 +105,4 @@ def build_frontier(
         profile=profile,
         candidates=candidates,
         validations=validations,
-        stopwatch=sw,
     )

@@ -24,7 +24,6 @@ never published to the cache.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 from repro.cache.keys import per_instruction_key, whole_program_key
@@ -183,7 +182,7 @@ def _ensure_worker_obs(enabled: bool, span_root: str | None = None) -> bool:
     return t.is_worker
 
 
-def _batch_info(n_trials: int, t0: float, collecting: bool) -> dict | None:
+def _batch_info(n_trials: int, collecting: bool) -> dict | None:
     """Per-batch telemetry payload shipped back to the parent."""
     if not collecting:
         return None
@@ -191,21 +190,9 @@ def _batch_info(n_trials: int, t0: float, collecting: bool) -> dict | None:
     collecting = t is not None and t.is_worker
     return {
         "trials": n_trials,
-        "seconds": time.perf_counter() - t0,
         "pid": os.getpid(),
         "metrics": t.metrics.drain() if collecting else None,
         "spans": t.drain_spans() if collecting else None,
-    }
-
-
-def _batch_info_serial(n_trials: int, t0: float) -> dict:
-    """Batch payload for the in-process serial path (no metrics delta —
-    the parent session already counted the trials directly)."""
-    return {
-        "trials": n_trials,
-        "seconds": time.perf_counter() - t0,
-        "pid": os.getpid(),
-        "metrics": None,
     }
 
 
@@ -317,42 +304,30 @@ def _inject_chunk(chunk):
     """Worker entry: one chunk → ((pos, iid, outcome)…, telemetry info)."""
     ctx = _worker_ctx
     collecting = _ensure_worker_obs(ctx["obs"], ctx["span_root"])
-    t0 = time.perf_counter()
     out = ctx["run"](ctx["program"], chunk, *ctx["trial"])
-    return out, _batch_info(len(out), t0, collecting)
+    return out, _batch_info(len(out), collecting)
 
 
 def _merge_batch_info(t, cid: str | None, info: dict | None, mode: str) -> None:
     """Parent side of the reducer: fold one batch's telemetry into the run."""
     if t is None or info is None:
         return
-    if info["metrics"]:
+    if info.get("metrics"):
         t.metrics.merge(info["metrics"])
     for rec in info.get("spans") or ():
         # Shipped worker spans re-home under the parent's run id; their
         # span/parent ids (``w{pid}-{n}``) are unique across the whole run.
         rec["run"] = t.run_id
         t.sink.write(rec)
-    secs = info["seconds"]
-    t.observe("fi.batch_seconds", secs)
-    rate = info["trials"] / secs if secs > 0 else 0.0
-    t.observe("fi.batch_trials_per_s", rate)
     t.emit(
         "campaign.batch",
-        {
-            "trials": info["trials"],
-            "seconds": secs,
-            "trials_per_s": rate,
-            "pid": info["pid"],
-            "mode": mode,
-        },
+        {"trials": info["trials"], "pid": info["pid"], "mode": mode},
         campaign=cid,
     )
 
 
 def _note_campaign(
-    t, cid: str | None, label: str, counts: OutcomeCounts, trials: int,
-    seconds: float,
+    t, cid: str | None, label: str, counts: OutcomeCounts, trials: int
 ) -> None:
     """Fold a finished campaign into counters and emit ``campaign.end``."""
     outcomes = {
@@ -368,8 +343,6 @@ def _note_campaign(
             "label": label,
             "trials": trials,
             "outcomes": outcomes,
-            "seconds": seconds,
-            "trials_per_s": trials / seconds if seconds > 0 else 0.0,
         },
         campaign=cid,
     )
@@ -479,16 +452,15 @@ def _dispatch_sites(
     t = _obs_current()
     rep = t.progress_for(obs_label, len(sites)) if t is not None else None
     if serial:
-        t0 = time.perf_counter()
         with progress_scope(rep):
             done = [
                 row for chunk in chunks
                 for row in run_chunk(program, chunk, *trial, rep=rep)
             ]
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
-            )
+        # No metrics delta: the parent session counted the trials directly.
+        _merge_batch_info(
+            t, obs_cid, {"trials": len(sites), "pid": os.getpid()}, "serial"
+        )
     else:
         init_args = (
             print_module(program.module), lockstep, trial, t is not None,
@@ -683,7 +655,6 @@ def run_campaign(
             },
             campaign=cid,
         )
-    t0 = time.perf_counter()
     with _span(
         "campaign",
         {
@@ -701,10 +672,7 @@ def run_campaign(
     for _, o in per_fault:
         counts.record(o)
     if t is not None:
-        _note_campaign(
-            t, cid, "fi.whole-program", counts, len(sites),
-            time.perf_counter() - t0,
-        )
+        _note_campaign(t, cid, "fi.whole-program", counts, len(sites))
     result = CampaignResult(
         counts=counts, per_fault=per_fault, trials=len(sites)
     )
@@ -792,7 +760,6 @@ def run_per_instruction_campaign(
             },
             campaign=cid,
         )
-    t0 = time.perf_counter()
     with _span(
         "campaign",
         {
@@ -812,10 +779,7 @@ def run_per_instruction_campaign(
         per_iid.setdefault(iid, OutcomeCounts()).record(o)
         agg.record(o)
     if t is not None:
-        _note_campaign(
-            t, cid, "fi.per-instruction", agg, len(all_sites),
-            time.perf_counter() - t0,
-        )
+        _note_campaign(t, cid, "fi.per-instruction", agg, len(all_sites))
     result = PerInstructionResult(
         per_iid=per_iid,
         profile=profile,

@@ -1,8 +1,9 @@
 """The complete MINPSID pipeline (Fig. 4, ①–⑨).
 
 Input: an application and a protection level. Output: a protected module, the
-(conservative) expected coverage, the incubative set, and the Fig. 8-style
-time breakdown. Fully automated, like the paper's tool.
+(conservative) expected coverage and the incubative set; the Fig. 8-style
+time breakdown is in the trace, as phase spans. Fully automated, like the
+paper's tool.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.minpsid.reprioritize import reprioritize
 from repro.minpsid.search import InputSearchConfig, SearchOutcome, run_input_search
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import phase
 
 __all__ = ["MINPSIDConfig", "MINPSIDResult", "minpsid"]
 
@@ -54,7 +55,6 @@ class MINPSIDResult:
     #: The original reference-input profile (pre-re-prioritization).
     reference_profile: CostBenefitProfile = field(repr=False, default=None)
     search: SearchOutcome = None
-    stopwatch: PhaseTimer = None
 
     @property
     def expected_coverage(self) -> float:
@@ -73,9 +73,9 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
     reference per-instruction sweep (①②) and every searched input's sweep
     (⑤) replay persisted results when nothing relevant changed —
     re-running the pipeline after an unrelated edit costs golden runs and
-    the GA, not fault injection.
+    the GA, not fault injection. Each Fig. 8 phase is a trace span
+    (:func:`repro.obs.spans.phase`).
     """
-    sw = PhaseTimer()
     module = app.module
     program = app.program
     args, bindings = app.encode(app.reference_input)
@@ -83,7 +83,7 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
     # ①② SID preparation: reference-input profile + SDC probabilities from
     # the configured source (FI campaign, static model, or hybrid). Its
     # golden run serves the search engine too.
-    with sw.phase("per_inst_fi_ref"):
+    with phase("per_inst_fi_ref"):
         ref_profile = build_profile_from_source(
             program,
             args,
@@ -102,12 +102,11 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
         reference_benefits=ref_profile.benefit,
         seed=config.seed,
         config=config.search,
-        stopwatch=sw,
         ref_profile=ref_profile.dyn_profile,
     )
 
     # ⑧ Re-prioritization.
-    with sw.phase("selection"):
+    with phase("selection"):
         if config.apply_reprioritization and search.incubative:
             history = search.benefit_history
             if config.reprioritize_rule == "mean":
@@ -128,7 +127,7 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
         )
 
     # ⑨ Code transformation.
-    with sw.phase("transform"):
+    with phase("transform"):
         protected = duplicate_instructions(
             module, selection.selected, check_placement=config.check_placement
         )
@@ -139,5 +138,4 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
         profile=profile,
         reference_profile=ref_profile,
         search=search,
-        stopwatch=sw,
     )

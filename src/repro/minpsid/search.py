@@ -29,7 +29,7 @@ from repro.minpsid.incubative import (
 from repro.minpsid.wcfg import fitness_score, indexed_cfg_list
 from repro.obs.core import current as _obs_current
 from repro.obs.log import get_logger
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import phase
 from repro.util.rng import RngStream
 from repro.vm.profiler import DynamicProfile, profile_run
 
@@ -110,7 +110,6 @@ def run_input_search(
     reference_benefits: BenefitMap,
     seed: int,
     config: InputSearchConfig = InputSearchConfig(),
-    stopwatch: PhaseTimer | None = None,
     ref_profile: DynamicProfile | None = None,
 ) -> SearchOutcome:
     """Run the search engine starting from the app's reference input.
@@ -125,15 +124,16 @@ def run_input_search(
     earlier search round — replays the persisted result; per-round reuse is
     reported in the ``search.round`` telemetry event (``cache_hits``). The
     GA revisits inputs across generations and protection levels, so these
-    sweeps are the cache's highest-hit-rate consumers.
+    sweeps are the cache's highest-hit-rate consumers. The search's time
+    goes to the ``search_engine`` and ``per_inst_fi_incubative`` phase
+    spans (:func:`repro.obs.spans.phase`).
     """
-    sw = stopwatch or PhaseTimer()
     rng = RngStream(seed, "input-search", config.strategy)
     program = app.program
 
     ref_input = app.input_spec.validate(app.reference_input)
     ref_args, ref_bindings = app.encode(ref_input)
-    with sw.phase("search_engine"):
+    with phase("search_engine"):
         if ref_profile is None:
             ref_profile = profile_run(
                 program, args=ref_args, bindings=ref_bindings
@@ -168,7 +168,7 @@ def run_input_search(
     round_no = 0
     while len(outcome.inputs) - 1 < config.max_inputs and stall < config.stall_limit:
         round_no += 1
-        with sw.phase("search_engine"):
+        with phase("search_engine"):
             if config.strategy == "ga":
                 ga = GeneticInputSearch(
                     app.input_spec, evaluate, rng.child("ga", round_no), config.ga
@@ -183,7 +183,7 @@ def run_input_search(
         hits_before = (
             t.metrics.counters.get("cache.hit", 0) if t is not None else 0
         )
-        with sw.phase("per_inst_fi_incubative"):
+        with phase("per_inst_fi_incubative"):
             key = tuple(sorted(candidate.items()))
             benefits, runs = _benefit_map(
                 app,

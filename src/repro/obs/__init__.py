@@ -6,9 +6,9 @@ The subsystem has four layers:
   every trace line is one JSON object with a fixed key set (``ts``, ``kind``,
   ``name``, ``run``, ``campaign``, ``trial``, ``fields``) validated by
   ``scripts/trace_lint.py``.
-* **Aggregation** (:mod:`repro.obs.metrics`, :mod:`repro.obs.timers`) —
-  deterministic counters, gauges and summary histograms, plus exclusive-time
-  phase timers (the Fig. 8 breakdown).
+* **Aggregation** (:mod:`repro.obs.metrics`, :mod:`repro.obs.spans`) —
+  deterministic counters, and hierarchical spans: the one clock, whose
+  phase spans give the Fig. 8 breakdown.
 * **Sinks & surfaces** (:mod:`repro.obs.sink`, :mod:`repro.obs.progress`,
   :mod:`repro.obs.log`, :mod:`repro.obs.report`) — JSONL traces, heartbeat
   progress lines with ETA on stderr, a verbosity-controlled logger, and the
@@ -31,7 +31,6 @@ from repro.obs.events import SCHEMA_VERSION, make_record
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import JsonlTraceSink, MemorySink, NullSink, TraceSink
-from repro.obs.timers import PhaseTimer
 
 __all__ = [
     "Telemetry",
@@ -47,5 +46,4 @@ __all__ = [
     "NullSink",
     "MemorySink",
     "JsonlTraceSink",
-    "PhaseTimer",
 ]

@@ -91,10 +91,6 @@ class Telemetry:
             make_record(time.time(), kind, name, self.run_id, campaign, trial, fields)
         )
 
-    def emit_phase(self, name: str, seconds: float) -> None:
-        """One exclusive-time charge (see :mod:`repro.obs.timers`)."""
-        self.emit(name, {"seconds": seconds}, kind="phase")
-
     # ------------------------------------------------------------------
     # Spans (hierarchical; see repro.obs.spans for the context manager)
     # ------------------------------------------------------------------
@@ -129,16 +125,10 @@ class Telemetry:
         return out
 
     # ------------------------------------------------------------------
-    # Metrics (thin forwards so call sites only touch the telemetry)
+    # Metrics (a thin forward so call sites only touch the telemetry)
     # ------------------------------------------------------------------
     def count(self, name: str, n: int | float = 1) -> None:
         self.metrics.count(name, n)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
 
     # ------------------------------------------------------------------
     # Campaign / progress helpers
@@ -180,20 +170,11 @@ class Telemetry:
         )
 
     def close(self) -> None:
-        """Emit the trailing summary (final metrics snapshot) and release."""
+        """Emit the trailing summary (final counters) and release."""
         if self._closed:
             return
         self._closed = True
-        snap = self.metrics.snapshot()
-        self.emit(
-            "trace.summary",
-            {
-                "counters": snap["counters"],
-                "gauges": snap["gauges"],
-                "histograms": self.metrics.histograms(),
-            },
-            kind="summary",
-        )
+        self.emit("trace.summary", self.metrics.snapshot(), kind="summary")
         self.sink.close()
 
 
@@ -220,7 +201,7 @@ def _install(t: Telemetry | None) -> None:
 def install_worker(span_root: str | None = None) -> Telemetry:
     """Install a metrics-only telemetry in a pool worker process.
 
-    Events go to a :class:`NullSink`; counters/histograms accumulate locally
+    Events go to a :class:`NullSink`; counters accumulate locally
     until the worker batch function drains them into its return value.
     ``span_root`` seeds the parent span id so worker span subtrees attach
     under the dispatching campaign's span once shipped home.

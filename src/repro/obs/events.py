@@ -12,17 +12,16 @@ Record kinds
     schema version and producer.
 ``event``
     A domain event (``campaign.begin``, ``ga.generation``, ``vm.profile``, …).
-``phase``
-    One exclusive-time charge from a :class:`~repro.obs.timers.PhaseTimer`;
-    ``fields["seconds"]`` sums by ``name`` into the Fig. 8 breakdown.
 ``summary``
-    Last record of a cleanly closed trace: the final metrics snapshot.
+    Last record of a cleanly closed trace: the final counters.
 ``span``
-    One closed interval in the hierarchical span tree (schema v2). Emitted
-    at span *exit*; ``fields`` carries ``span_id``, ``parent_id`` (``null``
-    for a root), ``start`` (wall-clock begin), ``seconds`` (duration), and
-    optionally ``infra: true`` for spans whose shape depends on the harness
-    configuration (worker count, chunking) rather than on the workload.
+    One closed interval in the hierarchical span tree, and the trace's only
+    source of durations. Emitted at span *exit*; ``fields`` carries
+    ``span_id``, ``parent_id`` (``null`` for a root), ``start`` (wall-clock
+    begin), ``seconds`` (monotonic duration), optionally ``infra: true``
+    for spans whose shape depends on the harness configuration (worker
+    count, chunking) rather than on the workload, and ``phase`` for a
+    pipeline phase (the Fig. 8 breakdown; see :mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
@@ -30,14 +29,15 @@ from __future__ import annotations
 __all__ = ["SCHEMA_VERSION", "RECORD_KEYS", "KINDS", "make_record", "jsonable"]
 
 #: Version stamped into the ``trace.meta`` record; bump on key-set changes
-#: (v2 added the ``span`` record kind).
-SCHEMA_VERSION = 2
+#: (v2 added the ``span`` record kind; v3 dropped ``phase`` records, whose
+#: time phase spans now carry).
+SCHEMA_VERSION = 3
 
 #: The exact key set of every trace record.
 RECORD_KEYS = ("ts", "kind", "name", "run", "campaign", "trial", "fields")
 
 #: Allowed values of the ``kind`` key.
-KINDS = ("meta", "event", "phase", "summary", "span")
+KINDS = ("meta", "event", "summary", "span")
 
 
 def jsonable(value):

@@ -7,9 +7,8 @@ be opened in Perfetto / ``chrome://tracing`` as a zoomable timeline:
 * ``span`` records become complete (``"ph": "X"``) slices. All slices share
   one process; the thread lane is recovered from the span id — parent spans
   (``s{n}``) go to thread 0, worker spans (``w{pid}-{n}``) to a lane per
-  worker pid — so chunk subtrees line up under the worker that ran them.
-* ``phase`` records (exclusive-time charges) become slices on a dedicated
-  "phase charges" lane, back-dated by their duration.
+  worker pid — so chunk subtrees line up under the worker that ran them,
+  and pipeline phase slices enclose the campaigns they ran.
 * ``event`` records become instant (``"ph": "i"``) markers.
 
 Timestamps are microseconds relative to the earliest point in the trace, as
@@ -23,9 +22,6 @@ import json
 from pathlib import Path
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "lint_chrome_trace"]
-
-#: Synthetic thread id for the phase-charge lane (real pids never reach it).
-PHASE_TID = 1_000_000
 
 
 def _span_tid(span_id: str) -> int:
@@ -48,10 +44,6 @@ def _base_ts(records: list[dict]) -> float:
             start = rec.get("fields", {}).get("start")
             if isinstance(start, (int, float)):
                 points.append(start)
-        elif rec.get("kind") == "phase":
-            sec = rec.get("fields", {}).get("seconds")
-            if isinstance(ts, (int, float)) and isinstance(sec, (int, float)):
-                points.append(ts - sec)
     return min(points) if points else 0.0
 
 
@@ -85,20 +77,6 @@ def to_chrome_trace(records: list[dict]) -> dict:
                 "tid": tid,
                 "args": args,
             })
-        elif kind == "phase":
-            sec = f.get("seconds", 0.0)
-            if not isinstance(sec, (int, float)):
-                sec = 0.0
-            tids.add(PHASE_TID)
-            events.append({
-                "name": rec.get("name", "?"),
-                "cat": "phase",
-                "ph": "X",
-                "ts": (ts - sec - base) * 1e6,
-                "dur": max(0.0, sec) * 1e6,
-                "pid": 1,
-                "tid": PHASE_TID,
-            })
         elif kind == "event":
             events.append({
                 "name": rec.get("name", "?"),
@@ -115,15 +93,9 @@ def to_chrome_trace(records: list[dict]) -> dict:
         "args": {"name": "repro"},
     }]
     for tid in sorted(tids):
-        if tid == PHASE_TID:
-            label = "phase charges"
-        elif tid == 0:
-            label = "main"
-        else:
-            label = f"worker {tid}"
         meta.append({
             "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-            "args": {"name": label},
+            "args": {"name": f"worker {tid}" if tid else "main"},
         })
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 

@@ -1,14 +1,9 @@
-"""Counters, gauges and summary histograms with multiprocessing reduction.
+"""Deterministic counters with multiprocessing reduction.
 
-The registry splits metrics by determinism so tests can assert
-reproducibility without fighting wall clocks:
-
-* **counters** — additive and deterministic in (program, input, seed): trial
-  counts, outcome tallies, VM step totals. Identical whatever the worker
-  count.
-* **gauges** — last-write-wins point samples.
-* **histograms** — count/sum/min/max summaries of nondeterministic
-  observations (batch wall times, throughput).
+Counters are additive and deterministic in (program, input, seed): trial
+counts, outcome tallies, VM step totals — identical whatever the worker
+count. They are the only metric; durations live in spans
+(:mod:`repro.obs.spans`).
 
 Pool workers accumulate into a process-local registry and
 :meth:`MetricsRegistry.drain` it into a plain dict shipped back with each
@@ -24,78 +19,28 @@ __all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Mergeable in-process metrics store."""
+    """Mergeable in-process counter store."""
 
-    __slots__ = ("counters", "gauges", "_hist")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: dict[str, int | float] = {}
-        self.gauges: dict[str, float] = {}
-        # name -> [count, sum, min, max]
-        self._hist: dict[str, list] = {}
 
-    # ------------------------------------------------------------------
     def count(self, name: str, n: int | float = 1) -> None:
         """Add ``n`` to counter ``name``."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to its latest sample."""
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into histogram ``name``."""
-        h = self._hist.get(name)
-        if h is None:
-            self._hist[name] = [1, value, value, value]
-        else:
-            h[0] += 1
-            h[1] += value
-            if value < h[2]:
-                h[2] = value
-            if value > h[3]:
-                h[3] = value
-
-    # ------------------------------------------------------------------
-    def histograms(self) -> dict[str, dict]:
-        """Histogram summaries as plain dicts (mean included)."""
-        out = {}
-        for name, (n, s, lo, hi) in self._hist.items():
-            out[name] = {
-                "count": n, "sum": s, "min": lo, "max": hi,
-                "mean": s / n if n else 0.0,
-            }
-        return out
-
     def snapshot(self) -> dict:
         """Full state as a plain (picklable, JSON-able) dict."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: list(v) for k, v in self._hist.items()},
-        }
+        return {"counters": dict(self.counters)}
 
     def drain(self) -> dict:
         """Snapshot then reset — the worker side of the reducer."""
         snap = self.snapshot()
         self.counters.clear()
-        self.gauges.clear()
-        self._hist.clear()
         return snap
 
     def merge(self, delta: dict) -> None:
         """Fold a drained snapshot from another registry into this one."""
         for name, n in delta.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + n
-        self.gauges.update(delta.get("gauges", {}))
-        for name, (n, s, lo, hi) in delta.get("histograms", {}).items():
-            h = self._hist.get(name)
-            if h is None:
-                self._hist[name] = [n, s, lo, hi]
-            else:
-                h[0] += n
-                h[1] += s
-                if lo < h[2]:
-                    h[2] = lo
-                if hi > h[3]:
-                    h[3] = hi

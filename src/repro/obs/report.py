@@ -2,10 +2,10 @@
 
 Reads a JSONL trace produced under ``--trace`` and renders:
 
-* the **phase breakdown** (Fig. 8 style) — exclusive seconds per phase name,
-  summed over all ``phase`` records;
+* the **phase breakdown** (Fig. 8 style) — exclusive seconds per phase
+  name from the phase spans, plus the traced time outside any phase;
 * the **campaign table** — one row per FI campaign with outcome counts and
-  measured throughput;
+  the wall time and throughput of its ``campaign`` span;
 * the **campaign-cache effectiveness** table (hits, misses, writes, hit
   rate) whenever the run consulted a result cache;
 * the **harness health** table (chunk retries, worker crashes/timeouts,
@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro.fi.outcome import Outcome
 from repro.obs.schema import lint_records
+from repro.obs.spans import phase_seconds, span_records
 from repro.util.benchmeta import reference_status
 from repro.util.tables import format_table
 
@@ -77,20 +78,25 @@ def load_trace(
     return records
 
 
-def _phase_table(records: list[dict]) -> str | None:
-    totals: dict[str, float] = {}
-    for rec in records:
-        if rec.get("kind") == "phase":
-            sec = rec.get("fields", {}).get("seconds", 0.0)
-            totals[rec["name"]] = totals.get(rec["name"], 0.0) + sec
+def _phase_table(records: list[dict], wall: float) -> str | None:
+    """Exclusive seconds per phase, as shares of the traced ``wall`` time."""
+    totals = phase_seconds(records)
     if not totals:
         return None
-    grand = sum(totals.values())
+    inside = sum(totals.values())
+
+    def row(label: str, sec: float) -> list[str]:
+        return [label, f"{sec:.3f}s", f"{sec / wall:.1%}" if wall > 0 else "-"]
+
     rows = [
-        [name, f"{sec:.3f}s", f"{sec / grand:.1%}" if grand else "-"]
+        row(name, sec)
         for name, sec in sorted(totals.items(), key=lambda kv: -kv[1])
     ]
-    rows.append(["total", f"{grand:.3f}s", "100.0%" if grand else "-"])
+    rows += [
+        row("inside any phase", inside),
+        row("outside any phase", wall - inside),
+        row("traced wall time", wall),
+    ]
     return format_table(
         ["Phase", "Seconds", "Share"], rows,
         title="Phase breakdown (exclusive time, Fig. 8 style)",
@@ -99,6 +105,10 @@ def _phase_table(records: list[dict]) -> str | None:
 
 def _campaign_table(records: list[dict]) -> str | None:
     begun: dict[str, dict] = {}
+    wall = {
+        r["campaign"]: r["fields"].get("seconds", 0.0)
+        for r in span_records(records) if r["name"] == "campaign"
+    }
     rows = []
     outcome_names = [o.value for o in Outcome]
     for rec in records:
@@ -111,7 +121,7 @@ def _campaign_table(records: list[dict]) -> str | None:
             f = rec["fields"]
             outcomes = f.get("outcomes", {})
             trials = f.get("trials", 0)
-            seconds = f.get("seconds", 0.0)
+            seconds = wall.get(cid, 0.0)
             rate = trials / seconds if seconds > 0 else 0.0
             rows.append(
                 [cid, f.get("label", begun.get(cid, {}).get("label", "?"))]
@@ -451,10 +461,10 @@ def render_report(path: str | Path, bench_dir: str | Path | None = None) -> str:
         return f"{path}: empty trace"
     meta = records[0] if records[0].get("kind") == "meta" else None
     run = meta["run"] if meta else records[0].get("run", "?")
-    span = records[-1].get("ts", 0.0) - records[0].get("ts", 0.0)
+    wall = records[-1].get("ts", 0.0) - records[0].get("ts", 0.0)
     issues = lint_records(records, require_summary=False)
     head = [
-        f"trace {path}: run {run}, {len(records)} records, {span:.2f}s span"
+        f"trace {path}: run {run}, {len(records)} records, {wall:.2f}s span"
     ]
     for w in warnings:
         head.append(f"WARNING: {w}")
@@ -462,7 +472,7 @@ def render_report(path: str | Path, bench_dir: str | Path | None = None) -> str:
         head.append(f"WARNING: {len(issues)} schema issue(s); first: {issues[0]}")
     sections = [
         s for s in (
-            _phase_table(records),
+            _phase_table(records, wall),
             _campaign_table(records),
             _span_table(records),
             _cache_table(records),
@@ -474,7 +484,7 @@ def render_report(path: str | Path, bench_dir: str | Path | None = None) -> str:
         ) if s
     ]
     if not sections:
-        sections = ["(no phase, campaign, or summary records in this trace)"]
+        sections = ["(no phase spans, campaigns or summary in this trace)"]
     if bench_dir is not None:
         perf = perf_references_table(bench_dir)
         if perf:

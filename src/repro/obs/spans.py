@@ -1,9 +1,9 @@
 """Hierarchical spans: causally nested intervals over the flat trace.
 
-PR 2's telemetry answers *what happened* (events, counters, phase totals);
-spans answer *under what* it happened. A ``span`` record (schema v2) closes
-one wall-clock interval and names its parent, so a trace reconstructs the
-causal tree campaign → chunk → trial → vm.run → checkpoint.restore /
+Events and counters answer *what happened*; spans answer *under what* it
+happened and for how long, and are the trace's only clock. A ``span``
+record closes one interval and names its parent, so a trace reconstructs
+the causal tree campaign → chunk → trial → vm.run → checkpoint.restore /
 batch.reconverge even when the leaves ran in pool workers.
 
 Usage::
@@ -11,6 +11,10 @@ Usage::
     with span("campaign", {"label": "needle"}) as sp:
         ...                      # nested spans parent under sp.span_id
         sp.fields["trials"] = n  # attributes may be added until exit
+
+Pipeline phases (the Fig. 8 breakdown) are spans too: :func:`phase` opens
+one whose ``phase`` attribute names it, and :func:`phase_seconds` turns a
+trace's phase spans into exclusive seconds per phase.
 
 Nesting is ambient: the installed :class:`~repro.obs.core.Telemetry` keeps a
 span stack, and the innermost open span becomes the parent of the next one.
@@ -33,11 +37,15 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.obs.core import current
+from repro.obs.core import current, session
 from repro.obs.events import make_record
+from repro.obs.sink import NullSink, TraceSink
 
 __all__ = [
     "SpanHandle",
+    "collect_phases",
+    "phase",
+    "phase_seconds",
     "span",
     "span_records",
     "span_tree",
@@ -89,16 +97,18 @@ def span(
     parent = t.current_span()
     handle = SpanHandle(sid, attrs)
     t.span_begin(sid)
+    # ``start`` places the span on the wall clock; its duration comes from
+    # the monotonic clock, so a wall-clock step never makes it negative.
     start = time.time()
+    t0 = time.perf_counter()
     try:
         yield handle
     finally:
-        end = time.time()
         body = {
             "span_id": sid,
             "parent_id": parent,
             "start": start,
-            "seconds": end - start,
+            "seconds": time.perf_counter() - t0,
         }
         if infra:
             body["infra"] = True
@@ -106,8 +116,83 @@ def span(
         # Attributes must not shadow the identity/timing keys.
         body["span_id"], body["parent_id"] = sid, parent
         t.span_end(
-            make_record(end, "span", name, t.run_id, campaign, trial, body)
+            make_record(
+                time.time(), "span", name, t.run_id, campaign, trial, body
+            )
         )
+
+
+@contextmanager
+def phase(name: str):
+    """Open one pipeline phase: a span named ``name`` with a ``phase``
+    attribute, so :func:`phase_seconds` can find it (no-op when untraced)."""
+    with span(name, {"phase": name}) as handle:
+        yield handle
+
+
+def phase_seconds(records: list[dict]) -> dict[str, float]:
+    """Exclusive seconds per phase name over the phase spans in ``records``.
+
+    A phase span's time goes to its phase, less the time of the phase spans
+    nested in it (found through any non-phase spans ``records`` also
+    holds). So a phase re-entered inside itself counts once, nested phases
+    split the wall clock between them, and the values sum to the wall time
+    spent inside any phase.
+    """
+    by_id: dict[str, dict] = {}
+    for rec in span_records(records):
+        if isinstance(rec["fields"].get("span_id"), str):
+            by_id[rec["fields"]["span_id"]] = rec["fields"]
+    totals: dict[str, float] = {}
+    for f in by_id.values():
+        name, sec = f.get("phase"), f.get("seconds")
+        if name is None or not isinstance(sec, (int, float)):
+            continue
+        totals[name] = totals.get(name, 0.0) + sec
+        outer = by_id.get(f.get("parent_id"))
+        for _ in range(len(by_id)):  # bounded: a corrupt trace may cycle
+            if outer is None or "phase" in outer:
+                break
+            outer = by_id.get(outer.get("parent_id"))
+        if outer is not None and "phase" in outer:
+            totals[outer["phase"]] = totals.get(outer["phase"], 0.0) - sec
+    return totals
+
+
+class _PhaseTap(TraceSink):
+    """Forwards every record to ``inner`` and keeps the phase spans."""
+
+    def __init__(self, inner: TraceSink, kept: list[dict]) -> None:
+        self.inner = inner
+        self.kept = kept
+
+    def write(self, record: dict) -> None:
+        self.inner.write(record)
+        if record["kind"] == "span" and "phase" in record["fields"]:
+            self.kept.append(record)
+
+
+@contextmanager
+def collect_phases():
+    """Yield a list that fills with the phase spans the block closes.
+
+    Records still flow through the installed telemetry, so an enclosing
+    trace keeps every one of them; with none installed, a
+    :class:`~repro.obs.sink.NullSink` session stands in for the block. Only
+    phase spans are kept, so memory does not grow with the trial count.
+    """
+    t = current()
+    if t is None:
+        with session(sink=NullSink()), collect_phases() as kept:
+            yield kept
+        return
+    kept: list[dict] = []
+    inner = t.sink
+    t.sink = _PhaseTap(inner, kept)
+    try:
+        yield kept
+    finally:
+        t.sink = inner
 
 
 def span_records(records: list[dict]) -> list[dict]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.module import Module
 from repro.detectors.transform import ProtectedModule, duplicate_instructions
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import phase
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
 from repro.vm.interpreter import Program
@@ -52,9 +52,6 @@ class SIDResult:
     protected: ProtectedModule
     selection: SelectionResult
     profile: CostBenefitProfile = field(repr=False)
-    #: Phase breakdown of the pipeline run (same phases as MINPSID's, minus
-    #: the search engine — that is the baseline's whole point).
-    stopwatch: PhaseTimer = None
 
     @property
     def expected_coverage(self) -> float:
@@ -67,10 +64,13 @@ def classic_sid(
     bindings: dict[str, list] | None,
     config: SIDConfig = SIDConfig(),
 ) -> SIDResult:
-    """Run the full baseline SID pipeline on the reference input."""
-    sw = PhaseTimer()
+    """Run the full baseline SID pipeline on the reference input.
+
+    Its phases are trace spans (:func:`repro.obs.spans.phase`): MINPSID's,
+    minus the search engine — that is the baseline's whole point.
+    """
     program = Program(module)
-    with sw.phase("per_inst_fi_ref"):
+    with phase("per_inst_fi_ref"):
         profile = build_profile_from_source(
             program,
             args,
@@ -82,14 +82,12 @@ def classic_sid(
             abs_tol=config.abs_tol,
             protection_levels=(config.protection_level,),
         )
-    with sw.phase("selection"):
+    with phase("selection"):
         selection = select_instructions(
             profile, config.protection_level, method=config.knapsack_method
         )
-    with sw.phase("transform"):
+    with phase("transform"):
         protected = duplicate_instructions(
             module, selection.selected, check_placement=config.check_placement
         )
-    return SIDResult(
-        protected=protected, selection=selection, profile=profile, stopwatch=sw
-    )
+    return SIDResult(protected=protected, selection=selection, profile=profile)

@@ -1,6 +1,5 @@
 """Shared utilities: bit manipulation, seeded RNG streams, canonical
-hashing, supervised parallel map, ASCII table rendering and timing
-helpers."""
+hashing, supervised parallel map and ASCII table rendering."""
 
 from repro.util.digest import canonical_bytes, stable_digest
 from repro.util.bitops import (
@@ -20,7 +19,6 @@ from repro.util.rng import RngStream, derive_seed
 from repro.util.parallel import parallel_map
 from repro.util.supervisor import SupervisorConfig, parse_chaos, supervised_map
 from repro.util.tables import format_table
-from repro.obs.timers import PhaseTimer
 
 __all__ = [
     "bit_width",
@@ -43,5 +41,4 @@ __all__ = [
     "parse_chaos",
     "stable_digest",
     "format_table",
-    "PhaseTimer",
 ]

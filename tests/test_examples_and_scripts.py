@@ -109,3 +109,28 @@ class TestRunExperimentsScript:
         err = capsys.readouterr().err
         assert "1 experiment(s) failed" in err
         assert "fig2: RuntimeError: injected study failure" in err
+
+
+class TestDocPathLint:
+    """``scripts/doc_lint.py``: docs name only modules that exist."""
+
+    def test_docs_name_only_existing_modules(self):
+        assert load_script(ROOT / "scripts" / "doc_lint.py").lint_doc_paths() == []
+
+    def test_stale_paths_are_flagged(self):
+        lint = load_script(ROOT / "scripts" / "doc_lint.py")
+        text = (
+            "`repro/exp/fig8_timing.py`, `repro/ir/{types,nope}.py`, "
+            "`repro/sid/*`, `src/repro/cache`, repro/obs/timers.PhaseTimer"
+        )
+        named = [
+            p for m in lint._DOC_PATH.finditer(text)
+            for p in lint._expand_braces(m.group())
+        ]
+        assert named == [
+            "repro/exp/fig8_timing.py", "repro/ir/types.py", "repro/ir/nope.py",
+            "repro/sid/*", "repro/cache", "repro/obs/timers",
+        ]
+        assert [p for p in named if lint._doc_path_missing(p)] == [
+            "repro/exp/fig8_timing.py", "repro/ir/nope.py", "repro/obs/timers",
+        ]

@@ -278,11 +278,33 @@ class TestDrivers:
         assert cmp.ga_trace[0] == 0  # reference input alone finds nothing
 
     def test_fig8(self):
-        from repro.exp.fig8 import render_fig8, run_fig8_study
+        from repro.exp.fig8 import PHASES, render_fig8, run_fig8_study
 
         rows = run_fig8_study(["pathfinder"], MICRO)
         assert rows[0].total > 0
+        assert set(PHASES) <= set(rows[0].phases)
+        assert rows[0].total == pytest.approx(sum(rows[0].phases.values()))
         assert "Fig. 8" in render_fig8(rows)
+
+    def test_fig8_records_into_the_enclosing_trace(self):
+        """Fig. 8 collects its phases through an installed session instead
+        of shadowing it: the outer trace keeps every record."""
+        from repro.exp.fig8 import PHASES, run_fig8_study
+        from repro.obs.core import session
+        from repro.obs.schema import lint_records
+        from repro.obs.sink import MemorySink
+        from repro.obs.spans import phase_seconds, span_records
+
+        sink = MemorySink()
+        with session(sink=sink):
+            rows = run_fig8_study(["pathfinder"], MICRO)
+        records = sink.records
+        assert lint_records(records) == []
+        assert len({r["run"] for r in records}) == 1
+        ids = [r["fields"]["span_id"] for r in span_records(records)]
+        assert len(ids) == len(set(ids))
+        assert set(PHASES) <= set(phase_seconds(records))
+        assert rows[0].phases == phase_seconds(records)
 
     def test_sec4(self):
         from repro.exp.sec4 import run_sec4_analysis

@@ -1,4 +1,4 @@
-"""Unit tests of the telemetry core: metrics, records, sinks, timers, logs."""
+"""Unit tests of the telemetry core: metrics, records, sinks, phases, logs."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.schema import lint_records, validate_record
 from repro.obs.sink import JsonlTraceSink, MemorySink, NullSink
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import phase, phase_seconds, span
 
 
 class TestMetricsRegistry:
@@ -27,34 +27,18 @@ class TestMetricsRegistry:
         m.count("a", 4)
         assert m.counters == {"a": 5}
 
-    def test_gauge_last_write_wins(self):
-        m = MetricsRegistry()
-        m.gauge("g", 1.0)
-        m.gauge("g", 7.5)
-        assert m.gauges == {"g": 7.5}
-
-    def test_histogram_summary(self):
-        m = MetricsRegistry()
-        for v in (2.0, 8.0, 5.0):
-            m.observe("h", v)
-        h = m.histograms()["h"]
-        assert h == {"count": 3, "sum": 15.0, "min": 2.0, "max": 8.0, "mean": 5.0}
-
     def test_drain_resets(self):
         m = MetricsRegistry()
         m.count("a", 3)
-        m.observe("h", 1.0)
         delta = m.drain()
         assert delta["counters"] == {"a": 3}
-        assert m.counters == {} and m.snapshot()["histograms"] == {}
+        assert m.counters == {}
 
     def test_merge_is_order_independent(self):
         deltas = []
         for vals in ((1.0, 9.0), (4.0,), (0.5, 2.0)):
             w = MetricsRegistry()
             w.count("n", len(vals))
-            for v in vals:
-                w.observe("h", v)
             deltas.append(w.drain())
         a, b = MetricsRegistry(), MetricsRegistry()
         for d in deltas:
@@ -63,8 +47,6 @@ class TestMetricsRegistry:
             b.merge(d)
         assert a.snapshot() == b.snapshot()
         assert a.counters["n"] == 5
-        assert a.histograms()["h"]["min"] == 0.5
-        assert a.histograms()["h"]["max"] == 9.0
 
 
 class TestRecordsAndSchema:
@@ -174,70 +156,113 @@ class TestTelemetryContext:
 
 
 class TestPhaseTimer:
+    """Phase spans and :func:`phase_seconds`, the pipelines' phase clock."""
+
+    def _phases(self, body) -> tuple[dict[str, float], list[dict]]:
+        sink = MemorySink()
+        with session(sink=sink):
+            body()
+        return phase_seconds(sink.records), sink.records
+
     def test_reentrant_same_name_counts_once(self):
-        sw = PhaseTimer()
-        t0 = time.perf_counter()
-        with sw.phase("a"):
-            time.sleep(0.01)
-            with sw.phase("a"):
+        def body():
+            with phase("a"):
                 time.sleep(0.01)
-            time.sleep(0.005)
+                with phase("a"):
+                    time.sleep(0.01)
+                time.sleep(0.005)
+
+        t0 = time.perf_counter()
+        totals, _ = self._phases(body)
         wall = time.perf_counter() - t0
-        # Exclusive semantics: the re-entered frame suspends the outer one,
-        # so the total is the wall time, not wall + inner (the old bug).
-        assert sw.totals["a"] <= wall + 1e-3
-        assert sw.totals["a"] >= 0.02
+        # Exclusive semantics: the re-entered span is subtracted from the
+        # outer one, so the total is the wall time, not wall + inner.
+        assert totals["a"] <= wall + 1e-3
+        assert totals["a"] >= 0.025
 
     def test_nested_phases_split_the_wall_clock(self):
-        sw = PhaseTimer()
-        t0 = time.perf_counter()
-        with sw.phase("outer"):
-            time.sleep(0.01)
-            with sw.phase("inner"):
+        def body():
+            with phase("outer"):
                 time.sleep(0.01)
-            time.sleep(0.01)
+                with phase("inner"):
+                    time.sleep(0.01)
+                time.sleep(0.01)
+
+        t0 = time.perf_counter()
+        totals, records = self._phases(body)
         wall = time.perf_counter() - t0
-        assert sw.totals["inner"] >= 0.01
-        assert sw.totals["outer"] >= 0.02
-        assert sw.total() <= wall + 1e-3  # no overlap inflation
+        assert totals["inner"] >= 0.01
+        assert totals["outer"] >= 0.02
+        assert sum(totals.values()) <= wall + 1e-3  # no overlap inflation
+        outer = next(r for r in records if r["name"] == "outer")
+        assert sum(totals.values()) == pytest.approx(
+            outer["fields"]["seconds"]
+        )
 
     def test_sequential_phases_accumulate(self):
-        sw = PhaseTimer()
-        with sw.phase("a"):
-            time.sleep(0.005)
-        with sw.phase("a"):
-            time.sleep(0.005)
-        assert sw.totals["a"] >= 0.01
+        def body():
+            with phase("a"):
+                time.sleep(0.005)
+            with phase("a"):
+                time.sleep(0.005)
+
+        totals, _ = self._phases(body)
+        assert totals["a"] >= 0.01
 
     def test_exception_unwinds_cleanly(self):
-        sw = PhaseTimer()
-        with pytest.raises(ValueError):
-            with sw.phase("outer"):
-                with sw.phase("inner"):
-                    raise ValueError
-        assert set(sw.totals) == {"outer", "inner"}
-        assert sw._stack == []
+        sink = MemorySink()
+        with session(sink=sink) as t:
+            with pytest.raises(ValueError):
+                with phase("outer"):
+                    with phase("inner"):
+                        raise ValueError
+            assert t.current_span() is None  # both spans popped
+        assert set(phase_seconds(sink.records)) == {"outer", "inner"}
+        assert lint_records(sink.records) == []
 
     def test_phase_records_emitted_to_trace(self):
         sink = MemorySink()
         with session(sink=sink):
-            sw = PhaseTimer()
-            with sw.phase("p"):
+            with phase("p"):
                 pass
-        phases = [r for r in sink.records if r["kind"] == "phase"]
+        phases = [r for r in sink.records if r["kind"] == "span"]
         assert len(phases) == 1 and phases[0]["name"] == "p"
+        assert phases[0]["fields"]["phase"] == "p"
 
     def test_fractions_sum_to_one(self):
-        sw = PhaseTimer()
-        with sw.phase("a"):
-            time.sleep(0.005)
-        with sw.phase("b"):
-            time.sleep(0.005)
-        fr = sw.fractions()
+        def body():
+            with phase("a"):
+                time.sleep(0.005)
+            with phase("b"):
+                time.sleep(0.005)
+
+        totals, _ = self._phases(body)
+        total = sum(totals.values())
+        fr = {name: sec / total for name, sec in totals.items()}
         assert pytest.approx(sum(fr.values()), abs=1e-9) == 1.0
 
     def test_empty_fractions(self):
-        assert PhaseTimer().fractions() == {}
+        assert phase_seconds([]) == {}
+        # Spans without a phase attribute are not phases.
+        sink = MemorySink()
+        with session(sink=sink):
+            with span("campaign"):
+                pass
+        assert phase_seconds(sink.records) == {}
+
+    def test_nesting_through_non_phase_spans(self):
+        def body():
+            with phase("outer"):
+                with span("campaign"):
+                    with phase("inner"):
+                        time.sleep(0.01)
+
+        totals, records = self._phases(body)
+        outer = next(r for r in records if r["name"] == "outer")
+        assert sum(totals.values()) == pytest.approx(
+            outer["fields"]["seconds"]
+        )
+        assert totals["inner"] >= 0.01 > totals["outer"]
 
 
 class TestProgressReporter:

@@ -11,12 +11,12 @@ import pytest
 from repro.fi.campaign import run_campaign
 from repro.obs.core import session
 from repro.obs.export import (
-    PHASE_TID,
     lint_chrome_trace,
     to_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.report import load_trace
+from repro.obs.spans import phase
 
 
 @pytest.fixture(autouse=True)
@@ -31,12 +31,11 @@ def trace_path(tmp_path_factory):
     app = cached_app("pathfinder")
     path = tmp_path_factory.mktemp("export") / "t.jsonl"
     a, b = app.encode(app.reference_input)
-    with session(trace=str(path)) as t:
+    with session(trace=str(path)), phase("profiling"):
         run_campaign(
             app.program, 48, 7, args=a, bindings=b, rel_tol=app.rel_tol,
             abs_tol=app.abs_tol, workers=2, cache=False,
         )
-        t.emit_phase("profiling", 0.25)
     return path
 
 
@@ -74,13 +73,21 @@ class TestChromeTraceExport:
         assert "main" in labels
         assert any(label.startswith("worker ") for label in labels)
 
-    def test_phase_records_land_on_dedicated_lane(self, trace_path):
+    def test_phase_spans_enclose_their_campaigns(self, trace_path):
         obj = to_chrome_trace(load_trace(trace_path))
-        phases = [
-            e for e in obj["traceEvents"] if e.get("cat") == "phase"
-        ]
-        assert phases
-        assert {e["tid"] for e in phases} == {PHASE_TID}
+        slices = {
+            e["name"]: e for e in obj["traceEvents"] if e.get("cat") == "span"
+        }
+        outer, inner = slices["profiling"], slices["campaign"]
+        assert outer["tid"] == inner["tid"] == 0  # the main lane
+        assert inner["args"]["parent_id"] == outer["args"]["span_id"]
+        assert outer["ts"] <= inner["ts"]
+        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1e3
+        lanes = {
+            e["args"]["name"] for e in obj["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert "phase charges" not in lanes
 
     def test_round_trip_on_truncated_trace(self, trace_path, tmp_path):
         # Chop the final line mid-JSON, as a killed producer would: export

@@ -8,7 +8,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.events import make_record
 from repro.obs.report import load_trace, perf_references_table, render_report
+from repro.obs.spans import span_records
 from repro.util.benchmeta import bench_record, reference_status
 
 
@@ -21,6 +23,16 @@ def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     code = main(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def _table_rows(report: str, title: str) -> dict[str, list[str]]:
+    """The rows of the report section titled ``title``, by first cell."""
+    section = report.split(title, 1)[1].split("\n\n", 1)[0]
+    rows = (
+        [c.strip() for c in line.split("|")]
+        for line in section.splitlines() if "|" in line
+    )
+    return {cells[0]: cells for cells in rows}
 
 
 class TestCliObservabilityFlags:
@@ -88,6 +100,38 @@ class TestObsReport:
         for phase in ("per_inst_fi_ref", "search_engine", "selection"):
             assert phase in text
         assert "100.0%" in text  # the total row
+        assert "outside any phase" in text
+
+    def test_phase_table_counts_time_outside_any_phase(self, tmp_path):
+        span = {"span_id": "s1", "parent_id": None, "start": 1.0,
+                "seconds": 2.0, "phase": "search_engine"}
+        records = [
+            make_record(0.0, "meta", "trace.meta", "r", fields={"schema": 3}),
+            make_record(3.0, "span", "search_engine", "r", fields=span),
+            make_record(10.0, "summary", "trace.summary", "r",
+                        fields={"counters": {}}),
+        ]
+        path = tmp_path / "phases.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rows = _table_rows(render_report(path), "Phase breakdown")
+        assert rows["search_engine"][1:] == ["2.000s", "20.0%"]
+        assert rows["inside any phase"][1:] == ["2.000s", "20.0%"]
+        assert rows["outside any phase"][1:] == ["8.000s", "80.0%"]
+        assert rows["traced wall time"][1:] == ["10.000s", "100.0%"]
+
+    def test_campaign_wall_is_the_campaign_span(self, trace_path):
+        records = load_trace(trace_path)
+        wall = {
+            r["campaign"]: r["fields"]["seconds"]
+            for r in span_records(records) if r["name"] == "campaign"
+        }
+        assert wall
+        rows = _table_rows(render_report(trace_path), "FI campaigns")
+        for cid, seconds in wall.items():
+            assert rows[cid][-2] == f"{seconds:.2f}s"
+        ends = [r for r in records if r["name"] == "campaign.end"]
+        assert len(ends) == len(wall)
+        assert all("seconds" not in r["fields"] for r in ends)
 
     def test_report_renders_campaign_table(self, trace_path):
         text = render_report(trace_path)

@@ -4,18 +4,26 @@ engines, and campaigns stay bit-identical with spans on or off."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.fi.campaign import run_campaign
+from repro.minpsid.ga import GAConfig
+from repro.minpsid.pipeline import MINPSIDConfig, minpsid
+from repro.minpsid.search import InputSearchConfig
 from repro.obs.core import install_worker, session
 from repro.obs.schema import lint_records
 from repro.obs.sink import MemorySink
 from repro.obs.spans import (
+    phase_seconds,
     span,
     span_records,
     span_tree,
     structural_signature,
 )
+from repro.runconfig import run_scope
+from tests.conftest import cached_app
 
 FAULTS = 64
 SEED = 2022
@@ -77,6 +85,19 @@ class TestSpanContextManager:
                 with span("doomed"):
                     raise RuntimeError("boom")
         assert [r["name"] for r in span_records(sink.records)] == ["doomed"]
+
+    def test_seconds_survive_a_wall_clock_step_back(self, monkeypatch):
+        # The wall clock steps back half a second per read; the duration
+        # comes from the monotonic clock, so it stays non-negative.
+        wall = iter(1000.0 - 0.5 * k for k in range(100))
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        sink = MemorySink()
+        with session(sink=sink):
+            with span("s"):
+                pass
+        (rec,) = span_records(sink.records)
+        assert rec["fields"]["seconds"] >= 0
+        assert lint_records(sink.records) == []
 
     def test_span_records_lint_clean(self):
         sink = MemorySink()
@@ -164,6 +185,39 @@ class TestSpanTreeDeterminism:
             ("campaign", (("label", "fi.whole-program"),
                           ("trials", FAULTS)), ()),
         )
+
+    def test_minpsid_signature_stable_across_workers(self):
+        """Phase spans are workload shape: a traced MINPSID run has the
+        same signature serially and on two workers, phases included."""
+        app = cached_app("bfs")
+        cfg = MINPSIDConfig(
+            per_instruction_trials=2, seed=3,
+            search=InputSearchConfig(
+                max_inputs=1, per_instruction_trials=2,
+                ga=GAConfig(population_size=3, max_generations=1),
+            ),
+        )
+        sigs, selected = [], []
+        for workers in (0, 2):
+            sink = MemorySink()
+            with run_scope(workers=workers, cache=False), session(sink=sink):
+                res = minpsid(app, cfg)
+            assert lint_records(sink.records) == []
+            sigs.append(structural_signature(sink.records))
+            selected.append(res.selection.selected)
+            pooled = {
+                r["fields"]["mode"] for r in sink.records
+                if r["name"] == "campaign.batch"
+            }
+        assert "worker" in pooled  # the two-worker run really pooled
+        assert selected[0] == selected[1]
+        assert sigs[0] == sigs[1]
+        roots = {name for name, _attrs, _children in sigs[0]}
+        assert {
+            "per_inst_fi_ref", "search_engine", "per_inst_fi_incubative",
+            "selection", "transform",
+        } <= roots
+        assert set(phase_seconds(sink.records)) == roots
 
     def test_infra_spans_exist_but_are_pruned(self, pathfinder_app):
         _, recs = self._traced(pathfinder_app, workers=0, engine="scalar")

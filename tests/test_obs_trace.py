@@ -148,3 +148,30 @@ class TestTraceSchemaStability:
             "trace.meta", "campaign.begin", "campaign.batch",
             "campaign.end", "trace.summary",
         } <= names
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_durations_live_only_in_spans(self, pathfinder_app, workers):
+        sink = MemorySink()
+        with session(sink=sink):
+            _campaign(pathfinder_app, workers=workers, cache=False)
+        for rec in sink.records:
+            if rec["kind"] != "span":
+                assert not {"seconds", "trials_per_s"} & set(rec["fields"]), rec
+        # The summary carries counters, the only metric.
+        assert set(sink.records[-1]["fields"]) == {"counters"}
+
+    def test_model_predict_is_a_span(self, pathfinder_app):
+        from repro.analysis.model import predict_sdc_probabilities
+        from repro.vm.profiler import profile_run
+
+        a, b = pathfinder_app.encode(pathfinder_app.reference_input)
+        prof = profile_run(pathfinder_app.program, args=a, bindings=b)
+        sink = MemorySink()
+        with session(sink=sink):
+            predict_sdc_probabilities(pathfinder_app.module, prof, cache=False)
+        (rec,) = [r for r in sink.records if r["name"] == "model.predict"]
+        assert rec["kind"] == "span"
+        assert {
+            "module", "n_instructions", "n_functions", "whole_program_sdc",
+        } <= set(rec["fields"])
+        assert lint_records(sink.records) == []

@@ -1,10 +1,10 @@
-"""Tests for parallel map, worker-count resolution, tables and the phase timer."""
+"""Tests for parallel map, worker-count resolution, tables and phase spans."""
 
 import time
 
 import pytest
 
-from repro.obs.timers import PhaseTimer
+from repro.obs.spans import collect_phases, phase, phase_seconds
 from repro.runconfig import KNOBS, resolve
 from repro.util.parallel import default_workers, parallel_map
 from repro.util.tables import format_percent, format_table, render_candlestick_row
@@ -128,22 +128,24 @@ class TestTables:
 
 
 class TestStopwatch:
-    """Flat (un-nested) use of :class:`PhaseTimer`, the pipelines' stopwatch.
+    """Flat (un-nested) phase spans, the pipelines' stopwatch, read through
+    :func:`collect_phases`.
 
     Nesting and trace emission are covered in ``test_obs_core``.
     """
 
     def test_accumulates(self):
-        sw = PhaseTimer()
-        with sw.phase("a"):
-            time.sleep(0.01)
-        with sw.phase("a"):
-            time.sleep(0.01)
-        assert sw.totals["a"] >= 0.02
+        with collect_phases() as spans:
+            with phase("a"):
+                time.sleep(0.01)
+            with phase("a"):
+                time.sleep(0.01)
+        assert len(spans) == 2
+        assert phase_seconds(spans)["a"] >= 0.02
 
     def test_phase_records_on_exception(self):
-        sw = PhaseTimer()
-        with pytest.raises(ValueError):
-            with sw.phase("x"):
-                raise ValueError
-        assert "x" in sw.totals
+        with collect_phases() as spans:
+            with pytest.raises(ValueError):
+                with phase("x"):
+                    raise ValueError
+        assert "x" in phase_seconds(spans)
