@@ -21,6 +21,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import _interval
 from repro.exp.config import FULL, SMALL, TINY, ScaleConfig
 from repro.exp.fig2 import run_fig2_study
 from repro.exp.fig3 import find_incubative_example
@@ -56,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workers", type=int, default=None,
                     help="FI process fan-out (default: REPRO_WORKERS env "
                     "or serial)")
-    ap.add_argument("--checkpoint-interval", default="auto",
+    ap.add_argument("--checkpoint-interval", type=_interval, default="auto",
                     metavar="N|auto",
                     help="resume FI trials from golden snapshots every N "
                     "instructions (default 'auto': about 16 snapshots per "
@@ -110,13 +111,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    interval = args.checkpoint_interval
-    if interval != "auto":
-        interval = int(interval)
     # Every driver installs these flags as its run scope (repro.runconfig);
     # --no-cache disables caching even where REPRO_CACHE_DIR names a store.
     scale: ScaleConfig = SCALES[args.scale].with_(
-        workers=args.workers, checkpoint_interval=interval,
+        workers=args.workers, checkpoint_interval=args.checkpoint_interval,
         max_retries=args.max_retries, task_timeout=args.task_timeout,
         engine=args.engine, batch_size=args.batch_size,
         cache_dir=False if args.no_cache else args.cache_dir,

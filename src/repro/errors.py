@@ -6,11 +6,11 @@ from *toolchain errors* (bugs in IR construction or analysis, which should
 never be swallowed).
 
 A third family, *harness errors*, covers faults in the host machinery that
-runs campaigns — a pool worker that segfaults, hangs past its deadline, or a
-process pool that cannot be kept alive. They are strictly separate from
-guest :class:`Trap`\\ s: a trap is a classified experimental outcome, a
-:class:`HarnessError` means the experiment infrastructure itself failed
-after exhausting its retries.
+runs campaigns — a pool worker that hangs past its deadline, a chunk that
+raises on every retry, a fabric peer that breaks the wire protocol. They are
+strictly separate from guest :class:`Trap`\\ s: a trap is a classified
+experimental outcome, a :class:`HarnessError` means the experiment
+infrastructure itself failed after exhausting its retries.
 """
 
 from __future__ import annotations
@@ -43,18 +43,16 @@ class ConfigError(ReproError):
 
 
 # --------------------------------------------------------------------------
-# Harness errors: host-side infrastructure faults of the campaign supervisor
-# (repro.util.supervisor). Raised only after bounded retries are exhausted;
-# never conflated with guest Traps and never cached as campaign outcomes.
+# Harness errors: host-side infrastructure faults of the pooled map's
+# supervisor (repro.util.supervisor). Raised only after bounded retries are
+# exhausted; never conflated with guest Traps and never cached as campaign
+# outcomes. A worker that keeps crashing raises nothing: its chunks finish
+# serially in-process instead.
 # --------------------------------------------------------------------------
 
 
 class HarnessError(ReproError):
     """The campaign harness failed after exhausting its recovery budget."""
-
-
-class WorkerCrash(HarnessError):
-    """A pool worker process died (segfault, OOM kill, ``os._exit``)."""
 
 
 class WorkerTimeout(HarnessError):
@@ -66,10 +64,6 @@ class WorkerError(HarnessError):
 
     The final in-worker exception is attached as ``__cause__``.
     """
-
-
-class PoolDegraded(HarnessError):
-    """The process pool kept breaking and serial fallback was disabled."""
 
 
 class ChaosError(HarnessError):

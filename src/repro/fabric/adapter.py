@@ -9,14 +9,14 @@ byte stream. It accepts the handshake, then serves a simple request loop:
   chunk payloads instead and runs once per map before the first item;
 * ``CHUNK`` — execute one supervisor chunk payload through
   :func:`repro.util.supervisor._run_chunk` (the *same* entry pool workers
-  use, so metric scrubbing, chaos triggers, and worker-obs installation
-  carry over byte-for-byte) and answer ``RESULT``, or ``CHUNK_ERROR``
-  carrying the raised exception;
+  use, so metric scrubbing, chaos triggers, and worker telemetry carry
+  over byte-for-byte) and answer ``RESULT``, or ``CHUNK_ERROR`` carrying
+  the raised exception;
 * ``PING``/``BYE`` — liveness probe and clean shutdown.
 
-Because worker entries call ``_ensure_worker_obs`` themselves, an adapter
-subprocess ships drained metric deltas and span subtrees home inside each
-``RESULT`` with no fabric-specific obs code at all. An *in-process*
+Because that entry installs and drains the worker telemetry itself, an
+adapter subprocess ships counter deltas and span subtrees home inside
+each ``RESULT`` with no fabric-specific obs code at all. An *in-process*
 adapter (``allow_chaos=False``) instead shares the harness session — and
 must therefore never execute chaos faults, whose ``crash`` kind is
 ``os._exit``; chunk payloads are scrubbed of chaos before running.

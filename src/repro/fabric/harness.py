@@ -191,7 +191,8 @@ class FabricPool:
         self._seq = 0
         self._broken = False
         self._closed = False
-        self._live = 0
+        #: Slots whose adapter is connected or may still reconnect.
+        self._live: set[int] = set()
         #: Supervisor kill surface: slot -> _AdapterHandle (kill()-able).
         self._processes: dict[int, _AdapterHandle] = {}
         self._threads: list[threading.Thread] = []
@@ -199,12 +200,12 @@ class FabricPool:
         for slot in range(slots):
             try:
                 self._processes[slot] = self._connect(slot)
-                self._live += 1
+                self._live.add(slot)
             except (HandshakeError, ProtocolError, OSError) as e:
                 failures += 1
                 _count("fabric.handshake_failures")
                 _log().warning("adapter slot %d failed to connect: %s", slot, e)
-        if self._live == 0:
+        if not self._live:
             raise BrokenProcessPool(
                 f"no fabric adapter reachable over {kind} "
                 f"({failures} connection failure(s))"
@@ -271,7 +272,7 @@ class FabricPool:
             closed = self._closed
             if not closed:
                 self._processes[slot] = handle
-                self._live += 1
+                self._live.add(slot)
         if closed:
             # Shut down while connecting (a supervisor kill): shutdown()
             # never saw this adapter, so it must not outlive the pool.
@@ -281,10 +282,11 @@ class FabricPool:
         return handle
 
     def _slot_lost(self, slot: int) -> None:
-        """One slot's adapter is gone; break the pool when it was the last."""
+        """``slot`` has no adapter and could not reconnect; break the pool
+        when no live slot is left. Idempotent: a slot counts once."""
         with self._lock:
-            self._live -= 1
-            last = self._live <= 0 and not self._closed
+            self._live.discard(slot)
+            last = not self._live and not self._closed
             if last:
                 self._broken = True
         if last:
@@ -368,7 +370,7 @@ class FabricPool:
 
     def _requeue_or_fail(self, fut: Future, payload) -> None:
         with self._lock:
-            broken = self._broken or self._closed or self._live <= 0
+            broken = self._broken or self._closed or not self._live
         if broken:
             fut.set_exception(BrokenProcessPool(
                 "every fabric adapter disconnected and reconnection failed"
@@ -427,11 +429,8 @@ class FabricPool:
                 "adapter %s lost mid-chunk: %s", handle.label, e
             )
             handle.kill()
-            with self._lock:
-                self._live -= 1
-            fresh = self._reconnect(slot)
-            if fresh is None:
-                self._slot_lost_after_retry(slot)
+            if self._reconnect(slot) is None:
+                self._slot_lost(slot)
             if not fut.done():
                 fut.set_exception(
                     e if isinstance(e, ConnectionClosed)
@@ -439,17 +438,6 @@ class FabricPool:
                         f"adapter {handle.label} lost mid-chunk: {e}"
                     )
                 )
-
-    def _slot_lost_after_retry(self, slot: int) -> None:
-        with self._lock:
-            last = self._live <= 0 and not self._closed
-            if last:
-                self._broken = True
-        if last:
-            _log().warning("all fabric adapters lost; marking pool broken")
-            self._fail_pending(BrokenProcessPool(
-                "every fabric adapter disconnected and reconnection failed"
-            ))
 
 
 def _mirror(src: Future, dst: Future) -> None:

@@ -13,9 +13,10 @@ miss runs as usual and writes back. Pass ``cache=False`` to opt a single
 call out, or an explicit :class:`~repro.cache.CampaignCache` to override
 the installed one.
 
-Pooled dispatch is *supervised* (:mod:`repro.util.supervisor`): crashed,
-hung, or raising workers are retried with backoff on a respawned pool, so a
-host-side infrastructure fault no longer aborts a campaign. A campaign
+Pooled dispatch goes through :func:`repro.util.parallel.parallel_map`,
+whose supervisor retries crashed, hung, or raising workers with backoff on a
+respawned pool, so a host-side infrastructure fault no longer aborts a
+campaign, and whose chunks bring worker telemetry home. A campaign
 either returns the complete, bit-identical outcome set or raises a typed
 :class:`~repro.errors.HarnessError`; partial results are never returned and
 never published to the cache.
@@ -38,7 +39,7 @@ from repro.fi.outcome import Outcome, OutcomeCounts, classify_run
 from repro.fi.stats import wilson_interval
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
-from repro.obs.core import current as _obs_current, install_worker
+from repro.obs.core import current as _obs_current
 from repro.obs.progress import progress_scope
 from repro.obs.spans import span as _span
 from repro.runconfig import UNSET, RunConfig, resolve
@@ -140,13 +141,6 @@ class PerInstructionResult:
 # Program, rebuilt from module text and kept while later campaigns inject
 # into the same text. A worker holds one context and one Program: both are
 # dropped before the next campaign's are decoded.
-#
-# Telemetry reducer: when the parent has an active obs session, workers
-# install a metrics-only telemetry (pid-guarded, so a forked child never
-# touches the parent's trace file) and return a drained metrics delta with
-# every batch; the parent merges the deltas and emits one ``campaign.batch``
-# record per batch as results stream back. Deterministic counters therefore
-# match the serial path exactly.
 # ---------------------------------------------------------------------------
 
 _worker_cache: dict[str, Program] = {}
@@ -160,40 +154,6 @@ def _get_program(module_text: str) -> Program:
         prog = Program(parse_module(module_text))
         _worker_cache[module_text] = prog
     return prog
-
-
-def _ensure_worker_obs(enabled: bool, span_root: str | None = None) -> bool:
-    """Install (once) a metrics-only telemetry in this worker process.
-
-    Returns whether a *worker* telemetry is collecting — ``False`` both when
-    telemetry is off and when the batch runs in-process in the parent, whose
-    own session then counts the trials directly (no double accounting).
-    ``span_root`` re-pins the parent span id each batch so worker span
-    subtrees attach under the currently dispatching campaign's span.
-    """
-    if not enabled:
-        return False
-    t = _obs_current()
-    if t is None:
-        install_worker(span_root)
-        return True
-    if t.is_worker:
-        t.span_root = span_root
-    return t.is_worker
-
-
-def _batch_info(n_trials: int, collecting: bool) -> dict | None:
-    """Per-batch telemetry payload shipped back to the parent."""
-    if not collecting:
-        return None
-    t = _obs_current()
-    collecting = t is not None and t.is_worker
-    return {
-        "trials": n_trials,
-        "pid": os.getpid(),
-        "metrics": t.metrics.drain() if collecting else None,
-        "spans": t.drain_spans() if collecting else None,
-    }
 
 
 def _run_chunk_scalar(
@@ -281,13 +241,7 @@ def _run_chunk_lockstep(
     return out
 
 
-def _init_worker(
-    module_text: str,
-    lockstep: bool,
-    trial: tuple,
-    obs_enabled: bool = False,
-    span_root: str | None = None,
-) -> None:
+def _init_worker(module_text: str, lockstep: bool, trial: tuple) -> None:
     """Per-map worker initializer: pin the campaign's program and trial
     context (``trial`` holds the chunk runner's arguments after the chunk)."""
     _worker_ctx.clear()
@@ -295,35 +249,24 @@ def _init_worker(
         program=_get_program(module_text),
         run=_run_chunk_lockstep if lockstep else _run_chunk_scalar,
         trial=trial,
-        obs=obs_enabled,
-        span_root=span_root,
     )
 
 
 def _inject_chunk(chunk):
-    """Worker entry: one chunk → ((pos, iid, outcome)…, telemetry info)."""
+    """Worker entry: one chunk → its ``(pos, iid, outcome)`` rows and the
+    pid that ran them."""
     ctx = _worker_ctx
-    collecting = _ensure_worker_obs(ctx["obs"], ctx["span_root"])
-    out = ctx["run"](ctx["program"], chunk, *ctx["trial"])
-    return out, _batch_info(len(out), collecting)
+    return ctx["run"](ctx["program"], chunk, *ctx["trial"]), os.getpid()
 
 
-def _merge_batch_info(t, cid: str | None, info: dict | None, mode: str) -> None:
-    """Parent side of the reducer: fold one batch's telemetry into the run."""
-    if t is None or info is None:
-        return
-    if info.get("metrics"):
-        t.metrics.merge(info["metrics"])
-    for rec in info.get("spans") or ():
-        # Shipped worker spans re-home under the parent's run id; their
-        # span/parent ids (``w{pid}-{n}``) are unique across the whole run.
-        rec["run"] = t.run_id
-        t.sink.write(rec)
-    t.emit(
-        "campaign.batch",
-        {"trials": info["trials"], "pid": info["pid"], "mode": mode},
-        campaign=cid,
-    )
+def _note_batch(t, cid: str | None, trials: int, pid: int, mode: str) -> None:
+    """Emit one ``campaign.batch`` record when a session is active."""
+    if t is not None:
+        t.emit(
+            "campaign.batch",
+            {"trials": trials, "pid": pid, "mode": mode},
+            campaign=cid,
+        )
 
 
 def _note_campaign(
@@ -457,19 +400,12 @@ def _dispatch_sites(
                 row for chunk in chunks
                 for row in run_chunk(program, chunk, *trial, rep=rep)
             ]
-        # No metrics delta: the parent session counted the trials directly.
-        _merge_batch_info(
-            t, obs_cid, {"trials": len(sites), "pid": os.getpid()}, "serial"
-        )
+        _note_batch(t, obs_cid, len(sites), os.getpid(), "serial")
     else:
-        init_args = (
-            print_module(program.module), lockstep, trial, t is not None,
-            t.current_span() if t is not None else None,
-        )
 
         def on_result(res) -> None:
-            chunk_rows, info = res
-            _merge_batch_info(t, obs_cid, info, "worker")
+            chunk_rows, pid = res
+            _note_batch(t, obs_cid, len(chunk_rows), pid, "worker")
             if rep is not None:
                 rep.update(len(chunk_rows))
 
@@ -478,12 +414,12 @@ def _dispatch_sites(
                 _inject_chunk,
                 chunks,
                 initializer=_init_worker,
-                initargs=init_args,
+                initargs=(print_module(program.module), lockstep, trial),
                 on_result=on_result,
                 run=run,
                 pool_factory=pool_factory,
             )
-        done = [row for chunk_rows, _info in out for row in chunk_rows]
+        done = [row for chunk_rows, _pid in out for row in chunk_rows]
     results: list = [None] * len(sites)
     for pos, iid, o in done:
         results[pos] = (iid, Outcome(o))

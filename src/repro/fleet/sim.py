@@ -56,39 +56,31 @@ _HANG_FACTOR = 8
 # Worker side: run one defective-host job under its sticky signature.
 # ---------------------------------------------------------------------------
 
-_APP_CACHE: dict = {}
+_PROGRAM_CACHE: dict = {}
 _BIND_CACHE: dict = {}
 
 
-def _app_state(app_name: str):
-    state = _APP_CACHE.get(app_name)
-    if state is None:
+def _program(app_name: str):
+    program = _PROGRAM_CACHE.get(app_name)
+    if program is None:
         from repro.apps.registry import get_app
 
-        app = get_app(app_name)
-        args, bindings = app.encode(app.reference_input)
-        golden = app.program.run(args=args, bindings=bindings)
-        state = _APP_CACHE[app_name] = (
-            app.program, args, bindings, golden.output,
-            golden.steps * _HANG_FACTOR + 10_000,
-            app.rel_tol, app.abs_tol,
-        )
-    return state
+        program = _PROGRAM_CACHE[app_name] = get_app(app_name).program
+    return program
 
 
 def _run_fleet_job(item):
     """One defective-host job: sticky run + outcome classification.
 
-    ``item`` is a flat picklable tuple; the per-process caches make the
-    golden run and the signature binding one-time costs per worker.
-    Returns ``(outcome_name, visits, corrupted, detected)``.
+    ``item`` is a flat picklable tuple led by the app's job spec, which
+    carries the input, the golden output and the golden step count; the
+    per-process caches make decoding the program and binding the
+    signature one-time costs per worker. Returns ``(outcome_name, visits,
+    corrupted, detected)``.
     """
-    (app_name, protected, opcode, bit, mode, fseed,
-     fire_rate, pattern_bits, salt) = item
-    program, args, bindings, golden_output, limit, rel_tol, abs_tol = (
-        _app_state(app_name)
-    )
-    bind_key = (app_name, protected, opcode, bit, mode, fseed,
+    (spec, opcode, bit, mode, fseed, fire_rate, pattern_bits, salt) = item
+    program = _program(spec.app_name)
+    bind_key = (spec.app_name, spec.protected, opcode, bit, mode, fseed,
                 fire_rate, pattern_bits)
     bound = _BIND_CACHE.get(bind_key)
     if bound is None:
@@ -97,19 +89,22 @@ def _run_fleet_job(item):
             fire_rate=fire_rate, pattern_bits=pattern_bits,
         )
         bound = _BIND_CACHE[bind_key] = BoundHostFault(
-            model, program, protected
+            model, program, spec.protected
         )
     sticky = bound.start_run(salt)
     trap = None
     output = None
     try:
         result = program.run(
-            args=args, bindings=bindings, sticky=sticky, step_limit=limit
+            args=spec.args, bindings=dict(spec.bindings), sticky=sticky,
+            step_limit=spec.golden_steps * _HANG_FACTOR + 10_000,
         )
         output = result.output
     except Trap as t:
         trap = t
-    outcome = classify_run(golden_output, output, trap, rel_tol, abs_tol)
+    outcome = classify_run(
+        spec.golden_output, output, trap, spec.rel_tol, spec.abs_tol
+    )
     return (outcome.name, sticky.visits, sticky.corrupted, sticky.detected)
 
 
@@ -261,8 +256,8 @@ class FleetSim:
                     continue
                 d = host.defect
                 items.append((
-                    spec.app_name, spec.protected, d.opcode, d.bit, d.mode,
-                    d.seed, d.fire_rate, d.pattern_bits,
+                    spec, d.opcode, d.bit, d.mode, d.seed, d.fire_rate,
+                    d.pattern_bits,
                     derive_seed(self.seed, "job", rnd, host.host_id),
                 ))
                 item_hosts.append(host)

@@ -18,7 +18,7 @@ The subsystem has four layers:
   :func:`~repro.obs.core.session`. Instrumentation call sites are guarded by
   ``current() is None`` so a run without a session pays a single attribute
   check; pool workers install a metrics-only telemetry and ship their deltas
-  back with each result batch (the reducer pattern).
+  back with each chunk's results (the reducer pattern).
 """
 
 from repro.obs.core import (

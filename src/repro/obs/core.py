@@ -11,11 +11,13 @@ Multiprocessing
 ---------------
 :func:`current` is pid-guarded: a forked pool worker inherits the parent's
 module state but must never write to the parent's trace file, so an
-inherited telemetry reads as "none" in the child. Campaign workers instead
-call :func:`install_worker` to get a **metrics-only** telemetry (events are
-discarded, counters accumulate) and ship drained deltas back with each
-result batch; the parent merges them. Deterministic counters therefore come
-out identical whatever the worker count.
+inherited telemetry reads as "none" in the child. When the parent traces,
+:func:`repro.util.parallel.parallel_map` calls :func:`install_worker` in
+each of its workers for a **metrics-only** telemetry (events are discarded,
+counters accumulate, spans are buffered) and ships the drained counters and
+spans home with each chunk's results; the parent merges them before the
+caller sees those results. Deterministic counters therefore come out
+identical whatever the worker count, for every caller of the map.
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ def install_worker(span_root: str | None = None) -> Telemetry:
     """Install a metrics-only telemetry in a pool worker process.
 
     Events go to a :class:`NullSink`; counters accumulate locally
-    until the worker batch function drains them into its return value.
+    until the pooled map's worker entry drains them into its chunk's
+    return value.
     ``span_root`` seeds the parent span id so worker span subtrees attach
     under the dispatching campaign's span once shipped home.
     """

@@ -3,7 +3,7 @@
 ``--dashboard`` on ``repro fi`` / ``repro protect`` replaces the scrolling
 heartbeat lines with a small panel repainted in place on every throttled
 progress emit. The panel reads the *live merged* metrics of the installed
-telemetry — worker deltas land there with each completed result batch — so
+telemetry — worker deltas land there with each completed chunk — so
 it shows, mid-campaign:
 
 * throughput (done/total, rate, ETA) from the active progress reporter;

@@ -7,8 +7,8 @@ count. They are the only metric; durations live in spans
 
 Pool workers accumulate into a process-local registry and
 :meth:`MetricsRegistry.drain` it into a plain dict shipped back with each
-result batch; the parent :meth:`MetricsRegistry.merge`\\ s the delta. This is
-the reducer half of the "queue/reducer" design: deltas ride the existing
+chunk's results; the parent :meth:`MetricsRegistry.merge`\\ s the delta. This
+is the reducer half of the "queue/reducer" design: deltas ride the existing
 ``parallel_map`` result channel, so no extra IPC machinery (or queue
 lifetime management) is needed and reduction order never affects totals.
 """

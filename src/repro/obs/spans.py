@@ -19,8 +19,9 @@ trace's phase spans into exclusive seconds per phase.
 Nesting is ambient: the installed :class:`~repro.obs.core.Telemetry` keeps a
 span stack, and the innermost open span becomes the parent of the next one.
 Workers buffer their span records (their sink is a ``NullSink``) and the
-campaign dispatcher ships them home inside result batches, re-parented under
-the campaign span via the ``span_root`` seed (see ``fi/campaign.py``).
+pooled map ships them home with each chunk's results, re-parented under the
+span that dispatched the map via the ``span_root`` seed (see
+``util/supervisor.py``).
 
 Determinism
 -----------

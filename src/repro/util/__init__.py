@@ -17,7 +17,7 @@ from repro.util.bitops import (
 )
 from repro.util.rng import RngStream, derive_seed
 from repro.util.parallel import parallel_map
-from repro.util.supervisor import SupervisorConfig, parse_chaos, supervised_map
+from repro.util.supervisor import parse_chaos
 from repro.util.tables import format_table
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "canonical_bytes",
     "derive_seed",
     "parallel_map",
-    "supervised_map",
-    "SupervisorConfig",
     "parse_chaos",
     "stable_digest",
     "format_table",

@@ -1,20 +1,22 @@
-"""Supervised process-pool execution: self-healing fan-out for campaigns.
+"""Supervised pool execution: the pooled path of ``parallel_map``.
 
-:func:`repro.util.parallel.parallel_map` used to drive a bare ``pool.map``:
-one OOM-killed worker raised ``BrokenProcessPool`` and aborted an hours-long
-campaign, and a hung worker stalled the run forever. This module replaces
-that pooled path with a *supervisor*: futures-based per-chunk dispatch with
+A bare ``pool.map`` let one OOM-killed worker raise ``BrokenProcessPool``
+and abort an hours-long campaign, and a hung worker stall the run forever.
+The pooled path of :func:`repro.util.parallel.parallel_map` is therefore a
+*supervisor*: futures-based per-chunk dispatch with
 
-* **bounded retries with exponential backoff** — a chunk whose worker raised
-  is re-submitted up to ``max_retries`` times before a typed
-  :class:`~repro.errors.HarnessError` surfaces;
+* **bounded retries with exponential backoff** — a chunk whose worker
+  raised or hung is re-submitted up to the run configuration's
+  ``max_retries`` times before a typed :class:`~repro.errors.HarnessError`
+  surfaces; every retry counts in ``harness.retries``;
 * **pool recovery** — a broken pool is respawned (same worker count) and
   only unfinished chunks are re-submitted;
 * **hang detection** — with ``task_timeout`` set, an in-flight chunk past its
   wall-clock deadline has its workers killed and is retried on a fresh pool;
-* **graceful degradation** — after ``max_pool_respawns`` crash-respawns the
-  supervisor stops fighting the infrastructure and finishes the remaining
-  chunks serially in-process instead of crashing the campaign.
+* **graceful degradation** — after :data:`MAX_POOL_RESPAWNS` crash-respawns,
+  or when a crashing chunk has exhausted its retries, the supervisor stops
+  fighting the infrastructure and finishes the remaining chunks serially
+  in-process instead of crashing the campaign.
 
 Results are delivered in submission order regardless of completion order and
 work functions are deterministic, so a supervised run — retries, respawns,
@@ -25,9 +27,16 @@ to one map: the outermost scope's :class:`~repro.runconfig.PoolSlot` hands
 every pooled map with the same worker count and transport the same pool,
 and the scope's exit shuts it down with its workers joined. A map outside
 any scope opens its own, so its pool lives exactly as long as the call.
-Pools therefore hold no per-map state: a map's initializer travels,
-pickled once per map, inside every chunk payload (:class:`_MapTask`), and
-each worker runs it once before its first item of that map.
+Pools therefore hold no per-map state: what a worker needs once per map —
+the map's initializer and whether the parent traces it — travels inside
+every chunk payload (:class:`_MapTask`).
+
+Worker telemetry rides the same channel. When the parent has a telemetry
+session, each worker installs a metrics-only telemetry and every chunk
+comes home with its drained counters and span records; the supervisor
+merges them into the parent session, in submission order, before
+``on_result`` sees the chunk's results. Deterministic counters therefore
+read the same at any worker count, for every caller of the map.
 
 The ``REPRO_CHAOS`` hook (:func:`parse_chaos`) injects worker crashes
 (``os._exit``), hangs, and exceptions *into the harness itself* —
@@ -50,67 +59,34 @@ import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
-from repro.errors import (
-    ChaosError,
-    ConfigError,
-    PoolDegraded,
-    WorkerCrash,
-    WorkerError,
-    WorkerTimeout,
-)
-from repro.runconfig import resolve, run_scope, scope_pool
-
-T = TypeVar("T")
-R = TypeVar("R")
+from repro.errors import ChaosError, ConfigError, WorkerError, WorkerTimeout
+from repro.obs.core import current, install_worker
+from repro.runconfig import RunConfig, run_scope, scope_pool
 
 __all__ = [
-    "SupervisorConfig",
+    "BACKOFF_BASE",
+    "BACKOFF_MAX",
+    "MAX_POOL_RESPAWNS",
     "ChaosFault",
     "parse_chaos",
     "set_chaos_identity",
     "chaos_identity",
-    "supervised_map",
     "CHAOS_IDENTITY_ENV",
 ]
+
+#: First retry backoff in seconds; doubles per attempt up to BACKOFF_MAX.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+#: Pool crash-respawns one map tolerates before degrading to serial.
+MAX_POOL_RESPAWNS = 3
 
 #: An injected hang sleeps this long — far past any sane task deadline, so
 #: the supervisor's kill path (not the sleep expiring) ends it.
 _CHAOS_HANG_SECONDS = 3600.0
 #: Exit status of an injected crash (distinctive in worker-death logs).
 _CHAOS_EXIT_CODE = 113
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Retry/timeout policy of one supervised map."""
-
-    #: Failed chunk re-submissions allowed before a typed error surfaces.
-    max_retries: int = 2
-    #: Per-chunk wall-clock deadline in seconds (None = no hang detection).
-    task_timeout: float | None = None
-    #: First retry backoff; doubles per attempt up to :attr:`backoff_max`.
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    #: Pool crash-respawns tolerated before degrading to serial execution.
-    max_pool_respawns: int = 3
-    #: Degrade to in-process serial execution instead of raising
-    #: :class:`~repro.errors.PoolDegraded` when the respawn budget runs out.
-    serial_fallback: bool = True
-    #: Parsed chaos faults shipped to workers (see :func:`parse_chaos`).
-    chaos: tuple["ChaosFault", ...] = ()
-
-    @classmethod
-    def from_run(cls, run) -> "SupervisorConfig":
-        """The policy of a resolved :class:`repro.runconfig.RunConfig`."""
-        return cls(max_retries=run.max_retries, task_timeout=run.task_timeout,
-                   chaos=run.chaos)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +220,16 @@ def maybe_chaos(
 def _scrub_worker_metrics() -> None:
     """Discard metric residue a previous, aborted attempt left behind.
 
-    Worker metrics are drained into every completed batch's return value, so
+    Worker metrics are drained into every completed chunk's return value, so
     a healthy worker's registry is empty between chunks; anything found at
     chunk start is exactly the partial accounting of an attempt that died
     mid-flight. Dropping it keeps deterministic counters (``vm.steps``,
     ``fi.trials``) identical between failure-free and retried runs. The same
     holds for buffered span records: a chunk that died mid-flight leaves its
-    partial span subtree behind, and shipping it with the *retry's* batch
+    partial span subtree behind, and shipping it with the *retry's* chunk
     would double-charge the chunk in the trace — drain it (and reset the
     nesting stack) before any new work runs.
     """
-    from repro.obs.core import current
-
     t = current()
     if t is not None and t.is_worker:
         t.metrics.drain()
@@ -268,35 +242,66 @@ _worker_map: str | None = None
 
 
 class _MapTask(NamedTuple):
-    """A map's ``fn`` carrying the map's initializer to the worker.
+    """A map's ``fn`` plus what a worker needs to know once per map.
 
-    Stands in for ``fn`` in chunk payloads, so the payload keeps its shape.
-    ``init`` is ``(initializer, initargs)`` pickled once per map; a worker
-    unpickles and runs it before its first item of a map whose ``token``
-    it has not seen — once per worker per map, what a pool initializer
-    did when every map forked its own pool.
+    Takes ``fn``'s place in chunk payloads, so the payload keeps its shape.
+    ``init`` is ``(initializer, initargs)`` pickled once per map (``None``
+    without an initializer); a worker runs it before its first item of a
+    map whose ``token`` it has not seen — once per worker per map, what a
+    pool initializer did when every map forked its own pool. ``obs`` says
+    the parent traces the map: the worker then ships its telemetry home
+    with every chunk, its spans attached under ``span_root``.
     """
 
     fn: Callable
     token: str
-    init: bytes
+    init: bytes | None
+    obs: bool
+    span_root: str | None
 
-    def __call__(self, item):
-        global _worker_map
-        if _worker_map != self.token:
-            initializer, initargs = pickle.loads(self.init)
-            initializer(*initargs)
-            _worker_map = self.token
-        return self.fn(item)
+
+def _worker_telemetry(task: _MapTask):
+    """The telemetry whose counters and spans ship home with this chunk.
+
+    ``None`` when the parent does not trace the map, and in the in-process
+    fabric adapter, which shares the parent's session: that session counts
+    the chunk directly and must never be drained. Elsewhere (a pool worker,
+    an adapter subprocess) the first traced chunk installs a metrics-only
+    worker telemetry, and every chunk re-roots it under its map's span.
+    """
+    if not task.obs:
+        return None
+    t = current()
+    if t is None:
+        return install_worker(task.span_root)
+    if not t.is_worker:
+        return None
+    t.span_root = task.span_root
+    return t
 
 
 def _run_chunk(payload):
-    """Pool-worker entry: apply ``fn`` to one chunk of items, in order."""
-    fn, chunk_items, index, attempt, chaos = payload
+    """Worker entry: one chunk of items → ``(results, telemetry)``.
+
+    ``results`` holds ``fn`` of each item, in order; ``telemetry`` is the
+    worker's drained ``(counters, spans)`` when the map ships telemetry,
+    else ``None``.
+    """
+    global _worker_map
+    task, chunk_items, index, attempt, chaos = payload
     _scrub_worker_metrics()
     if chaos:
         maybe_chaos(chaos, index, attempt)
-    return [fn(item) for item in chunk_items]
+    t = _worker_telemetry(task)
+    if _worker_map != task.token:
+        if task.init is not None:
+            initializer, initargs = pickle.loads(task.init)
+            initializer(*initargs)
+        _worker_map = task.token
+    results = [task.fn(item) for item in chunk_items]
+    if t is None:
+        return results, None
+    return results, (t.metrics.drain(), t.drain_spans())
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +315,6 @@ def _note(
     counters: dict | None = None,
 ) -> None:
     """Emit harness telemetry when a session is active (else free)."""
-    from repro.obs.core import current
-
     t = current()
     if t is None:
         return
@@ -324,7 +327,7 @@ def _note(
 class _Chunk:
     """Supervisor bookkeeping for one submitted slice of the work list."""
 
-    __slots__ = ("index", "items", "attempts", "result", "done",
+    __slots__ = ("index", "items", "attempts", "result", "telemetry", "done",
                  "ready_at", "deadline", "last_error")
 
     def __init__(self, index: int, items: list) -> None:
@@ -332,6 +335,7 @@ class _Chunk:
         self.items = items
         self.attempts = 0          # failures charged so far
         self.result: list | None = None
+        self.telemetry = None      # what _run_chunk shipped home
         self.done = False
         self.ready_at = 0.0        # backoff: not re-submittable before this
         self.deadline: float | None = None
@@ -339,28 +343,36 @@ class _Chunk:
 
 
 class _Supervisor:
+    """The pooled path of one map: its chunks, pool and failure budget."""
+
     def __init__(
         self,
         fn: Callable,
-        chunks: list[_Chunk],
-        workers: int,
+        chunks: Sequence[list],
+        run: RunConfig,
         initializer: Callable | None,
         initargs: tuple,
         on_result: Callable | None,
-        config: SupervisorConfig,
-        pool_factory: Callable | None = None,
+        pool_factory: Callable | None,
     ) -> None:
         self.fn = fn
-        self.chunks = chunks
-        self.workers = workers
+        self.chunks = [_Chunk(k, items) for k, items in enumerate(chunks)]
+        # A factory gets at least one slot, even from a serial run.
+        self.workers = max(1, run.workers)
+        self.run_config = run
         self.initializer = initializer
         self.initargs = initargs
-        # What workers run: fn itself, or fn with the map's initializer.
-        self.task = fn if initializer is None else _MapTask(
-            fn, uuid.uuid4().hex, pickle.dumps((initializer, initargs))
+        # The parent session merges what the workers ship home.
+        self.obs = current()
+        self.task = _MapTask(
+            fn,
+            uuid.uuid4().hex,
+            None if initializer is None
+            else pickle.dumps((initializer, initargs)),
+            self.obs is not None,
+            self.obs.current_span() if self.obs is not None else None,
         )
         self.on_result = on_result
-        self.config = config
         self.pool_factory = pool_factory
         self.slot = None           # the scope's PoolSlot, set by run()
         self.pool: ProcessPoolExecutor | None = None
@@ -400,10 +412,24 @@ class _Supervisor:
         while (self._next_emit < len(self.chunks)
                and self.chunks[self._next_emit].done):
             ready = self.chunks[self._next_emit]
+            if ready.telemetry is not None:
+                self._merge(ready.telemetry)
+                ready.telemetry = None
             if self.on_result is not None:
                 for r in ready.result:
                     self.on_result(r)
             self._next_emit += 1
+
+    def _merge(self, telemetry) -> None:
+        """Fold one chunk's worker counters and spans into the session."""
+        counters, spans = telemetry
+        t = self.obs
+        t.metrics.merge(counters)
+        for rec in spans:
+            # Shipped worker spans re-home under the parent's run id; their
+            # span/parent ids (``w{pid}-{n}``) are unique across the run.
+            rec["run"] = t.run_id
+            t.sink.write(rec)
 
     # -- failure accounting ---------------------------------------------
     def _charge(self, chunk: _Chunk, reason: str, error=None) -> None:
@@ -416,14 +442,11 @@ class _Supervisor:
              "reason": reason},
             counters={"harness.retries": 1},
         )
-        if chunk.attempts <= self.config.max_retries:
-            delay = min(
-                self.config.backoff_max,
-                self.config.backoff_base * (2 ** (chunk.attempts - 1)),
-            )
+        if chunk.attempts <= self.run_config.max_retries:
+            delay = min(BACKOFF_MAX, BACKOFF_BASE * 2 ** (chunk.attempts - 1))
             chunk.ready_at = time.monotonic() + delay
             return
-        if reason == "crash" and self.config.serial_fallback:
+        if reason == "crash":
             # A chunk whose worker keeps dying still has the serial escape
             # hatch — degradation, not a raise, is the crash-path endgame.
             self._degrade("worker crashes exhausted retries")
@@ -440,21 +463,14 @@ class _Supervisor:
         )
         if reason == "timeout":
             raise WorkerTimeout(
-                f"{summary} (deadline {self.config.task_timeout}s)"
+                f"{summary} (deadline {self.run_config.task_timeout}s)"
             )
-        if reason == "crash":
-            raise WorkerCrash(summary)
         err = WorkerError(summary)
         if isinstance(error, BaseException):
             raise err from error
         raise err
 
     def _degrade(self, why: str) -> None:
-        if not self.config.serial_fallback:
-            raise PoolDegraded(
-                f"process pool failed {self.respawns} time(s) and serial "
-                f"fallback is disabled ({why})"
-            )
         if not self.degraded:
             self.degraded = True
             _note(
@@ -483,10 +499,10 @@ class _Supervisor:
             self._charge(chunk, "crash")
         inflight.clear()
         queue[:0] = sorted(affected, key=lambda c: c.index)
-        if self.respawns > self.config.max_pool_respawns:
+        if self.respawns > MAX_POOL_RESPAWNS:
             self._degrade(
                 f"pool broke {self.respawns} times "
-                f"(budget {self.config.max_pool_respawns})"
+                f"(budget {MAX_POOL_RESPAWNS})"
             )
 
     def _expire_deadlines(self, inflight: dict, queue: list) -> None:
@@ -497,33 +513,10 @@ class _Supervisor:
         if not hung:
             return
         self._kill_pool()
-        for chunk in hung:
-            _note(
-                "harness.retry",
-                {"chunk": chunk.index, "attempt": chunk.attempts + 1,
-                 "reason": "timeout"},
-            )
         _note(counters={"harness.worker_timeouts": len(hung),
                         "harness.pool_respawns": 1})
         for chunk in hung:
-            chunk.attempts += 1
-            chunk.last_error = "deadline exceeded"
-            if chunk.attempts > self.config.max_retries:
-                _note(
-                    "harness.failed",
-                    {"chunk": chunk.index, "reason": "timeout",
-                     "attempts": chunk.attempts},
-                    counters={"harness.chunks_failed": 1},
-                )
-                raise WorkerTimeout(
-                    f"chunk {chunk.index} ({len(chunk.items)} items) hung "
-                    f"past its {self.config.task_timeout}s deadline on "
-                    f"{chunk.attempts} attempt(s)"
-                )
-            chunk.ready_at = now + min(
-                self.config.backoff_max,
-                self.config.backoff_base * (2 ** (chunk.attempts - 1)),
-            )
+            self._charge(chunk, "timeout")
         # Innocent bystanders of the kill are requeued blame-free: their
         # results recompute deterministically, so nothing is lost but time.
         requeue = sorted(inflight.values(), key=lambda c: c.index)
@@ -603,7 +596,7 @@ class _Supervisor:
             for fut in done:
                 chunk = inflight.pop(fut)
                 try:
-                    chunk.result = fut.result()
+                    chunk.result, chunk.telemetry = fut.result()
                 except BrokenProcessPool:
                     victims.append(chunk)
                 except Exception as e:  # fn raised inside the worker
@@ -622,15 +615,15 @@ class _Supervisor:
         # A pool that declines chaos (the in-process fabric adapter, whose
         # ``crash`` kind would os._exit the harness itself) gets chunk
         # payloads with the fault list stripped.
-        chaos = (self.config.chaos
+        chaos = (self.run_config.chaos
                  if getattr(pool, "supports_chaos", True) else ())
         fut = pool.submit(
             _run_chunk,
             (self.task, chunk.items, chunk.index, chunk.attempts, chaos),
         )
+        timeout = self.run_config.task_timeout
         chunk.deadline = (
-            time.monotonic() + self.config.task_timeout
-            if self.config.task_timeout is not None else None
+            time.monotonic() + timeout if timeout is not None else None
         )
         return fut
 
@@ -643,68 +636,3 @@ class _Supervisor:
         if not marks:
             return None
         return max(0.01, min(marks) - now)
-
-
-def supervised_map(
-    fn: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    *,
-    workers: int,
-    chunksize: int | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-    on_result: Callable[[R], None] | None = None,
-    config: SupervisorConfig | None = None,
-    pool_factory: Callable | None = None,
-) -> list[R]:
-    """Map ``fn`` over ``items`` across a self-healing process pool.
-
-    The supervised equivalent of the pooled path of
-    :func:`repro.util.parallel.parallel_map` (same contract: submission-order
-    results, ``on_result`` streamed in order, ``initializer(*initargs)``
-    once per worker per map — both must pickle), plus the recovery
-    behaviour described in the module docstring. The pool is the run
-    scope's (see the module docstring).
-    ``chunksize`` groups items into per-future chunks (default ~4 chunks per
-    worker); ``config`` defaults to the policy of the ambient run
-    configuration (:func:`repro.runconfig.resolve`). ``workers <= 1`` or
-    a single item runs serially in-process — chaos and supervision never
-    apply there.
-
-    ``pool_factory`` swaps the executor: any callable with the
-    ``ProcessPoolExecutor(max_workers=)`` signature returning an
-    executor-shaped pool (``submit``/``shutdown``/killable
-    ``_processes``) — this is how the fabric of
-    :mod:`repro.fabric.harness` reuses the supervisor as its scheduler.
-    Maps in one scope share a pool when their worker counts and factories
-    compare equal.
-    With a factory set, dispatch always goes through the pool (the serial
-    shortcut would silently bypass the chosen transport), using at least
-    one worker slot.
-    """
-    items = list(items)
-    if config is None:
-        config = SupervisorConfig.from_run(resolve())
-    if pool_factory is None and (workers <= 1 or len(items) <= 1):
-        if initializer is not None:
-            initializer(*initargs)
-        out: list[R] = []
-        for item in items:
-            r = fn(item)
-            out.append(r)
-            if on_result is not None:
-                on_result(r)
-        return out
-    workers = max(1, workers)
-    if chunksize is None:
-        chunksize = max(1, -(-len(items) // (workers * 4)))
-    chunksize = max(1, chunksize)
-    chunks = [
-        _Chunk(k, items[off:off + chunksize])
-        for k, off in enumerate(range(0, len(items), chunksize))
-    ]
-    sup = _Supervisor(
-        fn, chunks, workers, initializer, initargs, on_result, config,
-        pool_factory=pool_factory,
-    )
-    return sup.run()

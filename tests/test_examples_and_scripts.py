@@ -110,6 +110,21 @@ class TestRunExperimentsScript:
         assert "1 experiment(s) failed" in err
         assert "fig2: RuntimeError: injected study failure" in err
 
+    @pytest.mark.parametrize("interval", ["abc", "-5"])
+    def test_bad_checkpoint_interval_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, interval
+    ):
+        """argparse rejects the flag (exit 2) before any study runs."""
+        script = load_script(ROOT / "scripts" / "run_experiments.py")
+        ran = []
+        monkeypatch.setattr(script, "_run", ran.append)
+        with pytest.raises(SystemExit) as ei:
+            script.main(["--out", str(tmp_path),
+                         "--checkpoint-interval", interval])
+        assert ei.value.code == 2
+        assert ran == []
+        assert "--checkpoint-interval" in capsys.readouterr().err
+
 
 class TestDocPathLint:
     """``scripts/doc_lint.py``: docs name only modules that exist."""

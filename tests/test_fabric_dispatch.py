@@ -11,6 +11,7 @@ supervisor retry machinery (docs/FABRIC.md).
 from __future__ import annotations
 
 import re
+import socket
 import subprocess
 import sys
 
@@ -95,6 +96,27 @@ class TestByteIdenticalAcrossTransports:
             )
         assert got.per_fault == serial.per_fault
         assert got.counts == serial.counts
+
+    def test_tcp_pool_keeps_its_live_adapter(self, needle, serial,
+                                             tcp_adapters):
+        """One live adapter and one closed port: the live adapter serves
+        every chunk, and the pool never breaks or degrades."""
+        a, b = needle.encode(needle.reference_input)
+        with socket.socket() as s:  # a port nothing listens on
+            s.bind(("127.0.0.1", 0))
+            closed = f"127.0.0.1:{s.getsockname()[1]}"
+        addrs = f"{tcp_adapters[0]},{closed}"
+        with session(sink=MemorySink()) as t, \
+                run_scope(transport="tcp", addrs=addrs):
+            got = run_campaign(
+                needle.program, FAULTS, SEED, args=a, bindings=b,
+                workers=2, **_kwargs(needle),
+            )
+            counters = t.metrics.snapshot()["counters"]
+        assert got.per_fault == serial.per_fault
+        assert got.counts == serial.counts
+        assert "harness.pool_respawns" not in counters
+        assert "harness.degraded" not in counters
 
     def test_explicit_transport_argument_wins(self, needle, serial):
         a, b = needle.encode(needle.reference_input)

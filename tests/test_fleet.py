@@ -102,9 +102,16 @@ class TestFleetSim:
         assert r.throughput_cost > 0.0
 
     def test_summary_identical_across_worker_counts(self):
-        serial = render_fleet_summary(_small_run(workers=0))
-        pooled = render_fleet_summary(_small_run(workers=2))
-        assert serial == pooled
+        # Pooled, then serial twice: a job counts the same whichever
+        # process runs it, and whether or not that process ran one before.
+        runs = []
+        for workers in (2, 0, 0):
+            with session(sink=MemorySink()) as t:
+                summary = render_fleet_summary(_small_run(workers=workers))
+            runs.append((summary, t.metrics.snapshot()["counters"]))
+        pooled, serial, again = runs
+        assert serial == pooled == again
+        assert pooled[1]["vm.runs"] > 0
 
     def test_different_seeds_differ(self):
         assert render_fleet_summary(_small_run(seed=3)) != \

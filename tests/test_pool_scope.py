@@ -19,7 +19,7 @@ from repro.errors import WorkerError
 from repro.fi.campaign import run_campaign
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
-from repro.runconfig import run_scope, scope_pool
+from repro.runconfig import resolve, run_scope, scope_pool
 from repro.util.parallel import parallel_map
 
 from tests.conftest import cached_app
@@ -109,9 +109,9 @@ class TestPerMapContext:
     def test_each_map_sees_only_its_own_initargs(self):
         items = list(range(16))
         with run_scope(workers=2):
-            first = parallel_map(_read_ctx, items, chunksize=1,
+            first = parallel_map(_read_ctx, items,
                                  initializer=_set_ctx, initargs=("a",))
-            second = parallel_map(_read_ctx, items, chunksize=1,
+            second = parallel_map(_read_ctx, items,
                                   initializer=_set_ctx, initargs=("b",))
         assert all(ctx[-1] == "a" for ctx, _pid in first)
         assert all(ctx[-1] == "b" for ctx, _pid in second)
@@ -130,7 +130,7 @@ class TestNoLeaks:
         assert multiprocessing.active_children() == []
 
     def test_a_map_outside_any_scope_joins_its_workers(self):
-        assert parallel_map(_square, range(8), workers=2) == [
+        assert parallel_map(_square, range(8), run=resolve(workers=2)) == [
             x * x for x in range(8)
         ]
         assert multiprocessing.active_children() == []
@@ -138,7 +138,7 @@ class TestNoLeaks:
     def test_worker_error_escaping_the_scope_leaves_no_worker(self):
         with pytest.raises(WorkerError):
             with run_scope(workers=2, chaos="exc@0#*", max_retries=0):
-                parallel_map(_square, range(8), chunksize=1)
+                parallel_map(_square, range(8))
         assert multiprocessing.active_children() == []
 
     def test_a_failed_map_discards_the_pool(self):
@@ -147,7 +147,7 @@ class TestNoLeaks:
         with run_scope(workers=2, max_retries=0):
             with run_scope(chaos="exc@0#*"):
                 with pytest.raises(WorkerError):
-                    parallel_map(_square, range(8), chunksize=1)
+                    parallel_map(_square, range(8))
             assert scope_pool().pool is None
             assert multiprocessing.active_children() == []
             assert parallel_map(_square, range(8)) == [x * x for x in range(8)]
@@ -202,7 +202,7 @@ class TestRecovery:
 
 def _child_sees_no_pool():
     assert scope_pool() is None
-    assert parallel_map(_square, range(8), workers=2) == [
+    assert parallel_map(_square, range(8), run=resolve(workers=2)) == [
         x * x for x in range(8)
     ]
 

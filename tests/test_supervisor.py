@@ -1,6 +1,6 @@
-"""The campaign supervisor: recovery semantics and the chaos hook.
+"""The pooled map's supervisor: recovery semantics and the chaos hook.
 
-The invariant under test everywhere: a supervised map that survived worker
+The invariant under test everywhere: a pooled map that survived worker
 crashes, hangs, injected exceptions, pool respawns, or degradation returns
 results **bit-identical** to a plain serial map, in submission order. The
 ``REPRO_CHAOS``-style faults used here go through the same
@@ -9,6 +9,8 @@ these tests exercise the production recovery paths, not mocks.
 
 Pool-spawning tests keep worker counts and item counts small — each test
 pays real ``ProcessPoolExecutor`` startup, and several deliberately kill it.
+Eight items on two workers travel as eight one-item chunks, so chunk ``k``
+is item ``k``.
 """
 
 from __future__ import annotations
@@ -21,33 +23,27 @@ from repro.errors import (
     ChaosError,
     ConfigError,
     HarnessError,
-    PoolDegraded,
     WorkerError,
     WorkerTimeout,
 )
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
 from repro.runconfig import KNOBS, resolve
+from repro.util import supervisor
+from repro.util.parallel import parallel_map
 from repro.util.supervisor import (
     CHAOS_IDENTITY_ENV,
     ChaosFault,
-    SupervisorConfig,
     chaos_identity,
     maybe_chaos,
     parse_chaos,
     set_chaos_identity,
-    supervised_map,
 )
 
 WORKERS_ENV = KNOBS["workers"].env
 MAX_RETRIES_ENV = KNOBS["max_retries"].env
 TASK_TIMEOUT_ENV = KNOBS["task_timeout"].env
 CHAOS_ENV = KNOBS["chaos"].env
-
-
-def _policy(**explicit) -> SupervisorConfig:
-    """The supervisor policy of the run configuration ``explicit`` resolves."""
-    return SupervisorConfig.from_run(resolve(**explicit))
 
 
 def _square(x):  # module-level: must pickle into pool workers
@@ -57,12 +53,17 @@ def _square(x):  # module-level: must pickle into pool workers
 ITEMS = list(range(8))
 EXPECT = [x * x for x in ITEMS]
 
-#: Fast-failure policy for tests that expect recovery (not exhaustion).
-FAST = SupervisorConfig(backoff_base=0.01, backoff_max=0.05)
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Fast-failure backoff for tests that expect recovery (not exhaustion)."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_MAX", 0.05)
 
 
-def _chaos(*entries: str) -> tuple[ChaosFault, ...]:
-    return parse_chaos(",".join(entries))
+def _pooled(**run):
+    """Map ``_square`` over ``ITEMS`` on two workers under ``run``."""
+    return parallel_map(_square, ITEMS, run=resolve(workers=2, **run))
 
 
 class TestParseChaos:
@@ -138,7 +139,7 @@ class TestResolveConfig:
     def test_defaults(self, monkeypatch):
         for env in (MAX_RETRIES_ENV, TASK_TIMEOUT_ENV, CHAOS_ENV):
             monkeypatch.delenv(env, raising=False)
-        cfg = _policy()
+        cfg = resolve()
         assert cfg.max_retries == 2
         assert cfg.task_timeout is None
         assert cfg.chaos == ()
@@ -147,7 +148,7 @@ class TestResolveConfig:
         monkeypatch.setenv(MAX_RETRIES_ENV, "5")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
         monkeypatch.setenv(CHAOS_ENV, "exc@2")
-        cfg = _policy()
+        cfg = resolve()
         assert cfg.max_retries == 5
         assert cfg.task_timeout == 1.5
         assert cfg.chaos == (ChaosFault("exc", 2, 0),)
@@ -155,19 +156,19 @@ class TestResolveConfig:
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv(MAX_RETRIES_ENV, "5")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
-        cfg = _policy(max_retries=1, task_timeout=9.0)
+        cfg = resolve(max_retries=1, task_timeout=9.0)
         assert cfg.max_retries == 1
         assert cfg.task_timeout == 9.0
 
     def test_nonpositive_timeout_disables_hang_detection(self):
-        assert _policy(task_timeout=0).task_timeout is None
-        assert _policy(task_timeout=-1).task_timeout is None
+        assert resolve(task_timeout=0).task_timeout is None
+        assert resolve(task_timeout=-1).task_timeout is None
 
     def test_unparsable_env_warns_and_uses_default(self, monkeypatch, caplog):
         monkeypatch.setenv(MAX_RETRIES_ENV, "many")
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "soon")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            cfg = _policy()
+            cfg = resolve()
         assert cfg.max_retries == 2
         assert cfg.task_timeout is None
         assert MAX_RETRIES_ENV in caplog.text
@@ -191,141 +192,107 @@ class TestResolveWorkersWarning:
         assert not caplog.records
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestSupervisedMapPlain:
     def test_matches_serial(self):
-        got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                             config=FAST)
-        assert got == EXPECT
+        assert _pooled() == EXPECT
 
     def test_serial_path_for_workers_leq_one(self):
         # Chaos aimed at chunk 0 must NOT fire here: workers<=1 runs fn
         # in-process and a triggered crash would kill pytest itself.
-        cfg = SupervisorConfig(chaos=_chaos("crash@0#*"))
-        assert supervised_map(_square, ITEMS, workers=0, config=cfg) == EXPECT
-        assert supervised_map(_square, ITEMS, workers=1, config=cfg) == EXPECT
+        for workers in (0, 1):
+            run = resolve(workers=workers, chaos="crash@0#*")
+            assert parallel_map(_square, ITEMS, run=run) == EXPECT
 
     def test_on_result_streams_in_submission_order(self):
         seen = []
-        supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                       on_result=seen.append, config=FAST)
+        parallel_map(_square, ITEMS, on_result=seen.append,
+                     run=resolve(workers=2))
         assert seen == EXPECT
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestRecovery:
     def test_worker_crash_is_retried_bit_identically(self):
-        cfg = SupervisorConfig(
-            backoff_base=0.01, backoff_max=0.05, chaos=_chaos("crash@2")
-        )
-        got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                             config=cfg)
-        assert got == EXPECT
+        assert _pooled(chaos="crash@2") == EXPECT
 
     def test_worker_exception_is_retried_bit_identically(self):
-        cfg = SupervisorConfig(
-            backoff_base=0.01, backoff_max=0.05,
-            chaos=_chaos("exc@1", "exc@6"),
-        )
         seen = []
-        got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                             on_result=seen.append, config=cfg)
+        got = parallel_map(_square, ITEMS, on_result=seen.append,
+                           run=resolve(workers=2, chaos="exc@1,exc@6"))
         assert got == EXPECT
         assert seen == EXPECT  # ordered delivery survives retries
 
     def test_hung_worker_is_killed_and_retried(self):
-        cfg = SupervisorConfig(
-            task_timeout=0.7, backoff_base=0.01, backoff_max=0.05,
-            chaos=_chaos("hang@0"),
-        )
-        got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                             config=cfg)
-        assert got == EXPECT
+        assert _pooled(task_timeout=0.7, chaos="hang@0") == EXPECT
 
-    def test_retry_exhaustion_raises_typed_worker_error(self):
-        cfg = SupervisorConfig(
-            max_retries=1, backoff_base=0.01, backoff_max=0.02,
-            chaos=_chaos("exc@3#*"),
-        )
+    def test_retry_exhaustion_raises_typed_worker_error(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_MAX", 0.02)
         with pytest.raises(WorkerError, match="chunk 3") as ei:
-            supervised_map(_square, ITEMS, workers=2, chunksize=1, config=cfg)
+            _pooled(max_retries=1, chaos="exc@3#*")
         assert isinstance(ei.value, HarnessError)
         assert isinstance(ei.value.__cause__, ChaosError)
 
     def test_hang_exhaustion_raises_worker_timeout(self):
-        cfg = SupervisorConfig(
-            max_retries=0, task_timeout=0.5, backoff_base=0.01,
-            chaos=_chaos("hang@0#*"),
-        )
         with pytest.raises(WorkerTimeout, match="deadline"):
-            supervised_map(_square, ITEMS, workers=2, chunksize=1, config=cfg)
+            _pooled(max_retries=0, task_timeout=0.5, chaos="hang@0#*")
 
-    def test_persistent_crashes_degrade_to_serial(self):
+    def test_persistent_crashes_degrade_to_serial(self, monkeypatch):
         # The crashing chunk never succeeds in a worker, so the only way
         # this returns is the serial fallback — where chaos doesn't fire.
-        cfg = SupervisorConfig(
-            max_retries=1, max_pool_respawns=0, backoff_base=0.01,
-            chaos=_chaos("crash@0#*"),
-        )
+        monkeypatch.setattr(supervisor, "MAX_POOL_RESPAWNS", 0)
         with session(sink=MemorySink()) as t:
-            got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                                 config=cfg)
+            got = _pooled(max_retries=1, chaos="crash@0#*")
         assert got == EXPECT
         assert t.metrics.counters.get("harness.degraded") == 1
         assert t.metrics.counters.get("harness.pool_respawns", 0) >= 1
 
-    def test_sticky_targeted_chunk_degrades_to_serial_exactly_once(self):
+    def test_sticky_targeted_chunk_degrades_to_serial_exactly_once(
+        self, monkeypatch
+    ):
         # Satellite case: a *sticky* targeted fault (``crash@5#*@badhost``)
         # with every pool worker wearing the ``badhost`` identity (env
         # fallback, inherited at spawn). Chunk 5 kills any worker that
         # touches it, the bounded retry/respawn budget burns out, and the
         # harness degrades to serial exactly once — where chaos is
         # scrubbed — yielding results bit-identical to a clean serial map.
-        import os
-
-        os.environ[CHAOS_IDENTITY_ENV] = "badhost"
-        cfg = SupervisorConfig(
-            max_retries=1, max_pool_respawns=1, backoff_base=0.01,
-            chaos=_chaos("crash@5#*@badhost"),
-        )
-        try:
-            with session(sink=MemorySink()) as t:
-                got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                                     config=cfg)
-        finally:
-            del os.environ[CHAOS_IDENTITY_ENV]
+        monkeypatch.setattr(supervisor, "MAX_POOL_RESPAWNS", 1)
+        monkeypatch.setenv(CHAOS_IDENTITY_ENV, "badhost")
+        chaos = "crash@5#*@badhost"
+        with session(sink=MemorySink()) as t:
+            got = _pooled(max_retries=1, chaos=chaos)
         assert got == EXPECT
-        assert got == supervised_map(_square, ITEMS, workers=0, config=cfg)
+        serial = resolve(workers=0, chaos=chaos)
+        assert got == parallel_map(_square, ITEMS, run=serial)
         assert t.metrics.counters.get("harness.degraded") == 1
 
     def test_targeted_fault_skips_anonymous_workers(self, monkeypatch):
         # Same sticky directive, but no process claims the identity: the
         # fault never fires and the run completes without a single retry.
         monkeypatch.delenv(CHAOS_IDENTITY_ENV, raising=False)
-        cfg = SupervisorConfig(
-            backoff_base=0.01, backoff_max=0.05,
-            chaos=_chaos("crash@5#*@badhost"),
-        )
         with session(sink=MemorySink()) as t:
-            got = supervised_map(_square, ITEMS, workers=2, chunksize=1,
-                                 config=cfg)
+            got = _pooled(chaos="crash@5#*@badhost")
         assert got == EXPECT
         assert t.metrics.counters.get("harness.retries", 0) == 0
         assert t.metrics.counters.get("harness.degraded", 0) == 0
 
-    def test_pool_degraded_raises_when_fallback_disabled(self):
-        cfg = SupervisorConfig(
-            max_pool_respawns=0, serial_fallback=False, backoff_base=0.01,
-            chaos=_chaos("crash@0#*"),
-        )
-        with pytest.raises(PoolDegraded):
-            supervised_map(_square, ITEMS, workers=2, chunksize=1, config=cfg)
-
-    def test_harness_telemetry_is_emitted_on_recovery(self):
-        cfg = SupervisorConfig(
-            backoff_base=0.01, backoff_max=0.05, chaos=_chaos("exc@4")
-        )
+    @pytest.mark.parametrize("chaos, run", [
+        ("exc@2", {}),
+        ("crash@2", {}),
+        ("hang@2", {"task_timeout": 1.0}),
+    ], ids=["exc", "crash", "hang"])
+    def test_harness_telemetry_is_emitted_on_recovery(self, chaos, run):
+        # Every retry counts once in harness.retries, whatever failed. A
+        # crash also charges the chunks in flight beside it (which one
+        # killed the worker is unknowable), so there only the crashed
+        # chunk's own count is exact on every run.
         sink = MemorySink()
         with session(sink=sink) as t:
-            supervised_map(_square, ITEMS, workers=2, chunksize=1, config=cfg)
-        assert t.metrics.counters.get("harness.retries") == 1
-        retries = [r for r in sink.records if r.get("name") == "harness.retry"]
-        assert retries and retries[0]["fields"]["chunk"] == 4
+            got = _pooled(chaos=chaos, **run)
+        assert got == EXPECT
+        retried = [r["fields"]["chunk"] for r in sink.records
+                   if r.get("name") == "harness.retry"]
+        assert t.metrics.counters.get("harness.retries") == len(retried)
+        assert retried.count(2) == 1
+        if not chaos.startswith("crash"):
+            assert retried == [2]

@@ -36,16 +36,16 @@ class TestParallelMap:
 
     def test_order_preserved_parallel(self):
         items = list(range(40))
-        out = parallel_map(_square, items, workers=2)
+        out = parallel_map(_square, items, run=resolve(workers=2))
         assert out == [x * x for x in items]
 
     def test_auto_chunksize_parallel(self):
         items = list(range(100))
-        out = parallel_map(_square, items, workers=2, chunksize=None)
+        out = parallel_map(_square, items, run=resolve(workers=2))
         assert out == [x * x for x in items]
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [5], workers=8) == [25]
+        assert parallel_map(_square, [5], run=resolve(workers=8)) == [25]
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -53,7 +53,7 @@ class TestParallelMap:
     def test_initializer_runs_on_serial_path(self):
         _init_calls.clear()
         out = parallel_map(
-            _read_init, [0, 1], workers=0,
+            _read_init, [0, 1], run=resolve(workers=0),
             initializer=_record_init, initargs=("ctx",),
         )
         assert out == [["ctx"], ["ctx"]]  # once per map, visible to items
@@ -61,7 +61,7 @@ class TestParallelMap:
     def test_initializer_seeds_worker_processes(self):
         _init_calls.clear()
         out = parallel_map(
-            _read_init, list(range(8)), workers=2,
+            _read_init, list(range(8)), run=resolve(workers=2),
             initializer=_record_init, initargs=("w",),
         )
         assert all(call == ["w"] for call in out)
