@@ -5,7 +5,8 @@ per-instruction lists. Walking those lists with an ``if``-chain costs one
 dispatch, several list reads and an operand-kind test per instruction. The
 compile tier removes that overhead: on a block's first execution it writes
 the block as Python source, with every operand spelled as ``slots[i]`` or a
-folded constant, and ``compile()``s it into one function. Each
+folded constant, and turns it into one function: by ``compile()``, or by
+relocating code compiled for a block of the same shape (below). Each
 :class:`~repro.vm.interpreter.Program` entry point (plain, faulty,
 profiled and sticky runs, checkpoint recording, and resume from a
 snapshot) executes these functions.
@@ -47,6 +48,20 @@ that compile their block, patch the table, and run the result. A
 ``Program`` that is built but never run costs no compile time, and blocks a
 run never reaches are never compiled. Compiling one block at a time keeps
 ``compile()``'s transient memory small.
+
+Relocation
+----------
+The SID transform and repeated studies build Programs whose blocks differ
+from blocks already compiled only in their numbers: each duplicate the
+transform inserts shifts every iid and slot index after it. So the
+generated source spells each slot index, iid, gid and check label as a
+placeholder string constant, one per occurrence, and records the value it
+stands for. The process-wide code cache is keyed by that canonical source.
+A miss ``compile()``s it and requires each placeholder to be its own
+``co_consts`` entry; binding a Program's numbers is then
+``CodeType.replace(co_consts=...)``. The cache keeps the code as first
+bound, so a Program with the same numbers (the same module, built again)
+gets that code object itself, and only a renumbered block gets a copy.
 """
 
 from __future__ import annotations
@@ -66,13 +81,18 @@ __all__ = ["CompiledProgram"]
 
 _M64 = (1 << 64) - 1
 
-#: Compiled block code by source digest, shared by every ``Program`` in the
-#: process: the SID transform and repeated studies build Programs whose
-#: blocks are mostly unchanged. Generated source names only content (gids,
-#: callee names, constant bits), so equal source means equal behaviour in
-#: any Program's namespace.
+#: Compiled block code by the digest of its canonical source, shared by
+#: every ``Program`` in the process: the SID transform and repeated studies
+#: build Programs whose blocks differ only in their numbers. An entry is
+#: ``(code, where, values)``: the code as first bound, the ``co_consts``
+#: position of each placeholder, and the values bound there. Canonical
+#: source names only content (callee names, constant bits, widths), so equal
+#: source with equal values means equal behaviour in any Program's namespace.
 _CODE_CACHE: OrderedDict = OrderedDict()
 _CODE_CACHE_MAX = 512
+#: Prefix of a placeholder constant. No IR constant is a string, and check
+#: labels are placeholders themselves, so no literal can collide with one.
+_MARK = "\x00R"
 
 # Names the generated code calls, bound once per namespace.
 _HELPERS = {
@@ -126,6 +146,31 @@ def _entry_name(fn_name: str) -> str:
     return f"_callx_{fn_name.encode().hex()}"
 
 
+def _compile(src: str, n: int) -> tuple:
+    """Compile canonical source with ``n`` placeholders: the block function's
+    code and the ``co_consts`` position of each placeholder."""
+    module = compile(src, "<repro.vm block>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    where = [-1] * n
+    for i, c in enumerate(code.co_consts):
+        if type(c) is str and c.startswith(_MARK):
+            k = int(c[len(_MARK):])
+            if where[k] >= 0:
+                raise AssertionError(f"placeholder {k} occurs twice")
+            where[k] = i
+    if -1 in where:
+        raise AssertionError(f"placeholder {where.index(-1)} was folded away")
+    return code, tuple(where)
+
+
+def _bind(code: CodeType, where: tuple, values: tuple) -> CodeType:
+    """``code`` with each placeholder's constant replaced by its value."""
+    consts = list(code.co_consts)
+    for i, v in zip(where, values):
+        consts[i] = v
+    return code.replace(co_consts=tuple(consts))
+
+
 def _stub(g: int, counted: bool, hooked: bool):
     """A table entry that compiles block ``g`` on its first call.
 
@@ -154,9 +199,17 @@ class _Source:
         # Source line numbers of loads, for the trap message.
         self.loads: list[int] = []
         self.stores = False
+        # What each placeholder stands for, in order.
+        self.values: list = []
 
     def emit(self, text: str, depth: int = 1) -> None:
         self.lines.append("    " * (depth + self.shift) + text)
+
+    def num(self, v) -> str:
+        """Placeholder ``k`` for one occurrence of a slot index, iid, gid or
+        check label: the numbers that renumbering changes."""
+        self.values.append(v)
+        return repr(f"{_MARK}{len(self.values) - 1}")
 
     def const(self, v) -> str:
         """A literal for ``v``; a name derived from its bits when no literal
@@ -169,7 +222,7 @@ class _Source:
         return f"({text})" if text.startswith("-") else text
 
     def operand(self, kind: int, payload) -> str:
-        return self.const(payload) if kind == 0 else f"slots[{payload}]"
+        return self.const(payload) if kind == 0 else f"slots[{self.num(payload)}]"
 
     def local(self, name: str, kind: int, payload) -> str:
         """Bind an operand that the formula reads more than once."""
@@ -182,21 +235,21 @@ class _Source:
         if self.hooked:
             if expr != "v":
                 self.emit(f"v = {expr}")
-            self.emit(f"v = _hook(st, {iid}, v)")
+            self.emit(f"v = _hook(st, {self.num(iid)}, v)")
             expr = "v"
-        self.emit(f"slots[{dest}] = {expr}")
+        self.emit(f"slots[{self.num(dest)}] = {expr}")
         self.count(iid)
 
     def count(self, iid: int) -> None:
         if self.counted:
-            self.emit(f"counts[{iid}] += 1")
+            self.emit(f"counts[{self.num(iid)}] += 1")
 
     # -- block entry -----------------------------------------------------
     def entry(self, blk) -> None:
         g = blk.gid
         self.emit("s = st.steps")
         self.emit("if s >= st.event_at:")
-        self.emit(f"_event(st, {g}, prev, slots)", 2)
+        self.emit(f"_event(st, {self.num(g)}, prev, slots)", 2)
         self.emit(f"s += {len(blk.code) + 1}")
         self.emit("if s > st.limit:")
         self.emit("_hang(st)", 2)
@@ -205,7 +258,7 @@ class _Source:
         if self.counted:
             self.emit("e = st.edges")
             self.emit("if e is not None and prev >= 0:")
-            self.emit(f"key = (prev, {g})", 2)
+            self.emit(f"key = (prev, {self.num(g)})", 2)
             self.emit("e[key] = e.get(key, 0) + 1", 2)
         if blk.phis:
             self.phis(blk.phis)
@@ -220,19 +273,19 @@ class _Source:
         )
         preds = sorted({g for d in phis for g in d[3]})
         for n, pred in enumerate(preds):
-            self.emit(f"{'if' if n == 0 else 'elif'} prev == {pred}:")
+            self.emit(f"{'if' if n == 0 else 'elif'} prev == {self.num(pred)}:")
             for j, d in enumerate(phis):
                 inc = d[3].get(pred)
                 if inc is None:
                     self.emit("_no_edge(prev)", 2)
                     break
-                target = f"t{j}" if staged else f"slots[{d[2]}]"
+                target = f"t{j}" if staged else f"slots[{self.num(d[2])}]"
                 self.emit(f"{target} = {self.operand(*inc)}", 2)
         self.emit("else:")
         self.emit("_no_edge(prev)", 2)
         for j, d in enumerate(phis):
             if staged:
-                self.emit(f"slots[{d[2]}] = t{j}")
+                self.emit(f"slots[{self.num(d[2])}] = t{j}")
             self.count(d[1])
 
     # -- body --------------------------------------------------------------
@@ -349,13 +402,13 @@ class _Source:
             a = self.local("a", d[3], d[4])
             b = self.local("b", d[5], d[6])
             self.emit(f"if {a} != {b} and not ({a} != {a} and {b} != {b}):")
-            self.emit(f"raise _Detected({d[7]!r}, {a}, {b})", 2)
+            self.emit(f"raise _Detected({self.num(d[7])}, {a}, {b})", 2)
             self.count(d[1])
         elif op == 38:  # checkrange
             x = self.local("x", d[3], d[4])
             lo, hi = self.const(d[5]), self.const(d[6])
             self.emit(f"if {x} != {x} or {x} < {lo} or {x} > {hi}:")
-            self.emit(f"raise _Detected({d[7]!r}, {x}, {lo})", 2)
+            self.emit(f"raise _Detected({self.num(d[7])}, {x}, {lo})", 2)
             self.count(d[1])
         else:  # pragma: no cover - phis are emitted at block entry
             raise AssertionError(f"unexpected opcode {op} in a block body")
@@ -398,22 +451,24 @@ class _Source:
         self.emit(f"rv = {entry}(st, [{args}])", 2)
         self.emit("else:")
         # Frame-tracked runs expose the suspended frame to snapshots.
-        frame = f"(_fn_of[{blk.gid}], slots, _blocks[{blk.gid}], prev, {d[5]})"
+        g = blk.gid
+        frame = f"(_fn_of[{self.num(g)}], slots, _blocks[{self.num(g)}], prev, {d[5]})"
         self.emit(f"sh.append({frame})", 2)
         self.emit(f"rv = {entry}(st, [{args}])", 2)
         self.emit("sh.pop()", 2)
         if d[2] >= 0:
-            self.emit(f"slots[{d[2]}] = rv")
+            self.emit(f"slots[{self.num(d[2])}] = rv")
 
     def terminator(self, t: list) -> None:
         self.count(t[1])
         if t[0] == "br":
-            self.emit(f"return {t[2].gid}")
+            self.emit(f"return {self.num(t[2].gid)}")
         elif t[0] == "condbr":
             if t[2] == 0:
-                self.emit(f"return {(t[4] if t[3] else t[5]).gid}")
+                self.emit(f"return {self.num((t[4] if t[3] else t[5]).gid)}")
             else:
-                self.emit(f"return {t[4].gid} if slots[{t[3]}] else {t[5].gid}")
+                self.emit(f"return {self.num(t[4].gid)} if slots[{self.num(t[3])}] "
+                          f"else {self.num(t[5].gid)}")
         else:
             rv = "None" if t[2] is None else self.operand(t[2], t[3])
             self.emit(f"st.rv = {rv}")
@@ -556,21 +611,22 @@ class CompiledProgram:
         key = (g, start, counted, hooked)
         fn = self._fns.get(key)
         if fn is None:
-            ns = self.ns
-            src = _Source(self, counted, hooked).function(
-                self.blocks[g], self.fn_of[g], start
-            )
+            source = _Source(self, counted, hooked)
+            src = source.function(self.blocks[g], self.fn_of[g], start)
+            values = tuple(source.values)
             digest = hashlib.blake2b(src.encode(), digest_size=16).digest()
-            code = _CODE_CACHE.get(digest)
-            if code is None:
-                module = compile(src, "<repro.vm block>", "exec")
-                code = next(c for c in module.co_consts if isinstance(c, CodeType))
-                _CODE_CACHE[digest] = code
+            hit = _CODE_CACHE.get(digest)
+            if hit is None:
+                code, where = _compile(src, len(values))
+                hit = _CODE_CACHE[digest] = (_bind(code, where, values), where, values)
                 if len(_CODE_CACHE) > _CODE_CACHE_MAX:
                     _CODE_CACHE.popitem(last=False)
             else:
                 _CODE_CACHE.move_to_end(digest)
-            fn = self._fns[key] = FunctionType(code, ns)
+            code, where, bound = hit
+            if values != bound:
+                code = _bind(code, where, values)
+            fn = self._fns[key] = FunctionType(code, self.ns)
             if start < 0 and not hooked:
                 self._tables[counted][g] = fn
         return fn

@@ -5,21 +5,27 @@ Every ``Program`` entry point runs generated per-block Python
 the same decoded program on the original ``if``-chain interpreter. Each
 test drives both through one entry point and requires bit-identical
 observables: outputs (floats by their encoding), steps, counts, fault
-firing, convergence, and the class and message of any trap.
+firing, convergence, and the class and message of any trap. Each app runs
+as written and SID-protected; the protected blocks run the original's
+compiled code, relocated to the protected program's numbers.
 """
 
 from __future__ import annotations
 
+import builtins
 import pickle
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.apps import all_app_names
+from repro.detectors.transform import duplicate_instructions
 from repro.errors import Trap
 from repro.fi.hostfault import HostFaultModel
 from repro.ir import F64, I64, VOID, Builder, Module
 from repro.ir.parser import parse_module
+from repro.vm import compiler
 from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
 from repro.vm.interpreter import INJECTABLE_OPCODES, FaultSpec, Program
@@ -49,24 +55,41 @@ def snapshot_bits(snaps: list[Snapshot]) -> bytes:
     ])
 
 
-class Pair:
-    """One app's compiled and reference programs on its reference input."""
+def executed_sites(module, counts) -> list[int]:
+    """The injectable iids a profile saw execute, in module order."""
+    return [
+        i.iid for i in module.instructions()
+        if i.opcode in INJECTABLE_OPCODES and counts[i.iid] > 0
+    ]
 
-    def __init__(self, name: str) -> None:
+
+class Pair:
+    """One app's compiled and reference programs on its reference input.
+
+    ``protected`` duplicates every other executed injectable iid (SID with
+    sync checks). The original runs on the compile tier first, so the
+    protected program's blocks bind that code to their own numbers instead
+    of compiling.
+    """
+
+    def __init__(self, name: str, protected: bool = False) -> None:
         app = cached_app(name)
         self.name = name
         self.args, self.bindings = app.encode(app.reference_input)
-        self.compiled = Program(app.module)
-        self.reference = ReferenceProgram(app.module)
+        module = app.module
+        if protected:
+            run = Program(module).run(args=self.args, bindings=self.bindings,
+                                      profile=True)
+            sites = executed_sites(module, run.instr_counts)
+            module = duplicate_instructions(module, sites[::2]).module
+        self.protected = protected
+        self.compiled = Program(module)
+        self.reference = ReferenceProgram(module)
         self.golden = self.reference.run(
             args=self.args, bindings=self.bindings, profile=True
         )
         self.limit = self.golden.steps * 8 + 10_000
-        counts = self.golden.instr_counts
-        self.sites = [
-            i.iid for i in app.module.instructions()
-            if i.opcode in INJECTABLE_OPCODES and counts[i.iid] > 0
-        ]
+        self.sites = executed_sites(module, self.golden.instr_counts)
 
     def random_fault(self, rng: random.Random, after: list | None = None):
         """A fault on an executed injectable iid, optionally after ``after``
@@ -82,9 +105,14 @@ class Pair:
         return None
 
 
-@pytest.fixture(scope="module", params=all_app_names())
+@pytest.fixture(
+    scope="module",
+    params=[(name, False) for name in all_app_names()]
+    + [(name, True) for name in all_app_names()],
+    ids=lambda p: f"{p[0]}-sid" if p[1] else p[0],
+)
 def pair(request) -> Pair:
-    return Pair(request.param)
+    return Pair(*request.param)
 
 
 class TestApps:
@@ -110,8 +138,10 @@ class TestApps:
                 for p in (pair.compiled, pair.reference)
             )
             assert got == ref, fault
-            outcomes.add(got[0] if got[0] == "trap" else got[3])
+            outcomes.add(got[1] if got[0] == "trap" else got[3])
         assert True in outcomes  # faults actually fired
+        if pair.protected:
+            assert "DetectedError" in outcomes
 
     def test_hooks_only_on_value_producing_instructions(self, pair):
         # Stores, calls, emits, checks, phis and terminators carry no
@@ -213,6 +243,68 @@ class TestApps:
             ))
         assert runs[0] == runs[1]
         assert runs[0][1] > 0
+
+
+@pytest.fixture
+def compiles(monkeypatch) -> list:
+    """The sources ``compile()`` sees from here on, from an empty code cache."""
+    seen: list = []
+
+    def counting(source, *args, **kwargs):
+        seen.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(compiler, "_CODE_CACHE", OrderedDict())
+    monkeypatch.setattr(compiler, "compile", counting, raising=False)
+    return seen
+
+
+class TestRelocation:
+    """Programs whose blocks differ only in their numbers share compiled
+    code: slot indices, iids, gids and check labels are bound into a cached
+    code object's constants, not compiled."""
+
+    @pytest.mark.parametrize("name", all_app_names())
+    def test_protected_variant_compiles_only_changed_blocks(self, name, compiles):
+        app = cached_app(name)
+        args, bindings = app.encode(app.reference_input)
+        golden = Program(app.module).run(args=args, bindings=bindings,
+                                         profile=True)
+        assert compiles
+        sites = executed_sites(app.module, golden.instr_counts)
+        # Every iid after the duplicate shifts, and so do the slots after it.
+        protected = duplicate_instructions(app.module, [sites[len(sites) // 2]])
+        del compiles[:]
+        run = Program(protected.module).run(args=args, bindings=bindings,
+                                            profile=True)
+        assert bits(run.output) == bits(golden.output)
+        assert len(compiles) <= 1
+
+    @pytest.mark.parametrize("name", all_app_names())
+    def test_same_module_reuses_code_objects(self, name, compiles):
+        app = cached_app(name)
+        args, bindings = app.encode(app.reference_input)
+        first, second = Program(app.module), Program(app.module)
+        first.run(args=args, bindings=bindings, profile=True)
+        n = len(compiles)
+        second.run(args=args, bindings=bindings, profile=True)
+        assert len(compiles) == n
+        fns = second._compiled._fns
+        assert fns.keys() == first._compiled._fns.keys()
+        # A block takes its shape's cached code object as it is; a later
+        # block of the same shape in the same Program gets its own copy.
+        cached = {id(code) for code, _, _ in compiler._CODE_CACHE.values()}
+        shared = 0
+        for key, fn in first._compiled._fns.items():
+            mine = fns[key].__code__
+            if id(fn.__code__) in cached:
+                assert mine is fn.__code__, key
+                shared += 1
+            else:
+                assert mine is not fn.__code__, key
+                assert (mine.co_code, mine.co_consts) == (
+                    fn.__code__.co_code, fn.__code__.co_consts), key
+        assert shared == n
 
 
 class TestPhis:
