@@ -72,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
                     "detection (default: REPRO_TASK_TIMEOUT env, else off)")
     ap.add_argument("--engine", choices=("scalar", "batch"), default=None,
                     help="FI trial executor: 'batch' vectorizes trials in "
-                    "lockstep (bit-identical outcomes, much faster; "
+                    "lockstep (bit-identical outcomes; faster on some "
+                    "workloads, slower on others, see DESIGN.md §7.6; "
                     "default: REPRO_ENGINE env, else scalar)")
     ap.add_argument("--batch-size", type=int, default=None, metavar="N",
                     help="trials per lockstep batch with --engine=batch "

@@ -75,9 +75,6 @@ class DefUseGraph:
     def uses_of(self, iid: int) -> list[Use]:
         return self.users.get(iid, [])
 
-    def uses_of_arg(self, fn_name: str, index: int) -> list[Use]:
-        return self.arg_users.get((fn_name, index), [])
-
 
 def _role_of(user: Instruction, index: int) -> str:
     """Semantic role of operand ``index`` of ``user``."""

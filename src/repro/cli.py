@@ -167,8 +167,8 @@ def engine_flags() -> argparse.ArgumentParser:
     g.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="'batch' vectorizes trials in lockstep over numpy columns — "
-        "bit-identical outcomes, much higher throughput "
-        f"({_default('engine')})",
+        "bit-identical outcomes; faster than scalar on some workloads, "
+        f"slower on others, see DESIGN.md §7.6 ({_default('engine')})",
     )
     g.add_argument(
         "--batch-size", type=int, default=None, metavar="N",

@@ -39,11 +39,6 @@ class ValueRecord:
     nan_seen: bool = False
     all_integral: bool = True
 
-    @property
-    def nonnegative(self) -> bool:
-        """Sign invariant: the golden run never produced a negative value."""
-        return not self.nan_seen and self.vmin >= 0
-
 
 class _Observer:
     """Sticky hook recording per-iid min/max/NaN/integrality envelopes."""

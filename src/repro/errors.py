@@ -113,10 +113,6 @@ class ArithmeticTrap(Trap):
     """Integer division/remainder by zero (classified as Crash)."""
 
 
-class InvalidJump(Trap):
-    """Branch to a block that does not exist (classified as Crash)."""
-
-
 class StackOverflow(Trap):
     """Call depth exceeded the VM limit (classified as Crash)."""
 

@@ -62,7 +62,8 @@ class ScaleConfig:
     apps: tuple[str, ...] | None = None
     #: Trial executor for FI campaigns: "scalar" runs one interpreter per
     #: trial; "batch" vectorizes trials in lockstep over numpy columns
-    #: (bit-identical outcomes, much higher throughput).
+    #: (bit-identical outcomes; faster on some apps and campaign sizes,
+    #: slower on others — DESIGN.md §7.6 has the per-app table).
     engine: str | None = None
     #: Trials per lockstep batch when engine="batch".
     batch_size: int | None = None

@@ -171,8 +171,6 @@ class BatchThroughputReport:
     identical: bool = True
     #: Rows that left lockstep for a scalar tail, over all trials.
     detached: int = 0
-    #: Divergent branch rows that rejoined the mirror instead of detaching.
-    reconverged: int = 0
     #: Fraction of trial-instructions executed inside the shared mirror.
     lockstep_occupancy: float = 1.0
     outcomes: dict = field(default_factory=dict)
@@ -211,7 +209,6 @@ class BatchThroughputReport:
             "speedup": self.speedup,
             "detached": self.detached,
             "detach_rate": self.detach_rate,
-            "reconverged": self.reconverged,
             "lockstep_occupancy": self.lockstep_occupancy,
             "identical": self.identical,
             "outcomes": self.outcomes,
@@ -236,7 +233,7 @@ def measure_batch_throughput(
     :func:`~repro.fi.injector.inject_one` per site; the batch side times
     :func:`~repro.vm.batch.run_trials_lockstep` over ``batch_size``-wide
     chunks of the same list, and the two outcome sequences are compared
-    element-wise for the bit-identity guarantee. Detach/reconverge counts
+    element-wise for the bit-identity guarantee. Detach counts
     and lockstep occupancy come from the engine's own
     :class:`~repro.vm.batch.BatchStats`.
 
@@ -300,7 +297,6 @@ def measure_batch_throughput(
         batch_seconds=batch_seconds,
         identical=scalar == batched,
         detached=stats.detached,
-        reconverged=stats.reconverged,
         lockstep_occupancy=stats.occupancy(),
         outcomes=counts,
     )

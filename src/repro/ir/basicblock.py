@@ -64,13 +64,6 @@ class BasicBlock:
         self.instructions.insert(index, instr)
         return instr
 
-    def index_of(self, instr: Instruction) -> int:
-        """Position of ``instr`` in this block (identity comparison)."""
-        for i, ins in enumerate(self.instructions):
-            if ins is instr:
-                return i
-        raise IRError(f"instruction not in block {self.name!r}")
-
     def phis(self) -> list[Instruction]:
         """The (leading) phi instructions of this block."""
         out = []

@@ -45,12 +45,6 @@ class Function:
         self.blocks[name] = blk
         return blk
 
-    def get_block(self, name: str) -> BasicBlock:
-        try:
-            return self.blocks[name]
-        except KeyError:
-            raise IRError(f"no block {name!r} in @{self.name}") from None
-
     def fresh_name(self, hint: str = "t") -> str:
         """Generate a fresh register name (``hint.N``)."""
         self._next_reg += 1

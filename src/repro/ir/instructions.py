@@ -19,7 +19,7 @@ Instruction identity and provenance
 from __future__ import annotations
 
 from repro.errors import IRError
-from repro.ir.types import Type, VOID
+from repro.ir.types import Type
 from repro.ir.values import Value
 
 __all__ = [
@@ -208,8 +208,3 @@ class Instruction(Value):
             return format_instruction(self)
         except Exception:  # pragma: no cover - printing must never crash repr
             return f"<{self.opcode} iid={self.iid}>"
-
-
-def make_void_instruction(opcode: str, operands: list[Value], attrs: dict | None = None) -> Instruction:
-    """Convenience constructor for void instructions (store/br/ret/emit...)."""
-    return Instruction(opcode, VOID, operands, attrs=attrs)

@@ -105,7 +105,6 @@ class Dashboard:
             lines.append(
                 f"  batch: {detached / btrials:.1%} detached"
                 f" ({detached:g}/{btrials:g})"
-                f" | reconverged {counters.get('batch.reconverged', 0):g}"
                 f" | batches {counters.get('batch.batches', 0):g}"
             )
         return lines

@@ -8,8 +8,8 @@ picture from two sources:
   the heaviest individual instructions — emitted by
   :func:`repro.vm.profiler.profile_run`;
 * the summary counters carry the batch engine's per-site attribution
-  (``batch.detach_site.{fn:block}`` / ``batch.reconverge_site.{fn:block}``)
-  and the lockstep/scalar step split behind its occupancy.
+  (``batch.detach_site.{fn:block}``) and the lockstep/scalar step split
+  behind its occupancy.
 
 Two render targets: :func:`render_hotspots` (tables for ``repro obs
 hotspot``) and :func:`folded_stacks` (``repro obs flame``), the
@@ -117,26 +117,23 @@ def _mix_table(profiles: list[dict]) -> str | None:
 
 def _batch_site_table(records: list[dict]) -> str | None:
     counters = _summary_counters(records)
-    sites: dict[str, list[float]] = {}
-    for key, n in counters.items():
-        if key.startswith("batch.detach_site."):
-            sites.setdefault(key[len("batch.detach_site."):], [0, 0])[0] += n
-        elif key.startswith("batch.reconverge_site."):
-            sites.setdefault(key[len("batch.reconverge_site."):], [0, 0])[1] += n
+    prefix = "batch.detach_site."
+    sites = {
+        key[len(prefix):]: n
+        for key, n in counters.items() if key.startswith(prefix)
+    }
     if not sites:
         return None
     rows = [
-        [site, f"{d:g}", f"{r:g}"]
-        for site, (d, r) in sorted(
-            sites.items(), key=lambda kv: (-(kv[1][0] + kv[1][1]), kv[0])
-        )
+        [site, f"{n:g}"]
+        for site, n in sorted(sites.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
     lock = counters.get("batch.lockstep_steps", 0)
     scal = counters.get("batch.scalar_steps", 0)
     title = "Batch engine: divergence sites (fn:block)"
     if lock + scal:
         title += f" — occupancy {lock / (lock + scal):.1%}"
-    return format_table(["Site", "Detaches", "Reconverges"], rows, title=title)
+    return format_table(["Site", "Detaches"], rows, title=title)
 
 
 def folded_stacks(records: list[dict]) -> list[str]:

@@ -4,7 +4,7 @@ Events and counters answer *what happened*; spans answer *under what* it
 happened and for how long, and are the trace's only clock. A ``span``
 record closes one interval and names its parent, so a trace reconstructs
 the causal tree campaign → chunk → trial → vm.run → checkpoint.restore /
-batch.reconverge even when the leaves ran in pool workers.
+batch.detach even when the leaves ran in pool workers.
 
 Usage::
 

@@ -8,7 +8,6 @@ LLFI does on the return value of an instruction.
 
 from __future__ import annotations
 
-import math
 import struct
 
 __all__ = [
@@ -92,11 +91,6 @@ def flip_bit_float32(x: float, bit: int) -> float:
     if not 0 <= bit < 32:
         raise ValueError(f"bit {bit} out of range for f32")
     return float32_from_bits(float32_to_bits(x) ^ (1 << bit))
-
-
-def is_finite(x: float) -> bool:
-    """True if ``x`` is neither NaN nor infinite."""
-    return math.isfinite(x)
 
 
 #: Value-kind codes shared with ``Program.flip_info``: how a return value's

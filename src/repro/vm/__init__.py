@@ -17,7 +17,6 @@ from repro.vm.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.vm.memory import SEG_SHIFT, SEG_MASK, address_of, segment_of, offset_of
 from repro.vm.interpreter import FaultSpec, Program, RunResult
 from repro.vm.profiler import DynamicProfile, profile_run
-from repro.vm.threads import ThreadedProgram
 
 __all__ = [
     "CostModel",
@@ -32,7 +31,6 @@ __all__ = [
     "FaultSpec",
     "DynamicProfile",
     "profile_run",
-    "ThreadedProgram",
     "CheckpointStore",
     "FrameSnapshot",
     "Snapshot",

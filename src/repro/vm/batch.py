@@ -42,36 +42,24 @@ planes. Anything else leaves the batch with exact scalar state:
 - **finalized in lockstep**: traps (invalid address, division by zero,
   failed ``check``) classify the row immediately — CRASH/DETECTED outcomes
   need no further execution;
-- **detached to the scalar engine**: a row whose divergent-address store
-  would need a mixed-dtype column (or whose branch divergence cannot
-  reconverge, below) is materialized into a
-  :class:`~repro.vm.checkpoint.Snapshot` (its exact slots, memory, and
-  output, reconstructed from golden + columns) and finished by
-  :meth:`Program.resume` with the usual convergence oracles.
+- **detached to the compile tier**: a row whose branch condition differs
+  from golden, or whose divergent-address store would need a mixed-dtype
+  column, is materialized into a :class:`~repro.vm.checkpoint.Snapshot`
+  (its exact slots, memory, and output, reconstructed from golden +
+  columns) and finished by :meth:`Program.resume` with the usual
+  convergence oracles. A branch-divergent row resumes at the other
+  target's entry, where ``self.steps`` already counts the branching block
+  — exactly where checkpoint snapshots are defined; a store-divergent row
+  resumes mid-block at the store, which its tail re-executes.
 
-Branch reconvergence (the SIMT trick)
--------------------------------------
-A row that takes the other side of a conditional branch usually rejoins
-the golden path a few instructions later — loop trip-count off by one,
-guarded update skipped. Detaching it to a scalar tail forfeits all
-remaining amortization, and data-dependent loop bounds make such rows the
-dominant cost. Instead, like a GPU warp, the row executes its divergent
-detour *privately* (a scalar mini-interpreter on its own slots/memory
-copy, with exact step accounting) up to the branch's **immediate
-post-dominator**, then *parks* there. When the golden mirror reaches that
-block — it must, the block post-dominates the branch — the row wakes: its
-step offset is carried per-row (preserving exact hang classification) and
-its frozen state is diffed back into the column planes, including its own
-phi inputs along its own incoming edge. Detours that trap finalize
-exactly like lockstep traps; detours that hit ops a private copy cannot
-carry (alloca, call, emit), and parked rows the mirror overtakes with an
-alloca or emit (shared segment/output cursors), fall back to an ordinary
-detach from their exact frozen state.
+A lockstep row follows the mirror step for step, so ``alive`` is the one
+row mask, and such a row cannot hang: the golden run completed the same
+trace under the step limit.
 
 Outcomes are therefore bit-identical to the scalar engine *by
 construction*: every value a row ever observes is either the golden value
 (shared), computed by the same formula (vectorized/fixup tiers), or
-produced by the scalar interpreter itself (detached tail).
+produced by the compile tier itself (detached tail).
 
 Sticky host faults are scalar-only
 ----------------------------------
@@ -97,7 +85,6 @@ import numpy as _np
 from repro.errors import (
     ArithmeticTrap,
     DetectedError,
-    HangTimeout,
     IRError,
     MemoryFault,
     Trap,
@@ -145,9 +132,6 @@ class BatchStats:
     trials: int = 0
     batches: int = 0
     detached: int = 0
-    #: Rows whose branch divergence reconverged at the immediate
-    #: post-dominator (parked or side-tripped) instead of detaching.
-    reconverged: int = 0
     retired: int = 0
     finalized_crash: int = 0
     finalized_detected: int = 0
@@ -157,9 +141,6 @@ class BatchStats:
     #: Detaches per guest site ("fn:block" of the row's innermost frame at
     #: detach time) — the batch engine's hotspot attribution.
     detach_sites: dict = field(default_factory=dict)
-    #: Reconvergences per guest site ("fn:block" of the post-dominator the
-    #: divergent row parked at).
-    reconverge_sites: dict = field(default_factory=dict)
 
     def detach_rate(self) -> float:
         return self.detached / self.trials if self.trials else 0.0
@@ -172,7 +153,6 @@ class BatchStats:
         self.trials += other.trials
         self.batches += other.batches
         self.detached += other.detached
-        self.reconverged += other.reconverged
         self.retired += other.retired
         self.finalized_crash += other.finalized_crash
         self.finalized_detected += other.finalized_detected
@@ -182,27 +162,6 @@ class BatchStats:
             self.detach_reasons[k] = self.detach_reasons.get(k, 0) + v
         for k, v in other.detach_sites.items():
             self.detach_sites[k] = self.detach_sites.get(k, 0) + v
-        for k, v in other.reconverge_sites.items():
-            self.reconverge_sites[k] = self.reconverge_sites.get(k, 0) + v
-
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "batches": self.batches,
-            "detached": self.detached,
-            "reconverged": self.reconverged,
-            "retired": self.retired,
-            "finalized_crash": self.finalized_crash,
-            "finalized_detected": self.finalized_detected,
-            "lockstep_steps": self.lockstep_steps,
-            "scalar_steps": self.scalar_steps,
-            "detach_rate": self.detach_rate(),
-            "occupancy": self.occupancy(),
-            "detach_reasons": dict(self.detach_reasons),
-            "detach_sites": dict(self.detach_sites),
-            "reconverge_sites": dict(self.reconverge_sites),
-        }
-
 
 class _AllDone(Exception):
     """Internal: every row finalized/detached — stop the mirror replay."""
@@ -220,68 +179,6 @@ class _RFrame:
         self.call_index = call_index
         self.gslots = gslots
         self.cols = [None] * dfn.n_slots
-
-
-class _RowMem(dict):
-    """Lazy per-row memory view over frozen park-time segment refs.
-
-    Side trips touch a handful of segments; copying the full memory image
-    per reconverging row dominated reconvergence cost. Instead the view
-    holds ``base`` — the golden segment *references* as of park time — and
-    clones just the segments actually read or written. The refs stay
-    frozen because the mirror's store path clones any golden segment it
-    would mutate while rows are parked (see ``_store``/``_thawed``).
-    Iteration only sees materialized segments, so anything that escapes
-    into a :class:`Snapshot` goes through :meth:`materialize` first.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: dict):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, seg):
-        cells = list(self.base[seg])
-        self[seg] = cells
-        return cells
-
-    def get(self, seg, default=None):
-        """Materializing get: a returned segment may be written to."""
-        if seg in self:
-            return dict.__getitem__(self, seg)
-        if seg in self.base:
-            return self[seg]
-        return default
-
-    def peek(self, addr: int):
-        """Read one cell without materializing its segment."""
-        cells = dict.get(self, addr >> SEG_SHIFT)
-        if cells is None:
-            cells = self.base[addr >> SEG_SHIFT]
-        return cells[addr & SEG_MASK]
-
-    def materialize(self) -> dict:
-        """A plain, fully private dict (for Snapshot/resume consumers)."""
-        return {seg: self[seg] for seg in self.base}
-
-
-def _sneq(a, b) -> bool:
-    """Bitwise scalar inequality, matching the column planes' notion.
-
-    Floats compare by their binary64 encoding (NaN == NaN, -0.0 != 0.0),
-    ints by value; a class mismatch (or exactly one ``None``) is always a
-    difference. Used when reconciling a woken row's frozen state against
-    the golden mirror.
-    """
-    if a is None or b is None:
-        return a is not b
-    af = type(a) is float
-    if af != (type(b) is float):
-        return True
-    if af:
-        return float64_to_bits(a) != float64_to_bits(b)
-    return a != b
 
 
 class _BatchRun:
@@ -312,27 +209,6 @@ class _BatchRun:
         self._F64 = np.float64
         self.alive = np.ones(self.n, dtype=bool)
         self.alive_count = self.n
-        # Rows waiting at a reconvergence point for the mirror to catch up.
-        # ``exec_mask`` (= alive & ~parked) is what every execution-semantics
-        # scan uses; ``alive`` alone gates only final-result bookkeeping.
-        self.parked = np.zeros(self.n, dtype=bool)
-        self.exec_mask = np.ones(self.n, dtype=bool)
-        # Per-row dynamic-step offset relative to the mirror, picked up by
-        # rows whose reconverged detour had a different step count. Only
-        # positive offsets can change hang classification; ``max_extra``
-        # makes that check one integer compare per block.
-        self.extra = np.zeros(self.n, dtype=np.int64)
-        self.max_extra = 0
-        self.park_count = 0
-        self.park_stack: list = []  # one {gid: [records]} per active frame
-        # Memory addresses the mirror wrote while any row was parked —
-        # with per-frame slot logs, the candidate set for wake-time
-        # reconciliation (everything else provably equals golden).
-        self.park_mem_log: set = set()
-        # Golden segments cloned by the mirror since the most recent park
-        # (clone-on-first-write keeps park records' segment refs frozen).
-        self._thawed: set = set()
-        self._ipdom_cache: dict = {}
         self.results: list = [None] * self.n
         self.stats = BatchStats(trials=self.n, batches=1)
 
@@ -376,14 +252,8 @@ class _BatchRun:
         return col != self._U64(gv)
 
     def _neq(self, col, gv):
-        """Executing rows whose column value differs bit-for-bit from golden.
-
-        Parked rows are excluded: their column entries go stale while they
-        wait (their truth lives in the frozen park record and is reconciled
-        at wake), so they must neither trigger divergence handling nor keep
-        settled columns alive.
-        """
-        return self._diff_raw(col, gv) & self.exec_mask
+        """Alive rows whose column value differs bit-for-bit from golden."""
+        return self._diff_raw(col, gv) & self.alive
 
     def _settled(self, col, gv) -> bool:
         return gv is not None and not bool(self._neq(col, gv).any())
@@ -399,7 +269,6 @@ class _BatchRun:
     # -- row lifecycle -------------------------------------------------
     def _mark_done(self, row: int) -> None:
         self.alive[row] = False
-        self.exec_mask[row] = False
         self.alive_count -= 1
         self.stats.lockstep_steps += self.steps - self.base_steps
         if self.alive_count == 0:
@@ -459,7 +328,7 @@ class _BatchRun:
                           self._row_slots(row, gslots, cols), code_index)
         )
         snap = Snapshot(
-            steps=self.steps + int(self.extra[row]),
+            steps=self.steps,
             next_seg=self.next_seg,
             output=self._row_output(row),
             instr_counts=None,
@@ -504,431 +373,8 @@ class _BatchRun:
         # Like _mark_done but defers the _AllDone raise until the scalar
         # tail has run and the row's result is recorded.
         self.alive[row] = False
-        self.exec_mask[row] = False
         self.alive_count -= 1
         self.stats.lockstep_steps += self.steps - self.base_steps
-
-    # -- branch reconvergence ------------------------------------------
-    def _ipdom_for(self, dfn) -> dict:
-        """Block gid -> reconvergence block: the immediate post-dominator,
-        or ``None`` when control only rejoins at function exit.
-
-        Standard iterative post-dominator sets over the block graph (tiny:
-        programs here have tens of blocks), cached per function. A branch
-        whose divergent path must pass the ipdom before leaving the
-        function lets the row rejoin the batch there instead of detaching.
-        """
-        cached = self._ipdom_cache.get(dfn.name)
-        if cached is not None:
-            return cached
-        by_gid = {b.gid: b for b in dfn.blocks.values()}
-        succs = {}
-        for g, b in by_gid.items():
-            t = b.term
-            if t[0] == "br":
-                succs[g] = (t[2].gid,)
-            elif t[0] == "condbr":
-                succs[g] = (t[4].gid, t[5].gid)
-            else:
-                succs[g] = ()
-        EXIT = -1
-        allset = frozenset(by_gid) | {EXIT}
-        pdom = {g: allset for g in by_gid}
-        pdom[EXIT] = frozenset({EXIT})
-        changed = True
-        while changed:
-            changed = False
-            for g in by_gid:
-                ss = succs[g] or (EXIT,)
-                new = frozenset({g}).union(
-                    frozenset.intersection(*(pdom.get(s, allset) for s in ss))
-                )
-                if new != pdom[g]:
-                    pdom[g] = new
-                    changed = True
-        res = {}
-        for g in by_gid:
-            cands = pdom[g] - {g}
-            ip = None
-            # The immediate post-dominator is the candidate every other
-            # candidate post-dominates (candidates form a chain).
-            for c in cands:
-                if c != EXIT and cands <= pdom[c]:
-                    ip = by_gid[c]
-                    break
-            res[g] = ip
-        self._ipdom_cache[dfn.name] = res
-        return res
-
-    def _reconverge_row(self, row, dfn, blk, atarget, rblk, gslots, cols,
-                        parks) -> None:
-        """Branch-divergent row: run its detour privately up to the
-        reconvergence block ``rblk``, then park it there until the golden
-        mirror arrives (the mirror must pass ``rblk`` — it post-dominates
-        the branch)."""
-        slots = self._row_slots(row, gslots, cols)
-        gmem = self.mem
-        mem = _RowMem(dict(gmem))
-        stale_addrs = []
-        F64 = self._F64
-        for addr, col in self.mem_cols.items():
-            gv = gmem[addr >> SEG_SHIFT][addr & SEG_MASK]
-            if col.dtype == F64:
-                rv = float(col[row])
-                if float64_to_bits(rv) == float64_to_bits(gv):
-                    continue
-            else:
-                rv = int(col[row])
-                if rv == gv:
-                    continue
-            mem[addr >> SEG_SHIFT][addr & SEG_MASK] = rv
-            stale_addrs.append(addr)
-        with _span("batch.reconverge", {"site": f"{dfn.name}:{rblk.name}"},
-                   infra=True):
-            rec = self._side_trip(row, dfn, atarget, blk.gid, slots, mem,
-                                  rblk.gid, self.steps + int(self.extra[row]))
-        if rec is None:
-            return
-        psteps, pgid, slots, mem, wslots, wmem = rec
-        # Wake-time reconciliation candidates: the detour's writes plus
-        # every location where the row already differed from golden at park
-        # time. With the mirror's own write logs, that covers every
-        # location that can differ at wake.
-        for i, col in enumerate(cols):
-            gv = gslots[i]
-            if col is not None and gv is not None and self._stale(col, row, gv):
-                wslots.add(i)
-        wmem.update(stale_addrs)
-        self.parked[row] = True
-        self.exec_mask[row] = False
-        self.extra[row] = 0  # the offset now lives in the park record
-        self.park_count += 1
-        self.stats.reconverged += 1
-        site = f"{dfn.name}:{rblk.name}"
-        rsites = self.stats.reconverge_sites
-        rsites[site] = rsites.get(site, 0) + 1
-        # The record now holds frozen refs to the current golden segments;
-        # the mirror clones before its next write to any of them.
-        self._thawed.clear()
-        parks.setdefault(rblk.gid, []).append(
-            (row, psteps, pgid, slots, mem, len(self.shadow), dfn, rblk.name,
-             wslots, wmem)
-        )
-
-    def _side_trip(self, row, dfn, blk, prev_gid, slots, mem, r_gid, steps):
-        """Scalar mini-interpreter for one row's divergent detour.
-
-        Executes on the row's *private* slots/memory with exactly the
-        scalar interpreter's step accounting, formulas, and trap
-        conditions, until control reaches the reconvergence block
-        ``r_gid`` (stop *before* its accounting — park state is at block
-        entry, like checkpoint snapshots). Returns ``(steps, prev_gid,
-        slots, mem, written slot set, written addr set)`` to park — the
-        write sets feed wake-time reconciliation candidates — or ``None``
-        when the row left the batch:
-        trapped (finalized), or hit an op the private detour cannot carry
-        — alloca (segment ids are global), call (frame bookkeeping), emit
-        (shared output stream) — which detaches it to the full scalar
-        engine from this exact point.
-        """
-        limit = self.step_limit
-        t0 = steps
-        wslots: set = set()
-        wmem: set = set()
-        while True:
-            if blk.gid == r_gid:
-                self.stats.scalar_steps += steps - t0
-                return steps, prev_gid, slots, mem, wslots, wmem
-            steps += len(blk.code) + 1
-            if limit is not None and steps > limit:
-                self.stats.scalar_steps += steps - t0
-                self._finalize_trap(
-                    row, HangTimeout(f"step limit {limit} exceeded")
-                )
-                return None
-            if blk.phis:
-                vals = []
-                for d in blk.phis:
-                    k, v = d[3][prev_gid]
-                    vals.append(v if k == 0 else slots[v])
-                for d, v in zip(blk.phis, vals):
-                    slots[d[2]] = v
-                    wslots.add(d[2])
-                steps += len(blk.phis)
-            for ci, d in enumerate(blk.code):
-                op = d[0]
-                try:
-                    if op <= 12:
-                        a = d[4] if d[3] == 0 else slots[d[4]]
-                        b = d[6] if d[5] == 0 else slots[d[6]]
-                        mask = d[7]
-                        if op == 0:
-                            val = (a + b) & mask
-                        elif op == 1:
-                            val = (a - b) & mask
-                        elif op == 2:
-                            val = (a * b) & mask
-                        elif op == 7:
-                            val = a & b
-                        elif op == 8:
-                            val = a | b
-                        elif op == 9:
-                            val = a ^ b
-                        else:
-                            val = int_op(op, a, b, d)
-                    elif op <= 16:
-                        a = d[4] if d[3] == 0 else slots[d[4]]
-                        b = d[6] if d[5] == 0 else slots[d[6]]
-                        if op == 13:
-                            val = a + b
-                        elif op == 14:
-                            val = a - b
-                        elif op == 15:
-                            val = a * b
-                        else:
-                            val = fdiv(a, b)
-                        if val != val and op != 16:
-                            val = fnan(a, val)
-                        if d[7]:
-                            val = f32(val)
-                    elif op == 17:
-                        a = d[4] if d[3] == 0 else slots[d[4]]
-                        b = d[6] if d[5] == 0 else slots[d[6]]
-                        val = self._icmp_scalar(d, a, b)
-                    elif op == 18:
-                        a = d[4] if d[3] == 0 else slots[d[4]]
-                        b = d[6] if d[5] == 0 else slots[d[6]]
-                        val = self._fcmp_scalar(d, a, b)
-                    elif op == 19:
-                        c = d[4] if d[3] == 0 else slots[d[4]]
-                        tv = d[6] if d[5] == 0 else slots[d[6]]
-                        fv = d[8] if d[7] == 0 else slots[d[8]]
-                        val = tv if c else fv
-                    elif op == 20:
-                        x = d[4] if d[3] == 0 else slots[d[4]]
-                        val = fmath(x, d[5])
-                        if d[6]:
-                            val = f32(val)
-                    elif op <= 29:
-                        x = d[4] if d[3] == 0 else slots[d[4]]
-                        val, _ = self._cast(op, d, x, None)
-                    elif op == 31:  # load
-                        addr = d[4] if d[3] == 0 else slots[d[4]]
-                        cells = mem.get(addr >> SEG_SHIFT)
-                        off = addr & SEG_MASK
-                        if cells is None or off >= len(cells):
-                            raise MemoryFault(f"load from {addr:#x}")
-                        val = coerce_load(cells[off], d[5], d[6])
-                    elif op == 32:  # store
-                        v = d[4] if d[3] == 0 else slots[d[4]]
-                        addr = d[6] if d[5] == 0 else slots[d[6]]
-                        cells = mem.get(addr >> SEG_SHIFT)
-                        off = addr & SEG_MASK
-                        if cells is None or off >= len(cells):
-                            raise MemoryFault(f"store to {addr:#x}")
-                        cells[off] = v
-                        wmem.add(addr)
-                        continue
-                    elif op == 33:  # gep
-                        p = d[4] if d[3] == 0 else slots[d[4]]
-                        idx = d[6] if d[5] == 0 else slots[d[6]]
-                        w = d[7]
-                        sidx = idx - (1 << w) if idx & (1 << (w - 1)) else idx
-                        val = (p + sidx) & _M64
-                    elif op == 37:  # check
-                        a = d[4] if d[3] == 0 else slots[d[4]]
-                        b = d[6] if d[5] == 0 else slots[d[6]]
-                        if a != b and not (a != a and b != b):
-                            raise DetectedError(d[7], a, b)
-                        continue
-                    elif op == 38:  # checkrange
-                        x = d[4] if d[3] == 0 else slots[d[4]]
-                        if x != x or x < d[5] or x > d[6]:
-                            raise DetectedError(d[7], x, d[5])
-                        continue
-                    else:  # alloca / call / emit: detour can't carry it
-                        self.stats.scalar_steps += steps - t0
-                        self._side_abort(row, dfn, blk, prev_gid, slots,
-                                         mem, ci, steps)
-                        return None
-                except Trap as tr:
-                    self.stats.scalar_steps += steps - t0
-                    self._finalize_trap(row, tr)
-                    return None
-                slots[d[2]] = val
-                wslots.add(d[2])
-            t = blk.term
-            if t[0] == "br":
-                prev_gid = blk.gid
-                blk = t[2]
-            elif t[0] == "condbr":
-                c = t[3] if t[2] == 0 else slots[t[3]]
-                prev_gid = blk.gid
-                blk = t[4] if c else t[5]
-            else:  # pragma: no cover - r_gid post-dominates, ret unreachable
-                self.stats.scalar_steps += steps - t0
-                self._side_abort(row, dfn, blk, prev_gid, slots, mem,
-                                 len(blk.code), steps)
-                return None
-
-    def _side_abort(self, row, dfn, blk, prev_gid, slots, mem, code_index,
-                    steps) -> None:
-        """Detour hit an op it can't execute privately: detach the row with
-        the detour's exact state, resuming at that instruction."""
-        frames = [
-            FrameSnapshot(f[0].name, f[3].name, f[4], f[5],
-                          self._row_slots(row, f[1], f[2]))
-            for f in self.shadow
-        ]
-        frames.append(
-            FrameSnapshot(dfn.name, blk.name, prev_gid, -1, slots, code_index)
-        )
-        snap = Snapshot(
-            steps=steps,
-            next_seg=self.next_seg,
-            output=self._row_output(row),
-            instr_counts=None,
-            mem=mem.materialize() if isinstance(mem, _RowMem) else mem,
-            frames=frames,
-        )
-        self._finish_scalar(row, snap, "side-trip-op")
-
-    def _detach_from_park(self, rec, reason: str) -> None:
-        """Late-detach a parked row from its frozen park-time state (the
-        caller has already cleared its parked flag)."""
-        row, psteps, pgid, fslots, fmem, depth, dfn, rname = rec[:8]
-        frames = [
-            FrameSnapshot(f[0].name, f[3].name, f[4], f[5],
-                          self._row_slots(row, f[1], f[2]))
-            for f in self.shadow[:depth]
-        ]
-        frames.append(FrameSnapshot(dfn.name, rname, pgid, -1, list(fslots)))
-        snap = Snapshot(
-            steps=psteps,
-            next_seg=self.next_seg,
-            output=self._row_output(row),
-            instr_counts=None,
-            mem=fmem.materialize() if isinstance(fmem, _RowMem) else fmem,
-            frames=frames,
-        )
-        self._finish_scalar(row, snap, reason)
-
-    def _flush_parked(self, reason: str) -> None:
-        """The mirror is about to execute an op parked rows cannot sit
-        through — alloca (renumbers the shared segment cursor) or emit
-        (advances the shared output stream) — so late-detach every parked
-        row, in every frame, from its frozen state first."""
-        for parks in self.park_stack:
-            if parks:
-                self._flush_dict(parks, reason)
-        self.park_mem_log.clear()
-
-    def _flush_dict(self, parks: dict, reason: str) -> None:
-        for wl in parks.values():
-            for rec in wl:
-                row = rec[0]
-                self.parked[row] = False
-                self.park_count -= 1
-                self._detach_from_park(rec, reason)
-        parks.clear()
-
-    def _stale(self, col, row: int, gv) -> bool:
-        """Does this column's entry for ``row`` differ bitwise from ``gv``?"""
-        if col.dtype == self._F64:
-            return float64_to_bits(float(col[row])) != float64_to_bits(gv)
-        return int(col[row]) != gv
-
-    def _hang_extras(self) -> None:
-        """Rows running ahead of the mirror (positive step offset) can
-        exceed the hang budget where the mirror doesn't — exactly the
-        scalar interpreter's block-entry check, offset per row."""
-        limit = self.step_limit
-        over = (self.extra > 0) & self.exec_mask
-        over &= (self.steps + self.extra) > limit
-        for r in _np.nonzero(over)[0]:
-            self._finalize_trap(
-                int(r), HangTimeout(f"step limit {limit} exceeded")
-            )
-        live = self.extra[self.exec_mask | self.parked]
-        self.max_extra = int(live.max()) if live.size else 0
-
-    def _wake_reconcile(self, rec, blk, dfn, gslots, cols, slot_log) -> None:
-        """Fold a woken row's frozen detour state back into the columns.
-
-        The row sat at this block's entry while the mirror caught up; the
-        mirror has just run the block's phis. Reconciling = apply the
-        row's *own* phi inputs (from its frozen slots, along its own
-        incoming edge) and then diff against golden — not everywhere, only
-        at the *candidates*: slots/cells the detour wrote, locations the
-        row already differed at park time, and everything the mirror wrote
-        while rows were parked (``slot_log``/``park_mem_log``). Anywhere
-        else, frozen == park-time golden == current golden. Differences
-        materialize columns; candidate entries gone stale while parked are
-        scrubbed back to golden. A difference no column can hold
-        (value-class flip, or a slot golden never set) falls back to a
-        full detach from the frozen state — rare, and exactly as correct
-        as any other detach.
-        """
-        row, psteps, pgid, fslots, fmem, depth, rdfn, rname, ws, wm = rec
-        cand_slots = ws | slot_log
-        if blk.phis:
-            vals = []
-            for d in blk.phis:
-                k, v = d[3][pgid]
-                vals.append(v if k == 0 else fslots[v])
-                cand_slots.add(d[2])
-            fslots = list(fslots)  # keep the frozen record for detach
-            for d, v in zip(blk.phis, vals):
-                fslots[d[2]] = v
-        cand_mem = wm | self.park_mem_log
-        # Representability scan first, so an unrepresentable diff detaches
-        # from the untouched frozen record.
-        for i in cand_slots:
-            gv = gslots[i]
-            rv = fslots[i]
-            if rv is None and gv is None:
-                continue
-            if rv is None or gv is None or (
-                (type(rv) is float) != (type(gv) is float)
-            ):
-                self._detach_from_park(rec, "reconverge-class")
-                return
-        mem = self.mem
-        for addr in cand_mem:
-            rv = fmem.peek(addr)
-            gv = mem[addr >> SEG_SHIFT][addr & SEG_MASK]
-            if (type(rv) is float) != (type(gv) is float):
-                self._detach_from_park(rec, "reconverge-class")
-                return
-        # Apply: slots...
-        for i in cand_slots:
-            gv = gslots[i]
-            if gv is None:
-                continue
-            rv = fslots[i]
-            col = cols[i]
-            if _sneq(rv, gv):
-                ncol = col.copy() if col is not None else self._bcast(gv)
-                ncol[row] = rv
-                cols[i] = ncol
-            elif col is not None and self._stale(col, row, gv):
-                ncol = col.copy()
-                ncol[row] = gv
-                cols[i] = ncol
-        # ...and memory cells.
-        mem_cols = self.mem_cols
-        for addr in cand_mem:
-            rv = fmem.peek(addr)
-            gv = mem[addr >> SEG_SHIFT][addr & SEG_MASK]
-            col = mem_cols.get(addr)
-            if _sneq(rv, gv):
-                ncol = col.copy() if col is not None else self._bcast(gv)
-                ncol[row] = rv
-                mem_cols[addr] = ncol
-            elif col is not None and self._stale(col, row, gv):
-                ncol = col.copy()
-                ncol[row] = gv
-                mem_cols[addr] = ncol
 
     def _maintain(self, gslots, cols) -> None:
         """Periodic lockstep maintenance: column GC and row retirement.
@@ -946,15 +392,7 @@ class _BatchRun:
         """
         self.maint_at = self.steps + _MAINT_INTERVAL
         dirty = _np.zeros(self.n, dtype=bool)
-        # GC must keep columns alive for *parked* rows too: a parked row's
-        # outer-frame diffs live only in the columns (its park record
-        # freezes just the diverging frame), so dropping them would lose
-        # state. Its current-frame entries may be stale garbage — keeping
-        # those columns is merely conservative.
-        if self.park_count:
-            gcm = self.exec_mask | self.parked
-        else:
-            gcm = self.exec_mask
+        alive = self.alive
         frames = [(f[1], f[2]) for f in self.shadow]
         frames.append((gslots, cols))
         for f_gslots, f_cols in frames:
@@ -965,7 +403,7 @@ class _BatchRun:
                 if gv is None:  # pragma: no cover - defensive
                     f_cols[i] = None
                     continue
-                m = self._diff_raw(col, gv) & gcm
+                m = self._diff_raw(col, gv) & alive
                 if not m.any():
                     f_cols[i] = None
                 else:
@@ -974,7 +412,7 @@ class _BatchRun:
         dead = []
         for addr, col in self.mem_cols.items():
             m = self._diff_raw(col, mem[addr >> SEG_SHIFT][addr & SEG_MASK])
-            m &= gcm
+            m &= alive
             if not m.any():
                 dead.append(addr)
             else:
@@ -985,13 +423,7 @@ class _BatchRun:
         for lst in self.f_by_iid.values():
             for _inst, row, _bit in lst:
                 pending[row] = True
-        # Parked rows' diffs live in their frozen park records, invisible to
-        # the column scan; rows running ahead of the mirror (positive step
-        # offset) could still hang where golden finishes — neither may
-        # retire on "bit-identical to golden" evidence.
-        retire = self.exec_mask & self.f_fired & ~dirty & ~pending
-        if self.max_extra > 0 and self.step_limit is not None:
-            retire &= ~(self.extra > 0)
+        retire = alive & self.f_fired & ~dirty & ~pending
         if not retire.any():
             return
         golden = self.golden_output
@@ -1007,7 +439,6 @@ class _BatchRun:
             self.results[r] = (out, None)
             self.stats.retired += 1
             self.alive[r] = False
-            self.exec_mask[r] = False
             self.alive_count -= 1
             self.stats.lockstep_steps += self.steps - self.base_steps
         if self.alive_count == 0:
@@ -1124,14 +555,6 @@ class _BatchRun:
         mem = self.mem
         cells = mem.get(gaddr >> SEG_SHIFT)
         off = gaddr & SEG_MASK
-        if self.park_count:
-            self.park_mem_log.add(gaddr)
-            seg = gaddr >> SEG_SHIFT
-            if seg not in self._thawed:
-                # Park records hold frozen refs to this segment's list —
-                # clone before the first mutation since the last park.
-                cells = mem[seg] = list(cells)
-                self._thawed.add(seg)
 
         dv = None
         if acol is not None:
@@ -1179,10 +602,10 @@ class _BatchRun:
         cells[off] = gv
         # Rebuild the golden address's column: rows that wrote elsewhere
         # keep their pre-store view; rows that wrote here get their value.
-        dv &= self.exec_mask  # drop rows finalized/detached in pass 0
+        dv &= self.alive  # drop rows finalized/detached in pass 0
         if dv.any():
             base = old_col.copy() if old_col is not None else self._bcast(old_gv)
-            wmask = self.exec_mask & ~dv
+            wmask = self.alive & ~dv
             if vcol is not None:
                 base[wmask] = vcol[wmask]
             else:
@@ -1282,7 +705,7 @@ class _BatchRun:
         if op == 16:
             # 0-divisors take the interpreter's formula row by row: its
             # NaN payload (math.nan) differs from the hardware 0/0 qNaN.
-            zero = (B == 0.0) & self.exec_mask
+            zero = (B == 0.0) & self.alive
             if zero.any():
                 for r in _np.nonzero(zero)[0]:
                     r = int(r)
@@ -1425,12 +848,6 @@ class _BatchRun:
 
         Returns the ret operand as a ``(golden value, column)`` pair.
         """
-        # Rows parked at this frame's reconvergence blocks: gid -> records.
-        parks: dict = {}
-        self.park_stack.append(parks)
-        # Slots the mirror writes in this frame while rows are parked here
-        # (wake-time reconciliation candidates).
-        slot_log: set = set()
         if resume is None:
             gslots = [None] * dfn.n_slots
             gslots[: len(gargs)] = gargs
@@ -1470,33 +887,11 @@ class _BatchRun:
             if code is None:
                 # Block entry: step accounting exactly as the scalar
                 # interpreter; the golden replay cannot exceed the limit
-                # (the golden run finished under it), so the hang check
-                # below covers only rows running ahead of it.
+                # (the golden run finished under it), and neither can a
+                # lockstep row, which follows it step for step.
                 if self.steps >= self.maint_at:
                     self._maintain(gslots, cols)
-                wl = parks.pop(blk.gid, None) if parks else None
-                if wl is not None:
-                    # The mirror reached a reconvergence point: wake the
-                    # rows parked here. Their step offset is fixed before
-                    # the block's accounting (park state and mirror state
-                    # are both at block entry); their frozen state is
-                    # reconciled after the mirror's phis run.
-                    for rec in wl:
-                        row = rec[0]
-                        self.parked[row] = False
-                        self.exec_mask[row] = True
-                        self.park_count -= 1
-                        ex = rec[1] - self.steps
-                        self.extra[row] = ex
-                        if ex > self.max_extra:
-                            self.max_extra = ex
                 self.steps += len(blk.code) + 1
-                if (
-                    self.max_extra > 0
-                    and self.step_limit is not None
-                    and self.steps + self.max_extra > self.step_limit
-                ):
-                    self._hang_extras()
                 if blk.phis:
                     gvals = []
                     cvals = []
@@ -1511,19 +906,7 @@ class _BatchRun:
                     for d, gv, cv in zip(blk.phis, gvals, cvals):
                         gslots[d[2]] = gv
                         cols[d[2]] = cv
-                        if parks:
-                            slot_log.add(d[2])
                     self.steps += len(blk.phis)
-                if wl is not None:
-                    for rec in wl:
-                        if self.alive[rec[0]]:
-                            self._wake_reconcile(
-                                rec, blk, dfn, gslots, cols, slot_log
-                            )
-                    if not parks:
-                        slot_log.clear()
-                    if self.park_count == 0:
-                        self.park_mem_log.clear()
                 code = blk.code
                 base_ci = 0
 
@@ -1617,8 +1000,6 @@ class _BatchRun:
                     cx = None if d[3] == 0 else cols[d[4]]
                     val, col = self._cast(op, d, x, cx)
                 elif op == 30:  # alloca ---------------------------------
-                    if self.park_count:
-                        self._flush_parked("golden-alloca")
                     seg = self.next_seg
                     self.next_seg = seg + 1
                     mem[seg] = [d[4]] * d[3]
@@ -1663,12 +1044,8 @@ class _BatchRun:
                     if d[2] >= 0:
                         gslots[d[2]] = rv
                         cols[d[2]] = rcol
-                        if parks:
-                            slot_log.add(d[2])
                     continue
                 elif op == 36:  # emit -----------------------------------
-                    if self.park_count:
-                        self._flush_parked("golden-emit")
                     gv = d[4] if d[3] == 0 else gslots[d[4]]
                     vcol = None if d[3] == 0 else cols[d[4]]
                     out = gv
@@ -1736,8 +1113,6 @@ class _BatchRun:
                     col = None
                 gslots[d[2]] = val
                 cols[d[2]] = col
-                if parks:
-                    slot_log.add(d[2])
 
             # Terminator ------------------------------------------------
             code = None
@@ -1751,32 +1126,18 @@ class _BatchRun:
                 cc = None if t[2] == 0 else cols[t[3]]
                 if cc is not None:
                     truth = cc != self._U64(0)
-                    dv = (truth != bool(gc)) & self.exec_mask
+                    dv = (truth != bool(gc)) & self.alive
                     if dv.any():
-                        # Divergent rows take the other branch — privately,
-                        # up to this branch's immediate post-dominator,
-                        # where they rejoin the batch. No post-dominator
-                        # inside the function -> full detach as before.
-                        atarget = t[5] if gc else t[4]
-                        rblk = self._ipdom_for(dfn).get(blk.gid)
+                        # Divergent rows take the other branch: each one
+                        # finishes on the compile tier from that target's
+                        # entry (``self.steps`` already counts this block).
+                        other = (t[5] if gc else t[4]).name
                         for r in _np.nonzero(dv)[0]:
-                            r = int(r)
-                            if rblk is None:
-                                self._detach_row(
-                                    r, dfn, atarget.name, blk.gid, gslots,
-                                    cols, -1, "condbr",
-                                )
-                            else:
-                                self._reconverge_row(
-                                    r, dfn, blk, atarget, rblk, gslots,
-                                    cols, parks,
-                                )
+                            self._detach_row(int(r), dfn, other, blk.gid,
+                                             gslots, cols, -1, "condbr")
                 prev_gid = blk.gid
                 blk = t[4] if gc else t[5]
             else:  # ret
-                if parks:  # pragma: no cover - ipdoms precede the exit
-                    self._flush_dict(parks, "frame-exit")
-                self.park_stack.pop()
                 if t[2] is None:
                     return None, None
                 gv = t[3] if t[2] == 0 else gslots[t[3]]
@@ -1951,11 +1312,8 @@ def run_trials_lockstep(
         t.count("batch.batches")
         t.count("batch.trials", stats.trials)
         t.count("batch.detached", stats.detached)
-        t.count("batch.reconverged", stats.reconverged)
         t.count("batch.lockstep_steps", stats.lockstep_steps)
         t.count("batch.scalar_steps", stats.scalar_steps)
         for site, n in stats.detach_sites.items():
             t.count(f"batch.detach_site.{site}", n)
-        for site, n in stats.reconverge_sites.items():
-            t.count(f"batch.reconverge_site.{site}", n)
     return results, stats

@@ -84,14 +84,3 @@ def make_thread_driver(
     b.ret()
     m.finalize()
     return m
-
-
-class ThreadedProgram:
-    """Deprecated alias retained for API stability; use
-    :func:`make_thread_driver` and an ordinary :class:`~repro.vm.Program`."""
-
-    def __init__(self, *args, **kwargs) -> None:  # pragma: no cover
-        raise IRError(
-            "ThreadedProgram was replaced by make_thread_driver(); build a "
-            "driver module and execute it with Program"
-        )

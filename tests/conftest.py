@@ -17,7 +17,7 @@ from repro.apps import all_app_names, get_app
 from repro.ir.builder import Builder
 from repro.ir.module import Module
 from repro.ir.types import F64, I64, VOID
-from repro.vm.interpreter import Program
+from repro.vm.interpreter import INJECTABLE_OPCODES, Program
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +119,14 @@ def branchy_module() -> Module:
 @pytest.fixture(scope="session")
 def branchy_program(branchy_module) -> Program:
     return Program(branchy_module)
+
+
+def executed_sites(module, counts) -> list[int]:
+    """The injectable iids a profile saw execute, in module order."""
+    return [
+        i.iid for i in module.instructions()
+        if i.opcode in INJECTABLE_OPCODES and counts[i.iid] > 0
+    ]
 
 
 _APP_CACHE: dict[str, object] = {}

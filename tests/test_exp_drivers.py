@@ -207,8 +207,9 @@ class TestReferenceGoldenRuns:
         def on_reference(program, args, bindings) -> bool:
             key = id(program.module)
             if key not in texts:
-                texts[key] = print_module(program.module)
-            return (texts[key], (args, bindings)) == reference
+                # Hold the module: a freed module's id can be reused.
+                texts[key] = (program.module, print_module(program.module))
+            return (texts[key][1], (args, bindings)) == reference
 
         real_run, real_recording = Program.run, Program.run_checkpointed
 

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import all_app_names
 from repro.cache import CampaignCache
+from repro.detectors.transform import duplicate_instructions
 from repro.errors import ConfigError
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
+from repro.fi.outcome import Outcome
 from repro.obs.core import session
 from repro.obs.sink import MemorySink
 from repro.runconfig import DEFAULT_BATCH_SIZE, KNOBS, resolve, run_scope
+from repro.vm.interpreter import Program
+from tests.conftest import cached_app, executed_sites
 
 ENGINE_ENV = KNOBS["engine"].env
 BATCH_SIZE_ENV = KNOBS["batch_size"].env
@@ -61,6 +66,40 @@ def test_per_instruction_campaign_engine_equivalence(
     assert {iid: c.counts for iid, c in batch.per_iid.items()} == {
         iid: c.counts for iid, c in scalar.per_iid.items()
     }
+
+
+@pytest.mark.parametrize("app", all_app_names())
+def test_every_app_matches_scalar(app):
+    """Every app's campaigns classify each fault alike on both engines.
+
+    A whole-program campaign runs checkpointed and cold; a one-trial sweep
+    over an SID-protected variant (every other executed injectable
+    instruction duplicated) makes detached tails end in ``DetectedError``.
+    """
+    a = cached_app(app)
+    args, bindings = a.encode(a.reference_input)
+    program = Program(a.module)
+    kw = dict(args=args, bindings=bindings, rel_tol=a.rel_tol,
+              abs_tol=a.abs_tol, cache=False)
+    scalar = run_campaign(program, 96, seed=3, engine="scalar", **kw)
+    for interval in ("auto", None):
+        batch = run_campaign(program, 96, seed=3, checkpoint_interval=interval,
+                             engine="batch", batch_size=32, **kw)
+        assert batch.per_fault == scalar.per_fault, interval
+
+    counts = program.run(args=args, bindings=bindings,
+                         profile=True).instr_counts
+    halved = executed_sites(a.module, counts)[::2]
+    protected = Program(duplicate_instructions(a.module, halved).module)
+    scalar, batch = (
+        run_per_instruction_campaign(protected, 1, seed=3, engine=engine,
+                                     batch_size=32, **kw)
+        for engine in ("scalar", "batch")
+    )
+    assert {iid: c.counts for iid, c in batch.per_iid.items()} == {
+        iid: c.counts for iid, c in scalar.per_iid.items()
+    }
+    assert any(c.counts[Outcome.DETECTED] for c in batch.per_iid.values())
 
 
 def test_engine_never_enters_cache_keys(sumsq_program, sumsq_data, tmp_path):

@@ -101,7 +101,6 @@ class TestHotspotReport:
             "run": records[0]["run"], "campaign": None, "trial": None,
             "fields": {"counters": {
                 "batch.detach_site.f:loop": 5,
-                "batch.reconverge_site.f:loop": 4,
                 "batch.lockstep_steps": 900,
                 "batch.scalar_steps": 100,
             }},

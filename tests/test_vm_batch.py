@@ -107,7 +107,7 @@ def _tail_module() -> Module:
 
 def test_divergence_on_final_instruction():
     """A fault on the last executed injectable instruction diverges with no
-    trace left to reconverge in — the row must still finish identically."""
+    trace left to share — the row must still finish identically."""
     program = Program(_tail_module())
     bindings = {"data": [float(i) + 0.5 for i in range(8)]}
     args = [8]
@@ -226,7 +226,7 @@ def _two_nan_module() -> Module:
 
 
 def test_two_nan_operands_with_different_payloads():
-    """Golden values, column rows and side trips all take the first NaN
+    """Golden values, column rows and detached tails all take the first NaN
     operand, quieted (vm.ops.fnan), exactly like the scalar engine — also
     for rows whose flip turns a NaN signalling, finite or infinite."""
     nan = [struct.unpack("<d", struct.pack("<Q", bits))[0]

@@ -22,14 +22,16 @@ import pytest
 from repro.apps import all_app_names
 from repro.detectors.transform import duplicate_instructions
 from repro.errors import Trap
+from repro.fi.faultmodel import sample_fault_sites
 from repro.fi.hostfault import HostFaultModel
 from repro.ir import F64, I64, VOID, Builder, Module
 from repro.ir.parser import parse_module
+from repro.util.rng import RngStream
 from repro.vm import compiler
 from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
 from repro.vm.interpreter import INJECTABLE_OPCODES, FaultSpec, Program
-from tests.conftest import ReferenceProgram, bits, cached_app
+from tests.conftest import ReferenceProgram, bits, cached_app, executed_sites
 
 FAULTY_RUNS = 40
 
@@ -53,14 +55,6 @@ def snapshot_bits(snaps: list[Snapshot]) -> bytes:
            f.code_index) for f in s.frames])
         for s in snaps
     ])
-
-
-def executed_sites(module, counts) -> list[int]:
-    """The injectable iids a profile saw execute, in module order."""
-    return [
-        i.iid for i in module.instructions()
-        if i.opcode in INJECTABLE_OPCODES and counts[i.iid] > 0
-    ]
 
 
 class Pair:
@@ -337,9 +331,13 @@ class TestPhis:
 
 class TestMidBlockResume:
     def test_batch_detach_resumes(self):
-        """Replay the batch engine's own mid-block detach snapshots."""
-        resumed = []
-        for name in ("needle", "pathfinder", "bfs"):
+        """Replay the batch engine's own mid-block detach snapshots.
+
+        A row whose divergent-address store would need a mixed-dtype column
+        detaches at the store (``store-dtype``), so its tail resumes mid-block.
+        These 512-fault batches produce such detaches on kmeans and fft.
+        """
+        for name in ("kmeans", "fft"):
             pair = Pair(name)
             prog = Program(cached_app(name).module)
             recorded = []
@@ -350,13 +348,13 @@ class TestMidBlockResume:
                 return real_resume(snapshot, *args, **kwargs)
 
             prog.resume = recording_resume
-            rng = random.Random(f"detach-{name}")
-            faults = [pair.random_fault(rng) for _ in range(64)]
-            faults = [f for f in faults if f is not None]
-            run_trials_lockstep(prog, faults, args=pair.args,
-                                bindings=pair.bindings,
+            sites = sample_fault_sites(prog.module, pair.golden, 512,
+                                       RngStream(5, "mid"))
+            run_trials_lockstep(prog, [s.to_spec() for s in sites],
+                                args=pair.args, bindings=pair.bindings,
                                 golden_output=pair.golden.output,
                                 step_limit=pair.limit)
+            resumed = 0
             for snap, kwargs in recorded:
                 if snap.frames[-1].code_index < 0:
                     continue
@@ -365,8 +363,8 @@ class TestMidBlockResume:
                     for p in (pair.compiled, pair.reference)
                 )
                 assert got == ref
-                resumed.append(name)
-        assert resumed
+                resumed += 1
+            assert resumed, name
 
     def test_every_code_index(self):
         """Resume a loop body at each of its code indexes, after a call."""
