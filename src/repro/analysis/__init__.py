@@ -2,11 +2,12 @@
 
 Every SDC probability elsewhere in the repo is bought with fault-injection
 trials. This package is the repo's first *static-analysis* layer: it predicts
-per-instruction SDC probabilities from program structure alone — a def-use
-dataflow framework over the mini-IR (:mod:`repro.analysis.dataflow`), a
-per-instruction masking classification (:mod:`repro.analysis.masking`), and
-a compositional error-propagation model (:mod:`repro.analysis.model`) in the
-spirit of FastFlip's section-level analysis. Per-function **section
+per-instruction SDC probabilities from program structure alone — operand
+roles, dominators and loop depth over the mini-IR
+(:mod:`repro.analysis.dataflow`), a per-instruction masking classification
+(:mod:`repro.analysis.masking`), and a compositional error-propagation
+model (:mod:`repro.analysis.model`) in the spirit of FastFlip's
+section-level analysis. Per-function **section
 summaries** (:mod:`repro.analysis.summaries`) are content-addressed through
 :mod:`repro.util.digest` and persisted in :mod:`repro.cache`, so editing one
 function only re-analyzes that function.
@@ -20,7 +21,7 @@ how well predictions track injected ground truth (rank correlation, top-k
 overlap, hybrid trial savings).
 """
 
-from repro.analysis.dataflow import DefUseGraph, build_def_use, dominator_tree
+from repro.analysis.dataflow import dominator_tree
 from repro.analysis.model import (
     PredictedResult,
     density_ranked,
@@ -32,8 +33,6 @@ from repro.analysis.summaries import FunctionSummary, summarize_function
 from repro.analysis.validate import ValidationResult, spearman, validate_model
 
 __all__ = [
-    "DefUseGraph",
-    "build_def_use",
     "dominator_tree",
     "FunctionSummary",
     "summarize_function",

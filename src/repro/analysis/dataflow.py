@@ -1,9 +1,10 @@
-"""Dataflow framework over the mini-IR: def-use graph and dominator tree.
+"""Dataflow vocabulary over the mini-IR: operand roles and dominator tree.
 
-The error-propagation model asks two structural questions of a module:
+The error-propagation model asks two structural questions of a function:
 
-* **Where can a corrupted value flow?** — answered by the def-use graph.
-  Every use is annotated with a semantic *role* (data operand, stored value,
+* **Where can a corrupted value flow?** — answered by def-use edges, which
+  :mod:`repro.analysis.summaries` collects per function as :class:`Use`
+  records. Every use carries a semantic *role* (data operand, stored value,
   store/load address, branch condition, call argument, returned value,
   emitted output, duplication check), because the masking classification
   depends on how a consumer uses the value, not just which consumer it is.
@@ -11,24 +12,20 @@ The error-propagation model asks two structural questions of a module:
   dominator tree: the blocks dominated by a ``condbr``'s successors bound
   the region whose execution a corrupted condition can redirect.
 
-Both structures are purely static, deterministic in the module text, and
-cheap (linear in instructions / near-linear in blocks), so they can be
-rebuilt per function during summary construction.
+Both are purely static, deterministic in the module text, and cheap
+(linear in instructions / near-linear in blocks), so they are rebuilt per
+function during summary construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.module import Module
-from repro.ir.values import Argument
 
 __all__ = [
     "Use",
-    "DefUseGraph",
-    "build_def_use",
     "dominator_tree",
     "dominated_blocks",
     "loop_depth",
@@ -58,24 +55,6 @@ class Use:
     role: str
 
 
-@dataclass
-class DefUseGraph:
-    """Module-wide def-use edges, keyed by the *producing* value.
-
-    Instruction results key by iid; function arguments key by
-    ``(function name, argument index)`` — the two source kinds the
-    propagation model seeds.
-    """
-
-    #: Uses of each instruction result, keyed by producer iid.
-    users: dict[int, list[Use]] = field(default_factory=dict)
-    #: Uses of each formal argument, keyed by (function name, arg index).
-    arg_users: dict[tuple[str, int], list[Use]] = field(default_factory=dict)
-
-    def uses_of(self, iid: int) -> list[Use]:
-        return self.users.get(iid, [])
-
-
 def _role_of(user: Instruction, index: int) -> str:
     """Semantic role of operand ``index`` of ``user``."""
     op = user.opcode
@@ -96,31 +75,6 @@ def _role_of(user: Instruction, index: int) -> str:
     if op in ("check", "checkrange"):
         return ROLE_CHECK
     return ROLE_DATA
-
-
-def _record(graph: DefUseGraph, fn: Function, value, use: Use) -> None:
-    if isinstance(value, Instruction):
-        graph.users.setdefault(value.iid, []).append(use)
-    elif isinstance(value, Argument):
-        graph.arg_users.setdefault((fn.name, value.index), []).append(use)
-    # Constants and globals are not corruption sources; skip.
-
-
-def build_def_use(module: Module) -> DefUseGraph:
-    """Build the def-use graph of a finalized module.
-
-    Iteration follows iid order, so use lists are deterministic — the model's
-    fixed point and every downstream prediction inherit that determinism.
-    """
-    graph = DefUseGraph()
-    for fn in module.functions.values():
-        for instr in fn.instructions():
-            for i, op in enumerate(instr.operands):
-                _record(graph, fn, op, Use(instr, i, _role_of(instr, i)))
-            if instr.opcode == "phi":
-                for i, (_, val) in enumerate(instr.attrs.get("incoming", [])):
-                    _record(graph, fn, val, Use(instr, i, ROLE_DATA))
-    return graph
 
 
 def dominator_tree(fn: Function) -> dict[str, str | None]:

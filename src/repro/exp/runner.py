@@ -56,21 +56,19 @@ def generate_eval_inputs(app: App, n: int, seed: int) -> list[Input]:
 def duplication_fraction(
     protected: ProtectedModule, program: Program, args, bindings
 ) -> float:
-    """Duplicated share of dynamic cycles under one input (§VIII-A)."""
-    from repro.vm.costmodel import DEFAULT_COST_MODEL
+    """Duplicated share of dynamic cycles under one input (§VIII-A).
 
+    ``program`` runs the *unprotected* module. The protected program's own
+    golden profile is not needed: the protection inserts each duplicate
+    and check into its original's block, and no check fires on a golden
+    run, so a duplicate executes exactly as often as its original. The
+    share is the duplicated originals' cycles over the original's total.
+    """
     prof = profile_run(program, args=args, bindings=bindings)
-    dup_cycles = 0
-    base_cycles = 0
-    for instr in program.module.instructions():
-        c = prof.instr_cycles[instr.iid]
-        if instr.opcode in ("check", "checkrange"):
-            continue
-        if instr.origin is not None:
-            dup_cycles += c
-        else:
-            base_cycles += c
-    return dup_cycles / base_cycles if base_cycles else 0.0
+    if not prof.total_cycles:
+        return 0.0
+    dup_cycles = sum(prof.instr_cycles[iid] for iid in protected.dup_map)
+    return dup_cycles / prof.total_cycles
 
 
 def evaluate_protection(
@@ -126,6 +124,6 @@ def evaluate_protection(
             result.measured.append(measured_coverage(pu, pp))
             if measure_duplication:
                 result.dup_fraction.append(
-                    duplication_fraction(protected, prog_prot, args, bindings)
+                    duplication_fraction(protected, prog_unprot, args, bindings)
                 )
     return result

@@ -1,9 +1,9 @@
 """Deterministic virtual machine executing the mini-IR.
 
-Provides golden runs, dynamic profiling (per-instruction execution counts and
-CFG edge counts — the inputs to the SID cost model and to MINPSID's
-weighted-CFG fitness), a single-bit-flip fault hook, and trap/hang semantics
-that the fault-injection layer classifies into outcomes.
+Provides golden runs, dynamic profiling (per-instruction execution counts —
+the input to the SID cost model and to MINPSID's weighted-CFG fitness — and
+call-path counts), golden checkpoints, a single-bit-flip fault hook, and
+trap/hang semantics that the fault-injection layer classifies into outcomes.
 """
 
 from repro.vm.checkpoint import (

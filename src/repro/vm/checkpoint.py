@@ -21,7 +21,7 @@ Snapshots capture, at a block boundary:
 - every memory segment (globals and live allocas) plus the allocator cursor,
 - the emitted output so far,
 - per-instruction execution counts (so a fault's ``f_seen`` counter can be
-  re-seated exactly), the dynamic step counter, and the derived cycle counter.
+  re-seated exactly) and the dynamic step counter.
 
 The same snapshots double as *convergence* oracles: a faulty run whose state
 becomes bit-identical to the golden state at a later checkpoint boundary is
@@ -89,8 +89,6 @@ class Snapshot:
     mem: dict
     #: Call stack, outermost first; the last entry is the running frame.
     frames: list
-    #: Dynamic cycles at capture under the recording cost model.
-    cycles: int = 0
 
     def cells(self) -> int:
         """Total memory cells held (rough size/memory accounting)."""
@@ -220,11 +218,6 @@ def record_checkpoints(
         args=args, bindings=bindings, interval=interval, step_limit=step_limit,
         profile=profile, max_snapshots=max_snapshots,
     )
-    cost = [0] * program.module.instruction_count()
-    for instr in program.module.instructions():
-        cost[instr.iid] = cost_model.cost_of(instr.opcode)
-    for snap in snapshots:
-        snap.cycles = sum(n * c for n, c in zip(snap.instr_counts, cost) if n)
     store = CheckpointStore(
         interval=result.checkpoint_interval, snapshots=snapshots,
         golden_steps=result.steps,

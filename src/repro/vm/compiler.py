@@ -22,15 +22,23 @@ and the terminator, and returns the successor's gid, or ``-1`` after a
 through per-function entry closures, which do the depth check, call-path
 profiling and slot allocation, then drive the callee's blocks.
 
-Variants and hooks
+Hooks and counting
 ------------------
-Each block has up to four variants: *counted* (per-iid execution counts
-and CFG edge counts, for profiling and checkpoint recording) or not, and
-*hooked* or not. A hooked block passes every value-producing instruction's
-result through ``_hook``, which applies the transient fault flip and the
-sticky host-fault visitor. A run uses hooked variants only in the blocks
-that hold the fault's iid or a sticky iid, so an unprotected block pays
-nothing for the hooks.
+Each block has two variants: *hooked* or not. A hooked block passes every
+value-producing instruction's result through ``_hook``, which applies the
+transient fault flip and the sticky host-fault visitor. A run uses hooked
+variants only in the blocks that hold the fault's iid or a sticky iid, so
+an unprotected block pays nothing for the hooks.
+
+Profiled runs and checkpoint recordings execute the same block functions
+as plain runs. Their driver loop adds one to ``st.bc[g]``, the run's
+block-entry count, before block ``g`` runs; every instruction of a block
+runs once per entry. :meth:`CompiledProgram.counts` expands the entry
+counts into per-iid counts when the run returns and at each block event,
+where the blocks that frames are still inside count one less for what
+has not run yet. A plain run's entry closure tests ``st.bc`` once per
+call and drives its blocks with a loop that does not count, so trials
+pay nothing for counting.
 
 Accounting is the reference interpreter's, per block: a block adds
 ``len(code) + 1`` steps at entry, raises :class:`HangTimeout` when that
@@ -130,8 +138,21 @@ def _hang(st):
 
 
 def _drive(tbl, g: int, prev: int, slots: list, st) -> None:
-    """Run block functions from gid ``g`` until the frame returns."""
+    """Run block functions from gid ``g`` until the frame returns.
+
+    A counting run (``st.bc`` set) adds one to ``bc[g]`` before block ``g``
+    runs: the block-entry counts :meth:`CompiledProgram.counts` expands.
+    """
+    bc = st.bc
+    if bc is None:
+        while True:
+            nxt = tbl[g](slots, st, prev)
+            if nxt < 0:
+                return
+            prev = g
+            g = nxt
     while True:
+        bc[g] += 1
         nxt = tbl[g](slots, st, prev)
         if nxt < 0:
             return
@@ -171,7 +192,7 @@ def _bind(code: CodeType, where: tuple, values: tuple) -> CodeType:
     return code.replace(co_consts=tuple(consts))
 
 
-def _stub(g: int, counted: bool, hooked: bool):
+def _stub(g: int, hooked: bool):
     """A table entry that compiles block ``g`` on its first call.
 
     It reaches the compiler through ``st.ct``, not a closure, so compiled
@@ -179,7 +200,7 @@ def _stub(g: int, counted: bool, hooked: bool):
     """
 
     def stub(slots, st, prev):
-        fn = st.ct.block(g, counted, hooked)
+        fn = st.ct.block(g, hooked)
         st.tbl[g] = fn
         return fn(slots, st, prev)
 
@@ -189,10 +210,9 @@ def _stub(g: int, counted: bool, hooked: bool):
 class _Source:
     """Source text of one generated block function."""
 
-    def __init__(self, cp: "CompiledProgram", counted: bool, hooked: bool):
+    def __init__(self, cp: "CompiledProgram", hooked: bool):
         self.cp = cp
         self.ns = cp.ns
-        self.counted = counted
         self.hooked = hooked
         self.lines: list[str] = ["def f(slots, st, prev):"]
         self.shift = 0  # 1 inside the body's try
@@ -238,11 +258,6 @@ class _Source:
             self.emit(f"v = _hook(st, {self.num(iid)}, v)")
             expr = "v"
         self.emit(f"slots[{self.num(dest)}] = {expr}")
-        self.count(iid)
-
-    def count(self, iid: int) -> None:
-        if self.counted:
-            self.emit(f"counts[{self.num(iid)}] += 1")
 
     # -- block entry -----------------------------------------------------
     def entry(self, blk) -> None:
@@ -255,11 +270,6 @@ class _Source:
         self.emit("_hang(st)", 2)
         nphi = len(blk.phis)
         self.emit(f"st.steps = s + {nphi}" if nphi else "st.steps = s")
-        if self.counted:
-            self.emit("e = st.edges")
-            self.emit("if e is not None and prev >= 0:")
-            self.emit(f"key = (prev, {self.num(g)})", 2)
-            self.emit("e[key] = e.get(key, 0) + 1", 2)
         if blk.phis:
             self.phis(blk.phis)
 
@@ -283,10 +293,9 @@ class _Source:
                 self.emit(f"{target} = {self.operand(*inc)}", 2)
         self.emit("else:")
         self.emit("_no_edge(prev)", 2)
-        for j, d in enumerate(phis):
-            if staged:
+        if staged:
+            for j, d in enumerate(phis):
                 self.emit(f"slots[{self.num(d[2])}] = t{j}")
-            self.count(d[1])
 
     # -- body --------------------------------------------------------------
     def instr(self, d: list, blk, dfn) -> None:
@@ -378,7 +387,6 @@ class _Source:
             self.emit(
                 f"mem[{a} >> {SEG_SHIFT}][{a} & {SEG_MASK}] = {opnd(d[3], d[4])}"
             )
-            self.count(d[1])
         elif op == 33:  # gep: signed index of width d[7]
             w = d[7]
             if d[5] == 0:
@@ -397,19 +405,16 @@ class _Source:
                 self.emit(f"if v & {d[5]}:")
                 self.emit(f"v -= {d[6]}", 2)
             self.emit("st.output.append(v)")
-            self.count(d[1])
         elif op == 37:  # check
             a = self.local("a", d[3], d[4])
             b = self.local("b", d[5], d[6])
             self.emit(f"if {a} != {b} and not ({a} != {a} and {b} != {b}):")
             self.emit(f"raise _Detected({self.num(d[7])}, {a}, {b})", 2)
-            self.count(d[1])
         elif op == 38:  # checkrange
             x = self.local("x", d[3], d[4])
             lo, hi = self.const(d[5]), self.const(d[6])
             self.emit(f"if {x} != {x} or {x} < {lo} or {x} > {hi}:")
             self.emit(f"raise _Detected({self.num(d[7])}, {x}, {lo})", 2)
-            self.count(d[1])
         else:  # pragma: no cover - phis are emitted at block entry
             raise AssertionError(f"unexpected opcode {op} in a block body")
 
@@ -441,7 +446,6 @@ class _Source:
             self.value(d, expr)
 
     def call(self, d: list, blk, dfn) -> None:
-        self.count(d[1])
         entry = _entry_name(d[3].name)
         if entry not in self.ns:
             self.ns[entry] = self.cp.entry(d[3])
@@ -460,7 +464,6 @@ class _Source:
             self.emit(f"slots[{self.num(d[2])}] = rv")
 
     def terminator(self, t: list) -> None:
-        self.count(t[1])
         if t[0] == "br":
             self.emit(f"return {self.num(t[2].gid)}")
         elif t[0] == "condbr":
@@ -478,8 +481,6 @@ class _Source:
         """The whole ``def f``: the block from its entry, or from code index
         ``start`` (a tail, for resumes)."""
         code = blk.code if start < 0 else blk.code[start:]
-        if self.counted:
-            self.emit("counts = st.counts")
         memory = any(d[0] in (31, 32) for d in code)
         if memory or any(d[0] == 30 for d in code):
             self.emit("mem = st.mem")
@@ -531,13 +532,19 @@ class CompiledProgram:
             for blk in dfn.blocks.values():
                 self.blocks[blk.gid] = blk
                 self.fn_of[blk.gid] = dfn
-        # Body iid -> gid, to find the blocks a fault or sticky hook needs.
-        self._gid_of = {
-            d[1]: blk.gid for blk in self.blocks for d in blk.code
-        }
+        # iid -> gid of its block: the blocks a fault or sticky hook needs,
+        # and the expansion of block-entry counts into per-iid counts.
+        self.gid_of_iid: list = [0] * sum(
+            len(blk.phis) + len(blk.code) + 1 for blk in self.blocks
+        )
+        for blk in self.blocks:
+            for d in (*blk.phis, *blk.code, blk.term):
+                self.gid_of_iid[d[1]] = blk.gid
         blocks, fn_of = self.blocks, self.fn_of
 
         def event(st, g, prev, slots):
+            if st.bc is not None:
+                st.counts = st.ct.counts(st, g)
             block_event(st, fn_of[g], blocks[g], prev, slots)
 
         def hook(st, iid, val):
@@ -559,10 +566,7 @@ class CompiledProgram:
         }
         self._fns: dict = {}
         self._entries: dict = {}
-        self._tables = tuple(
-            [_stub(g, counted, False) for g in range(n)]
-            for counted in (False, True)
-        )
+        self._table = [_stub(g, False) for g in range(n)]
 
     def entry(self, dfn):
         """The closure that calls ``dfn`` with a fresh frame."""
@@ -586,14 +590,17 @@ class CompiledProgram:
                 st.paths[key] = st.paths.get(key, 0) + 1
             args += pad
             tbl = st.tbl
-            g = g0
-            prev = -1
-            while True:  # _drive, inlined: guest calls are hot
-                nxt = tbl[g](args, st, prev)
-                if nxt < 0:
-                    break
-                prev = g
-                g = nxt
+            if st.bc is None:
+                g = g0
+                prev = -1
+                while True:  # _drive, inlined: guest calls are hot
+                    nxt = tbl[g](args, st, prev)
+                    if nxt < 0:
+                        break
+                    prev = g
+                    g = nxt
+            else:
+                _drive(tbl, g0, -1, args, st)
             st.depth -= 1
             if ps is not None:
                 ps.pop()
@@ -603,15 +610,15 @@ class CompiledProgram:
         return enter
 
     # -- compilation ---------------------------------------------------
-    def block(self, g: int, counted: bool, hooked: bool, start: int = -1):
-        """Block ``g``'s function for a variant, compiled on first use.
+    def block(self, g: int, hooked: bool, start: int = -1):
+        """Block ``g``'s function, hooked or not, compiled on first use.
 
         ``start >= 0`` gives the tail from that code index instead.
         """
-        key = (g, start, counted, hooked)
+        key = (g, start, hooked)
         fn = self._fns.get(key)
         if fn is None:
-            source = _Source(self, counted, hooked)
+            source = _Source(self, hooked)
             src = source.function(self.blocks[g], self.fn_of[g], start)
             values = tuple(source.values)
             digest = hashlib.blake2b(src.encode(), digest_size=16).digest()
@@ -628,31 +635,60 @@ class CompiledProgram:
                 code = _bind(code, where, values)
             fn = self._fns[key] = FunctionType(code, self.ns)
             if start < 0 and not hooked:
-                self._tables[counted][g] = fn
+                self._table[g] = fn
         return fn
+
+    # -- counting ------------------------------------------------------
+    def counts(self, st, g: int = -1) -> list:
+        """A counting run's per-iid execution counts, from its block entries.
+
+        Each instruction has run once per entry into its block, except in
+        the blocks frames are still inside: ``g``, whose entry event is
+        running (entered, but none of it run; ``-1`` once the run has
+        returned), and the block of each suspended caller in ``st.shadow``,
+        run up to and including its call.
+        """
+        bc = st.bc
+        counts = [bc[b] for b in self.gid_of_iid]
+        if g >= 0:
+            blk = self.blocks[g]
+            for d in (*blk.phis, *blk.code, blk.term):
+                counts[d[1]] -= 1
+            for _, _, caller, _, ci in st.shadow:
+                for d in (*caller.code[ci + 1:], caller.term):
+                    counts[d[1]] -= 1
+        return counts
 
     # -- execution -----------------------------------------------------
     def execute(self, dfn, args, st, resume=None):
-        """``Program._exec_fn``'s contract, on compiled blocks."""
-        counted = st.counts is not None
+        """``Program._exec_fn``'s contract, on compiled blocks.
+
+        A run that counts (``st.counts`` set; never a resume) counts block
+        entries into ``st.bc`` and leaves the per-iid expansion in
+        ``st.counts`` when it returns, as at each block event.
+        """
+        gid_of_iid = self.gid_of_iid
         hooks = set()
-        if st.f_iid >= 0 and st.f_iid in self._gid_of:
-            hooks.add(self._gid_of[st.f_iid])
+        if st.f_iid >= 0:
+            hooks.add(gid_of_iid[st.f_iid])
         if st.sticky is not None:
-            hooks.update(
-                self._gid_of[i] for i in st.sticky.iids if i in self._gid_of
-            )
-        tbl = self._tables[counted]
+            hooks.update(gid_of_iid[i] for i in st.sticky.iids)
+        tbl = self._table
         if hooks:
             tbl = list(tbl)
             for g in hooks:
-                tbl[g] = _stub(g, counted, True)
+                tbl[g] = _stub(g, True)
         st.tbl = tbl
         st.ct = self
-        if resume is None:
+        if resume is not None:
+            frames, fi = resume
+            return self._resume(frames, fi, st, hooks)
+        if st.counts is None:
             return self.entry(dfn)(st, args)
-        frames, fi = resume
-        return self._resume(frames, fi, st, hooks)
+        st.bc = [0] * len(self.blocks)
+        rv = self.entry(dfn)(st, args)
+        st.counts = self.counts(st)
+        return rv
 
     def _resume(self, frames: list, fi: int, st, hooks: set):
         """Rebuild frame ``fi`` (and, first, the frames it called)."""
@@ -684,7 +720,7 @@ class CompiledProgram:
             start = fr.code_index
         nxt = g
         if start >= 0:
-            tail = self.block(g, st.counts is not None, g in hooks, start)
+            tail = self.block(g, g in hooks, start)
             nxt = tail(slots, st, prev)
             prev = g
         if nxt >= 0:

@@ -168,8 +168,6 @@ class RunResult:
     steps: int = 0
     #: Per-iid execution counts (only when profiling was requested).
     instr_counts: list[int] | None = None
-    #: CFG edge execution counts keyed by (src block gid, dst block gid).
-    edge_counts: dict[tuple[int, int], int] | None = None
     #: Call-path entry counts keyed by the tuple of function names from
     #: ``main`` down to the entered function (only when profiling was
     #: requested) — the raw material of folded flamegraph stacks.
@@ -222,7 +220,7 @@ class _RunState:
         "mem", "next_seg", "output", "steps", "limit", "depth",
         "f_iid", "f_instance", "f_bit", "f_seen", "f_fired",
         "sticky",
-        "counts", "edges", "paths", "path_stack",
+        "counts", "bc", "paths", "path_stack",
         "event_at", "ckpt", "conv", "conv_idx", "shadow",
         "tbl", "ct", "rv",
     )
@@ -242,8 +240,12 @@ class _RunState:
         # Sticky host-fault visitor (repro.fi.hostfault.StickyRun), duck-
         # typed as `.iids` + `.visit(iid, val)`. None on transient-only runs.
         self.sticky = None
+        # Per-iid execution counts (None: the run does not count). The
+        # reference interpreter adds to them as it goes; the compile tier
+        # counts block entries into ``bc`` (gid-indexed) and expands them
+        # into ``counts`` at each block event and when the run returns.
         self.counts: list[int] | None = None
-        self.edges: dict[tuple[int, int], int] | None = None
+        self.bc: list[int] | None = None
         # Call-path profiling (profile runs only): the live function-name
         # stack and entry counts per path. Exceptions abort a profile run
         # outright, so the stack only needs to balance on the ret path.
@@ -624,7 +626,8 @@ class Program:
         fault:
             Optional single-bit fault to inject.
         profile:
-            Collect per-instruction and CFG-edge execution counts.
+            Collect per-instruction execution counts and call-path entry
+            counts.
         step_limit:
             Dynamic instruction budget; exceeding it raises
             :class:`HangTimeout`. Defaults to 50 million.
@@ -660,7 +663,6 @@ class Program:
             output=state.output,
             steps=state.steps,
             instr_counts=state.counts,
-            edge_counts=state.edges,
             call_paths=state.paths,
             fault_fired=state.f_fired,
         )
@@ -690,7 +692,6 @@ class Program:
             state.f_bit = fault.bit
         if profile:
             state.counts = [0] * self.module.instruction_count()
-            state.edges = {}
             state.paths = {}
             state.path_stack = []
 
@@ -715,7 +716,6 @@ class Program:
             output=state.output,
             steps=state.steps,
             instr_counts=state.counts,
-            edge_counts=state.edges,
             fault_fired=True,
             converged=True,
             converged_output_len=len(c.snapshot.output),
@@ -733,7 +733,7 @@ class Program:
         """Golden run recording a full state snapshot every ``interval`` steps.
 
         The run counts per-instruction executions (each snapshot needs them to
-        seat fault instance counters); ``profile=True`` adds edge and call-path
+        seat fault instance counters); ``profile=True`` adds call-path
         profiling, as in :meth:`run`. Returns the run result plus the captured
         snapshots in steps order. Snapshots are portable: frames/memory are
         stored by name and plain lists, so they pickle to worker processes and
@@ -770,7 +770,6 @@ class Program:
             output=state.output,
             steps=state.steps,
             instr_counts=state.counts,
-            edge_counts=state.edges,
             call_paths=state.paths,
             fault_fired=False,
             checkpoint_interval=ck.interval,
@@ -1031,10 +1030,6 @@ class Program:
                 if state.steps > state.limit:
                     state.depth -= 1
                     raise HangTimeout(f"step limit {state.limit} exceeded")
-                if state.edges is not None and prev_gid >= 0:
-                    key = (prev_gid, blk.gid)
-                    state.edges[key] = state.edges.get(key, 0) + 1
-
                 if blk.phis:
                     # Parallel phi semantics: read all incomings, then write.
                     vals = []

@@ -1,9 +1,11 @@
 """Dynamic profiling: the measurement half of SID preparation (① in Fig. 4).
 
-A profiled golden run yields per-instruction execution counts and CFG edge
-counts. Combined with the cost model this gives each instruction's dynamic
-cycles — the numerator of Eq. (1) — and the edge counts feed MINPSID's
-weighted CFG (⑤ in Fig. 4).
+A profiled golden run yields per-instruction execution counts and call-path
+entry counts. Combined with the cost model the counts give each
+instruction's dynamic cycles — the numerator of Eq. (1) — and the
+terminators' counts weight MINPSID's CFG (⑤ in Fig. 4). A profiled run
+executes the same compiled blocks as a plain one: the compile tier counts
+block entries and expands them per instruction when the run returns.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ class DynamicProfile:
 
     #: Executions of each static instruction, indexed by iid.
     instr_counts: list[int]
-    #: Executions of each static CFG edge, keyed by (src gid, dst gid).
-    edge_counts: dict[tuple[int, int], int]
     #: Dynamic cycles of each static instruction, indexed by iid.
     instr_cycles: list[int]
     #: Total dynamic cycles of the run (denominator of Eq. 1).
@@ -77,7 +77,7 @@ def profile_of(
 
     ``result`` comes from ``Program.run(profile=True)`` or from a profiled
     checkpoint recording (``Program.run_checkpointed(profile=True)``), which
-    observe the same counts, edges and call paths.
+    observe the same counts and call paths.
     """
     module: Module = program.module
     counts = result.instr_counts or [0] * module.instruction_count()
@@ -135,7 +135,6 @@ def profile_of(
         )
     return DynamicProfile(
         instr_counts=counts,
-        edge_counts=result.edge_counts or {},
         instr_cycles=cycles,
         total_cycles=total,
         output=result.output,

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.analysis.dataflow import (
-    build_def_use,
+    ROLE_DATA,
+    ROLE_LOAD_ADDR,
+    ROLE_STORE_ADDR,
+    ROLE_STORE_VALUE,
+    _role_of,
     dominator_tree,
     loop_depth,
 )
@@ -54,11 +58,26 @@ def loop_module():
 class TestDataflow:
     def test_def_use_edges(self, loop_module):
         fn = loop_module.functions["main"]
-        graph = build_def_use(loop_module)
         by_name = {i.name: i for i in fn.instructions() if i.name}
+
+        def uses(name):
+            value = by_name[name]
+            return {
+                (u.name or u.opcode, _role_of(u, i))
+                for u in fn.instructions()
+                for i, op in enumerate(u.operands) if op is value
+            }
+
         # %i.1 is consumed by the compare, the multiply, and the add.
-        users = {u.user.name for u in graph.uses_of(by_name["i.1"].iid)}
-        assert {"cmp.2", "dbl.3", "next.4"} <= users
+        assert uses("i.1") == {
+            ("cmp.2", ROLE_DATA), ("dbl.3", ROLE_DATA), ("next.4", ROLE_DATA),
+        }
+        # The slot is an address to its loads and stores, the stored
+        # increment a value.
+        assert uses("i.slot.0") == {
+            ("i.1", ROLE_LOAD_ADDR), ("store", ROLE_STORE_ADDR),
+        }
+        assert uses("next.4") == {("store", ROLE_STORE_VALUE)}
 
     def test_dominator_tree(self, loop_module):
         fn = loop_module.functions["main"]

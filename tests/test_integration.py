@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps import get_app
+from repro.apps import all_app_names, get_app
+from repro.detectors.transform import duplicate_instructions
 from repro.exp import TINY
 from repro.exp.runner import duplication_fraction, generate_eval_inputs
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
@@ -15,7 +16,7 @@ from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.sid.profiles import build_cost_benefit_profile
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
-from tests.conftest import cached_app
+from tests.conftest import cached_app, executed_sites
 
 TINY_SEARCH = InputSearchConfig(
     max_inputs=2,
@@ -166,10 +167,39 @@ class TestEvalHelpers:
                 app.module, args, bindings,
                 SIDConfig(protection_level=level, per_instruction_trials=3),
             )
-            prog = Program(sid.protected.module)
-            fracs[level] = duplication_fraction(sid.protected, prog, args, bindings)
+            fracs[level] = duplication_fraction(
+                sid.protected, app.program, args, bindings
+            )
         assert 0.0 < fracs[0.3] <= 0.3 + 1e-9
         assert fracs[0.3] < fracs[0.7] <= 0.7 + 1e-9
+
+
+@pytest.mark.parametrize("name", all_app_names())
+def test_duplication_fraction_matches_protected_profile(name):
+    """The share priced from the original's profile equals the protected
+    program's own golden profile: duplicate cycles over the cycles of
+    everything that is neither a duplicate nor a check."""
+    app = cached_app(name)
+    (inp,) = generate_eval_inputs(app, 1, seed=41)
+    args, bindings = app.encode(inp)
+    golden = app.program.run(args=args, bindings=bindings, profile=True)
+    sites = executed_sites(app.module, golden.instr_counts)[::2]
+    for placement in ("sync", "store"):
+        protected = duplicate_instructions(app.module, sites, placement)
+        prof = profile_run(Program(protected.module), args=args,
+                           bindings=bindings)
+        dup = base = 0
+        for instr in protected.module.instructions():
+            if instr.opcode in ("check", "checkrange"):
+                continue
+            if instr.origin is not None:
+                dup += prof.instr_cycles[instr.iid]
+            else:
+                base += prof.instr_cycles[instr.iid]
+        assert dup > 0, placement
+        assert duplication_fraction(
+            protected, app.program, args, bindings
+        ) == dup / base, placement
 
 
 class TestThreadedExecution:

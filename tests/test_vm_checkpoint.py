@@ -121,14 +121,6 @@ class TestRecord:
                 args=[24], bindings=sumsq_data, interval=8, max_snapshots=3
             )
 
-    def test_snapshot_cycles_monotone(self, sumsq_program, sumsq_data):
-        store = record_checkpoints(
-            sumsq_program, args=[24], bindings=sumsq_data, interval=60
-        )
-        cycles = [s.cycles for s in store.snapshots]
-        assert cycles == sorted(cycles)
-        assert cycles[0] > 0
-
 
 class TestGoldenReplay:
     def test_replay_from_every_snapshot(self, sumsq_program, sumsq_data):

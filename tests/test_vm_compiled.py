@@ -117,7 +117,6 @@ class TestApps:
         assert bits(got.output) == bits(ref.output)
         assert got.steps == ref.steps
         assert got.instr_counts == ref.instr_counts
-        assert got.edge_counts == ref.edge_counts
         assert got.call_paths == ref.call_paths
         assert not got.fault_fired
 
@@ -192,12 +191,11 @@ class TestApps:
             for p in (pair.compiled, pair.reference)
         ]
         (got, got_snaps), (ref, ref_snaps) = runs
-        assert (bits(got.output), got.steps, got.instr_counts, got.edge_counts,
+        assert (bits(got.output), got.steps, got.instr_counts,
                 got.call_paths, got.checkpoint_interval) == (
-            bits(ref.output), ref.steps, ref.instr_counts, ref.edge_counts,
+            bits(ref.output), ref.steps, ref.instr_counts,
             ref.call_paths, ref.checkpoint_interval)
         assert snapshot_bits(got_snaps) == snapshot_bits(ref_snaps)
-        assert got.edge_counts == pair.golden.edge_counts
         assert got.call_paths == pair.golden.call_paths
         assert len(got_snaps) < 6
 
@@ -237,6 +235,79 @@ class TestApps:
             ))
         assert runs[0] == runs[1]
         assert runs[0][1] > 0
+
+
+class TestBlockCounts:
+    """The compile tier counts block entries and expands them per iid at
+    each block event and when the run returns. A snapshot at every block
+    boundary holds the reference's counts, also inside a callee, where
+    each suspended caller has run its block only up to its call."""
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["orig", "sid"])
+    @pytest.mark.parametrize("name", ["hpccg", "fft", "backprop"])
+    def test_counts_at_every_block_boundary(self, name, protected):
+        pair = Pair(name, protected)
+        seen = []
+        for prog in (pair.compiled, pair.reference):
+            result, snaps = prog.run_checkpointed(
+                args=pair.args, bindings=pair.bindings, interval=1,
+                profile=True,
+            )
+            seen.append((
+                result.instr_counts, result.call_paths,
+                [(s.steps, len(s.frames), s.instr_counts) for s in snaps],
+            ))
+            del snaps  # a snapshot per block holds the whole memory
+        got, ref = seen
+        assert got[0] == ref[0] == pair.golden.instr_counts
+        assert got[1] == ref[1] == pair.golden.call_paths
+        assert got[2] == ref[2]
+        assert any(depth > 1 for _, depth, _ in got[2])
+
+    def test_counts_in_phi_blocks_around_calls(self):
+        # No app has phis: a phi loop calling a phi loop, so snapshots land
+        # in phi blocks, both entered and suspended at a call.
+        m = parse_module(
+            "module phicall\n"
+            "func @tri(%x: i64) -> i64 {\n"
+            "entry:\n"
+            "  br loop\n"
+            "loop:\n"
+            "  %k = phi i64 [entry: i64 0], [loop: i64 %k1]\n"
+            "  %acc = phi i64 [entry: i64 %x], [loop: i64 %acc1]\n"
+            "  %acc1 = add i64 %acc, i64 %k\n"
+            "  %k1 = add i64 %k, i64 1\n"
+            "  %c = icmp slt i64 %k1, i64 3\n"
+            "  condbr i1 %c, loop, done\n"
+            "done:\n"
+            "  ret i64 %acc1\n"
+            "}\n"
+            "func @main(%n: i64) -> void {\n"
+            "entry:\n"
+            "  br loop\n"
+            "loop:\n"
+            "  %a = phi i64 [entry: i64 1], [loop: i64 %b]\n"
+            "  %b = phi i64 [entry: i64 2], [loop: i64 %a]\n"
+            "  %i = phi i64 [entry: i64 0], [loop: i64 %j]\n"
+            "  %t = call i64 @tri i64 %i\n"
+            "  emit i64 %t\n"
+            "  %j = add i64 %i, i64 1\n"
+            "  %c = icmp slt i64 %j, i64 %n\n"
+            "  condbr i1 %c, loop, done\n"
+            "done:\n"
+            "  emit i64 %a\n"
+            "  ret\n"
+            "}\n"
+        )
+        runs = [
+            p.run_checkpointed(args=[4], interval=1, profile=True)
+            for p in (Program(m), ReferenceProgram(m))
+        ]
+        (got, got_snaps), (ref, ref_snaps) = runs
+        assert (got.instr_counts, got.call_paths) == (
+            ref.instr_counts, ref.call_paths)
+        assert snapshot_bits(got_snaps) == snapshot_bits(ref_snaps)
+        assert any(len(s.frames) > 1 for s in got_snaps)
 
 
 @pytest.fixture
