@@ -217,8 +217,8 @@ def apply_plan(
     _validate_plan(module, plan)
 
     clone = module.clone()
-    # The deepcopy preserves iid fields, so instructions are addressable by
-    # their original iids until we re-finalize at the end.
+    # The clone keeps iid fields, so instructions are addressable by their
+    # original iids until we re-finalize at the end.
     old_iids: dict[int, Instruction] = {}
     for fn in clone.functions.values():
         for instr in fn.instructions():

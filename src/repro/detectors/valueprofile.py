@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.keys import value_profile_key
-from repro.ir.printer import print_module
 from repro.obs.core import current as _obs_current
 from repro.runconfig import resolve_field
 from repro.vm.interpreter import INJECTABLE_OPCODES, Program
@@ -119,9 +118,7 @@ def mine_value_profile(
     key = None
     t = _obs_current()
     if store is not None:
-        key = value_profile_key(
-            print_module(program.module), args, bindings
-        )
+        key = value_profile_key(program.text, args, bindings)
         hit = store.get(key)
         if hit is not None:
             if t:

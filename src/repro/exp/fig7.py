@@ -17,7 +17,6 @@ from repro.minpsid.ga import GAConfig
 from repro.minpsid.search import InputSearchConfig, run_input_search
 from repro.sid.profiles import build_cost_benefit_profile
 from repro.util.rng import derive_seed
-from repro.vm.profiler import profile_run
 
 __all__ = ["SearchComparison", "run_fig7_study"]
 
@@ -45,8 +44,9 @@ class SearchComparison:
 
 
 def _reference_benefits(app, scale: ScaleConfig) -> dict[int, float]:
+    """The reference sweep's benefit map; its golden pass memoizes the
+    reference profile that both searches then read."""
     args, bindings = app.encode(app.reference_input)
-    prof = profile_run(app.program, args=args, bindings=bindings)
     fi = run_per_instruction_campaign(
         app.program,
         scale.per_instr_trials,
@@ -55,9 +55,8 @@ def _reference_benefits(app, scale: ScaleConfig) -> dict[int, float]:
         bindings=bindings,
         rel_tol=app.rel_tol,
         abs_tol=app.abs_tol,
-        profile=prof,
     )
-    return build_cost_benefit_profile(app.module, prof, fi).benefit
+    return build_cost_benefit_profile(app.module, fi.profile, fi).benefit
 
 
 def run_fig7_study(app_name: str, scale: ScaleConfig) -> SearchComparison:

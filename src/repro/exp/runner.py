@@ -36,7 +36,10 @@ def generate_eval_inputs(app: App, n: int, seed: int) -> list[Input]:
     (§III-A2). With our domain-constrained specs rejection is rare. Only
     guest :class:`~repro.errors.Trap`\\ s count as rejection; any other
     exception is a toolchain bug and propagates instead of being silently
-    swallowed as a "rejected input".
+    swallowed as a "rejected input". The filtering run is a profiling run,
+    so every accepted input's golden profile is memoized on
+    ``app.program`` for the evaluation campaigns and
+    :func:`duplication_fraction`.
     """
     rng = RngStream(seed, app.name, "eval-inputs")
     out: list[Input] = []
@@ -46,7 +49,7 @@ def generate_eval_inputs(app: App, n: int, seed: int) -> list[Input]:
         inp = app.random_input(rng.child(attempt))
         try:
             args, bindings = app.encode(inp)
-            app.program.run(args=args, bindings=bindings)
+            profile_run(app.program, args=args, bindings=bindings)
         except Trap:
             continue
         out.append(inp)
@@ -63,6 +66,8 @@ def duplication_fraction(
     and check into its original's block, and no check fires on a golden
     run, so a duplicate executes exactly as often as its original. The
     share is the duplicated originals' cycles over the original's total.
+    Within :func:`evaluate_protection` the profile is a memo hit: the
+    input filter or the evaluation campaign already ran it.
     """
     prof = profile_run(program, args=args, bindings=bindings)
     if not prof.total_cycles:

@@ -38,7 +38,6 @@ from repro.fi.injector import inject_one_resumed
 from repro.fi.outcome import Outcome, OutcomeCounts, classify_run
 from repro.fi.stats import wilson_interval
 from repro.ir.parser import parse_module
-from repro.ir.printer import print_module
 from repro.obs.core import current as _obs_current
 from repro.obs.progress import progress_scope
 from repro.obs.spans import span as _span
@@ -48,7 +47,7 @@ from repro.util.rng import RngStream
 from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import CheckpointStore, record_checkpoints
 from repro.vm.interpreter import Program
-from repro.vm.profiler import DynamicProfile, profile_run
+from repro.vm.profiler import DynamicProfile, memoized_profile, profile_run
 
 __all__ = [
     "CampaignResult",
@@ -304,10 +303,16 @@ def _golden_pass(
     Precedence: an explicit pre-recorded ``checkpoints`` store wins;
     otherwise ``run.checkpoint_interval`` selects recording (``"auto"``
     applies :func:`~repro.vm.checkpoint.auto_interval`, a positive int is
-    taken literally, ``0`` keeps every trial cold). A campaign without a
-    ``profile`` that records takes both from one profiled recording run,
-    so it executes the golden program once before its trials.
+    taken literally, ``0`` keeps every trial cold). Without a ``profile``
+    the campaign takes the program's memoized one
+    (:mod:`repro.vm.profiler`); on a miss a recording campaign takes both
+    from one profiled recording run, which fills the memo, so it executes
+    the golden program once before its trials. With a profile, a
+    recording neither profiles nor thins: the profile's step count names
+    its interval.
     """
+    if profile is None:
+        profile = memoized_profile(program, args, bindings)
     if checkpoints is None and run.checkpoint_interval:
         interval = (
             None if run.checkpoint_interval == "auto"
@@ -414,7 +419,7 @@ def _dispatch_sites(
                 _inject_chunk,
                 chunks,
                 initializer=_init_worker,
-                initargs=(print_module(program.module), lockstep, trial),
+                initargs=(program.text, lockstep, trial),
                 on_result=on_result,
                 run=run,
                 pool_factory=pool_factory,
@@ -539,9 +544,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Whole-program campaign: ``n_faults`` uniform dynamic-instance flips.
 
-    Pass a pre-computed golden ``profile`` to skip the profiling run (the
-    pipelines reuse one profile across many campaigns on the same input).
-    A pre-recorded ``checkpoints`` store skips even the recording run.
+    The golden ``profile`` defaults to the program's memoized one
+    (:mod:`repro.vm.profiler`), so campaigns on the same program and input
+    profile it once. A pre-recorded ``checkpoints`` store skips even the
+    recording run.
 
     How the campaign executes comes from the run configuration
     (:mod:`repro.runconfig`, DESIGN.md §7.12): ``workers``, ``engine``,
@@ -565,8 +571,7 @@ def run_campaign(
     key = None
     if store_cache is not None:
         key = whole_program_key(
-            print_module(program.module), args, bindings, rel_tol, abs_tol,
-            n_faults, seed,
+            program.text, args, bindings, rel_tol, abs_tol, n_faults, seed,
         )
         cached = _decode_campaign(store_cache.get(key))
         if cached is not None:
@@ -644,9 +649,8 @@ def run_per_instruction_campaign(
     need a subset re-measured). ``checkpoints`` and the run-configuration
     keywords behave as in :func:`run_campaign` — per-instruction sweeps
     replay the golden prefix hardest (trials × instructions), so they gain
-    the most from checkpoint resume. On a cache hit only the golden
-    profile is (re)computed — and even that is skipped when the caller
-    supplies one.
+    the most from checkpoint resume. A cache hit needs only the golden
+    profile: the caller's, or the program's memoized one.
     """
     module = program.module
     targets = only_iids if only_iids is not None else injectable_iids(module)
@@ -657,7 +661,7 @@ def run_per_instruction_campaign(
     key = None
     if store_cache is not None:
         key = per_instruction_key(
-            print_module(module), args, bindings, rel_tol, abs_tol,
+            program.text, args, bindings, rel_tol, abs_tol,
             trials_per_instruction, seed, targets,
         )
         payload = store_cache.get(key)

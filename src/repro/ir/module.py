@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import copy
-
 from repro.errors import IRError
+from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.types import Type
@@ -107,8 +106,58 @@ class Module:
         return [i.iid for i in self.instructions() if i.produces_value]
 
     def clone(self) -> "Module":
-        """Deep-copy the module (used before destructive transformations)."""
-        return copy.deepcopy(self)
+        """An independent copy, for destructive transformations.
+
+        The copy has its own globals (``init`` lists included), functions,
+        arguments, blocks and instructions, with every operand and phi
+        incoming value remapped onto it; it shares only the interned
+        :class:`Type` s and the immutable constants. Names, iids,
+        ``origin`` s, register counters and the finalized iid order carry
+        over, so the copy prints identically and its instructions stay
+        addressable by the original's iids until it is re-finalized.
+        """
+        m = Module(self.name)
+        vmap: dict = {}
+        for name, g in self.globals.items():
+            vmap[g] = m.globals[name] = GlobalArray(
+                g.name, g.elem_type, g.size, g.init
+            )
+        copies: list[Instruction] = []
+        for fname, fn in self.functions.items():
+            nf = Function(
+                fn.name, [(a.name, a.type) for a in fn.args], fn.return_type
+            )
+            nf.parent = m
+            nf._next_reg = fn._next_reg
+            m.functions[fname] = nf
+            vmap.update(zip(fn.args, nf.args))
+            for bname, blk in fn.blocks.items():
+                nb = nf.blocks[bname] = BasicBlock(blk.name)
+                nb.parent = nf
+                for instr in blk.instructions:
+                    c = Instruction(
+                        instr.opcode, instr.type, instr.operands,
+                        instr.name, instr.attrs,
+                    )
+                    c.iid = instr.iid
+                    c.origin = instr.origin
+                    c.parent = nb
+                    nb.instructions.append(c)
+                    vmap[instr] = c
+                    copies.append(c)
+        # Operands may name instructions defined later (loop-carried phis),
+        # so they are remapped once every copy exists.
+        for c in copies:
+            c.operands = [vmap.get(v, v) for v in c.operands]
+            incoming = c.attrs.get("incoming")
+            if incoming is not None:
+                c.attrs["incoming"] = [
+                    (b, vmap.get(v, v)) for b, v in incoming
+                ]
+        if self.finalized:
+            m._by_iid = [vmap[i] for i in self._by_iid]
+            m.finalized = True
+        return m
 
     def __repr__(self) -> str:
         return (

@@ -48,7 +48,7 @@ class Type:
         self.mask = (1 << width) - 1 if kind in ("int", "ptr") else 0
 
     # Types are interned singletons: copying must preserve identity so that
-    # `is` comparisons survive Module.clone() (which deep-copies modules).
+    # `is` comparisons survive any copy (Module.clone() shares them).
     def __copy__(self) -> "Type":
         return self
 

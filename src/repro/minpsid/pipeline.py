@@ -82,7 +82,7 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
 
     # ①② SID preparation: reference-input profile + SDC probabilities from
     # the configured source (FI campaign, static model, or hybrid). Its
-    # golden run serves the search engine too.
+    # golden run, memoized on the program, serves the search engine too.
     with phase("per_inst_fi_ref"):
         ref_profile = build_profile_from_source(
             program,
@@ -102,7 +102,6 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
         reference_benefits=ref_profile.benefit,
         seed=config.seed,
         config=config.search,
-        ref_profile=ref_profile.dyn_profile,
     )
 
     # ⑧ Re-prioritization.

@@ -31,7 +31,7 @@ from repro.obs.core import current as _obs_current
 from repro.obs.log import get_logger
 from repro.obs.spans import phase
 from repro.util.rng import RngStream
-from repro.vm.profiler import DynamicProfile, profile_run
+from repro.vm.profiler import profile_run
 
 __all__ = ["InputSearchConfig", "SearchOutcome", "run_input_search"]
 
@@ -75,27 +75,20 @@ class SearchOutcome:
 
 
 def _benefit_map(
-    app: App,
-    inp: Input,
-    trials: int,
-    seed: int,
-    profile: DynamicProfile | None = None,
+    app: App, inp: Input, trials: int, seed: int
 ) -> tuple[BenefitMap, int]:
     """Per-instruction FI on one input → its Eq.-2 benefit map."""
     args, bindings = app.encode(inp)
-    program = app.program
-    if profile is None:
-        profile = profile_run(program, args=args, bindings=bindings)
     fi = run_per_instruction_campaign(
-        program,
+        app.program,
         trials_per_instruction=trials,
         seed=seed,
         args=args,
         bindings=bindings,
         rel_tol=app.rel_tol,
         abs_tol=app.abs_tol,
-        profile=profile,
     )
+    profile = fi.profile
     total = profile.total_cycles or 1
     benefits: BenefitMap = {}
     for iid, counts in fi.per_iid.items():
@@ -110,14 +103,14 @@ def run_input_search(
     reference_benefits: BenefitMap,
     seed: int,
     config: InputSearchConfig = InputSearchConfig(),
-    ref_profile: DynamicProfile | None = None,
 ) -> SearchOutcome:
     """Run the search engine starting from the app's reference input.
 
     ``reference_benefits`` is the benefit map already measured during SID
-    preparation (①), so the reference input costs no extra FI here;
-    ``ref_profile``, the reference input's golden profile from that same
-    preparation, spares the search and its GA a golden run of it. With a
+    preparation (①), so the reference input costs no extra FI here. Golden
+    profiles come from ``app.program``'s memo (:mod:`repro.vm.profiler`):
+    the reference input's was taken by that preparation, and each input
+    the GA scores is profiled once, however often it is revisited. With a
     campaign cache installed in the ambient run configuration
     (:mod:`repro.runconfig`), a searched input whose sweep was already
     measured — in an earlier run, an earlier protection level, or an
@@ -132,13 +125,14 @@ def run_input_search(
     program = app.program
 
     ref_input = app.input_spec.validate(app.reference_input)
-    ref_args, ref_bindings = app.encode(ref_input)
+
+    def cfg_list_of(inp: Input):
+        a, b = app.encode(inp)
+        prof = profile_run(program, args=a, bindings=b)
+        return indexed_cfg_list(program, prof)
+
     with phase("search_engine"):
-        if ref_profile is None:
-            ref_profile = profile_run(
-                program, args=ref_args, bindings=ref_bindings
-            )
-        history_lists = [indexed_cfg_list(program, ref_profile)]
+        history_lists = [cfg_list_of(ref_input)]
 
     outcome = SearchOutcome(
         inputs=[ref_input],
@@ -147,19 +141,6 @@ def run_input_search(
         trace=[0],
         fitness_trace=[0.0],
     )
-
-    profile_cache: dict[tuple, DynamicProfile] = {
-        tuple(sorted(ref_input.items())): ref_profile
-    }
-
-    def cfg_list_of(inp: Input):
-        key = tuple(sorted(inp.items()))
-        prof = profile_cache.get(key)
-        if prof is None:
-            a, b = app.encode(inp)
-            prof = profile_run(program, args=a, bindings=b)
-            profile_cache[key] = prof
-        return indexed_cfg_list(program, prof)
 
     def evaluate(inp: Input) -> float:
         return fitness_score(cfg_list_of(inp), history_lists)
@@ -184,13 +165,11 @@ def run_input_search(
             t.metrics.counters.get("cache.hit", 0) if t is not None else 0
         )
         with phase("per_inst_fi_incubative"):
-            key = tuple(sorted(candidate.items()))
             benefits, runs = _benefit_map(
                 app,
                 candidate,
                 config.per_instruction_trials,
                 seed=RngStream(seed, "fi", round_no).seed,
-                profile=profile_cache.get(key),
             )
         outcome.fi_runs += runs
         outcome.inputs.append(candidate)

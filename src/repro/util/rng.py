@@ -12,7 +12,7 @@ import hashlib
 import random
 from typing import Sequence
 
-import numpy as np
+import numpy
 
 __all__ = ["derive_seed", "RngStream"]
 
@@ -35,6 +35,9 @@ def derive_seed(master: int, *path: object) -> int:
 class RngStream:
     """A named deterministic RNG combining ``random.Random`` and NumPy.
 
+    The NumPy ``Generator`` (:attr:`np`) is built on first use: most
+    streams (fault-site sampling, GA operators) only draw through ``py``.
+
     Parameters
     ----------
     seed:
@@ -43,12 +46,19 @@ class RngStream:
         Optional labels mixed into the seed via :func:`derive_seed`.
     """
 
-    __slots__ = ("seed", "py", "np")
+    __slots__ = ("seed", "py", "_np")
 
     def __init__(self, seed: int, *path: object) -> None:
         self.seed = derive_seed(seed, *path) if path else int(seed)
         self.py = random.Random(self.seed)
-        self.np = np.random.default_rng(self.seed)
+        self._np: numpy.random.Generator | None = None
+
+    @property
+    def np(self) -> numpy.random.Generator:
+        """A NumPy ``Generator`` seeded like :attr:`py`, built on first use."""
+        if self._np is None:
+            self._np = numpy.random.default_rng(self.seed)
+        return self._np
 
     def child(self, *path: object) -> "RngStream":
         """Create an independent sub-stream labelled by ``path``."""

@@ -2,8 +2,9 @@
 
 Provides golden runs, dynamic profiling (per-instruction execution counts —
 the input to the SID cost model and to MINPSID's weighted-CFG fitness — and
-call-path counts), golden checkpoints, a single-bit-flip fault hook, and
-trap/hang semantics that the fault-injection layer classifies into outcomes.
+call-path counts, memoized per program and input), golden checkpoints, a
+single-bit-flip fault hook, and trap/hang semantics that the
+fault-injection layer classifies into outcomes.
 """
 
 from repro.vm.checkpoint import (

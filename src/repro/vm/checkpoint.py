@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
-
 if TYPE_CHECKING:
     from repro.vm.profiler import DynamicProfile
 
@@ -187,7 +185,6 @@ def record_checkpoints(
     bindings: dict[str, list] | None = None,
     interval: int | None = None,
     steps_hint: int | None = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     step_limit: int | None = None,
     profile: bool = False,
 ) -> CheckpointStore:
@@ -205,8 +202,8 @@ def record_checkpoints(
     ``profile=True`` makes the recording run a full profiling run as well:
     the store's ``profile`` then holds its
     :class:`~repro.vm.profiler.DynamicProfile`, equal to
-    :func:`~repro.vm.profiler.profile_run`'s, so a campaign that needs both
-    executes the golden program once.
+    :func:`~repro.vm.profiler.profile_run`'s and memoized like it, so a
+    campaign that needs both executes the golden program once.
     """
     max_snapshots = None
     if interval is None:
@@ -225,5 +222,5 @@ def record_checkpoints(
     if profile:
         from repro.vm.profiler import profile_of
 
-        store.profile = profile_of(program, result, cost_model)
+        store.profile = profile_of(program, result, args, bindings)
     return store

@@ -42,6 +42,7 @@ from repro.errors import (
 from repro.ir.cfg import build_cfg
 from repro.ir.instructions import Instruction
 from repro.ir.module import Module
+from repro.ir.printer import print_module
 from repro.ir.values import Argument, Constant, GlobalArray
 from repro.obs.core import current as _obs_current
 from repro.util.bitops import flip_value
@@ -200,6 +201,7 @@ class _DecodedBlock:
         self.term: list | None = None
         # Liveness, for convergence checks: slots readable at block entry,
         # and slots readable after each suspended call site (by code index).
+        # Filled by Program._liveness before the first convergence check.
         self.live_in: tuple = ()
         self.live_after_call: dict[int, tuple] = {}
 
@@ -336,6 +338,20 @@ def _live_slots_equal(a: list, b: list, live: tuple) -> bool:
     return True
 
 
+def _slot_map(fn) -> dict[int, int]:
+    """Value slot of each argument and value-producing instruction of
+    ``fn``, by ``id``: arguments first, then results in block order."""
+    slots: dict[int, int] = {}
+    for i, arg in enumerate(fn.args):
+        slots[id(arg)] = i
+    n = len(fn.args)
+    for instr in fn.instructions():
+        if instr.produces_value:
+            slots[id(instr)] = n
+            n += 1
+    return slots
+
+
 class Program:
     """A decoded, executable module.
 
@@ -380,6 +396,26 @@ class Program:
         self._decode()
         # Built on the first execution, never here: see repro.vm.compiler.
         self._compiled: CompiledProgram | None = None
+        # Computed on first use: liveness by the first run given convergence
+        # oracles, the text by the first cache key or pooled campaign.
+        self._live = False
+        self._text: str | None = None
+        #: Golden profiles of this program by input, filled and read by
+        #: :mod:`repro.vm.profiler` (a golden run is deterministic in the
+        #: program and its input). Shared by every caller: never mutate one.
+        self.golden_profiles: dict = {}
+
+    @property
+    def text(self) -> str:
+        """The module's canonical IR text, printed on first use.
+
+        Cache keys and pooled campaigns' worker payloads name the program
+        by this text, so a program is printed once however many campaigns
+        it runs.
+        """
+        if self._text is None:
+            self._text = print_module(self.module)
+        return self._text
 
     # ------------------------------------------------------------------
     # Decoding
@@ -401,16 +437,9 @@ class Program:
 
     def _decode_function(self, fn) -> None:
         dfn = self.functions[fn.name]
-        slots: dict[int, int] = {}
-        for i, arg in enumerate(fn.args):
-            slots[id(arg)] = i
-        nslots = len(fn.args)
+        slots = _slot_map(fn)
         dfn.arg_slots = len(fn.args)
-        for instr in fn.instructions():
-            if instr.produces_value:
-                slots[id(instr)] = nslots
-                nslots += 1
-        dfn.n_slots = nslots
+        dfn.n_slots = len(slots)
 
         for blk in fn.blocks.values():
             gid = self.cfg.index[(fn.name, blk.name)]
@@ -432,7 +461,17 @@ class Program:
             for i, d in enumerate(dblk.code):
                 if d[0] == 35:
                     d.append(i)
-        self._compute_liveness(fn, dfn, slots)
+
+    def _liveness(self) -> None:
+        """Fill every decoded block's liveness, once per program.
+
+        Only convergence checks read it, so a program that only plain-runs,
+        profiles or records never computes it: :meth:`run` and
+        :meth:`resume` call this the first time they are given oracles.
+        """
+        for fn in self.module.functions.values():
+            self._compute_liveness(fn, self.functions[fn.name], _slot_map(fn))
+        self._live = True
 
     def _compute_liveness(self, fn, dfn: _DecodedFunction, slots) -> None:
         """Per-block slot liveness, used by convergence state comparison.
@@ -650,6 +689,8 @@ class Program:
         )
         state.sticky = sticky
         if convergence:
+            if not self._live:
+                self._liveness()
             state.conv = convergence
             state.event_at = convergence[0].steps
             state.shadow = []
@@ -821,6 +862,8 @@ class Program:
                        list(fr.slots), getattr(fr, "code_index", -1))
             )
         if convergence:
+            if not self._live:
+                self._liveness()
             state.conv = convergence
             state.event_at = convergence[0].steps
             state.shadow = [
@@ -923,8 +966,8 @@ class Program:
 
         Equality here implies the remaining execution *is* the golden tail
         (the interpreter is deterministic in this state), so the caller may
-        stop early. Frame slots are compared through the decode-time
-        liveness sets: a dead slot can never be read again, so a corrupted
+        stop early. Frame slots are compared through the blocks' liveness
+        sets: a dead slot can never be read again, so a corrupted
         value parked there cannot affect the remaining run. Memory is always
         compared in full. Cell comparison is two-phase per value: cheap
         ``==`` first, then bit exactness (``==`` conflates -0.0/0.0 and

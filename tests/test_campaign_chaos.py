@@ -119,12 +119,18 @@ class TestExhaustionIsTypedNotPartial:
 
 class TestGenerateEvalInputsRejection:
     class _TrappingApp:
-        """Every run traps: the generator must reject all candidates."""
+        """Every run traps: the generator must reject all candidates.
+
+        The fake is its own program: the generator filters through
+        ``profile_run``, which looks the input up in the program's
+        ``golden_profiles`` memo and runs it with ``profile=True``.
+        """
 
         name = "trapping"
 
         def __init__(self):
             self.program = self
+            self.golden_profiles = {}
 
         def random_input(self, rng):
             return object()
@@ -132,7 +138,7 @@ class TestGenerateEvalInputsRejection:
         def encode(self, inp):
             return [], {}
 
-        def run(self, args, bindings):
+        def run(self, args, bindings, profile=False):
             raise Trap("guest div-by-zero")
 
     class _ExplodingApp(_TrappingApp):
@@ -144,7 +150,9 @@ class TestGenerateEvalInputsRejection:
             raise RuntimeError("toolchain bug, not a guest trap")
 
     def test_trapping_inputs_are_rejected_quietly(self):
-        assert generate_eval_inputs(self._TrappingApp(), 1, seed=3) == []
+        app = self._TrappingApp()
+        assert generate_eval_inputs(app, 1, seed=3) == []
+        assert app.golden_profiles == {}  # a trapping run memoizes nothing
 
     def test_host_side_bugs_propagate(self):
         with pytest.raises(RuntimeError, match="toolchain bug"):

@@ -20,6 +20,14 @@ MICRO = TINY.with_(
     protection_levels=(0.5,),
 )
 
+#: bench/workloads.py: the headline-cold study size, bfs alone.
+HEADLINE_BFS = TINY.with_(
+    apps=("bfs",), seed=2022, campaign_faults=10, per_instr_trials=1,
+    search_per_instr_trials=1, eval_inputs=2, search_max_inputs=1,
+    search_stall=1, ga_population=4, ga_generations=2,
+    protection_levels=(0.5,),
+)
+
 
 class TestConfig:
     def test_presets_ordered(self):
@@ -225,13 +233,7 @@ class TestReferenceGoldenRuns:
 
         monkeypatch.setattr(Program, "run", run)
         monkeypatch.setattr(Program, "run_checkpointed", run_checkpointed)
-        # bench/workloads.py: the headline-cold study size, bfs alone.
-        scale = TINY.with_(
-            apps=("bfs",), seed=2022, campaign_faults=10, per_instr_trials=1,
-            search_per_instr_trials=1, eval_inputs=2, search_max_inputs=1,
-            search_stall=1, ga_population=4, ga_generations=2,
-            protection_levels=(0.5,),
-        )
+        scale = HEADLINE_BFS
         studies = {}
         for cache in ("cold", "warm"):
             runs.clear()
@@ -243,6 +245,73 @@ class TestReferenceGoldenRuns:
             expected = ["recording"] * 2 if cache == "cold" else ["run"] * 2
             assert runs == expected, cache
         assert studies["warm"] == studies["cold"]
+
+
+class TestEvaluationGoldenRuns:
+    def test_each_evaluation_input_runs_golden_once_per_driver(
+        self, monkeypatch, tmp_path
+    ):
+        """In a bfs Fig. 2 + Fig. 6 study each driver's unprotected
+        program executes every evaluation input once as a golden run, cold
+        cache or warm: the input filter's profiled run. The evaluation
+        campaigns and ``duplication_fraction`` take the profile from the
+        program's memo. On a cold cache each evaluation campaign then
+        records its checkpoints, unprofiled, with the interval the
+        memoized step count names."""
+        from repro.apps import get_app
+        from repro.exp.fig2 import run_fig2_study
+        from repro.exp.fig6 import run_fig6_study
+        from repro.exp.runner import generate_eval_inputs
+        from repro.runconfig import KNOBS, run_scope
+        from repro.util.rng import derive_seed
+        from repro.vm.interpreter import Program
+        from repro.vm.profiler import input_key
+
+        for knob in KNOBS.values():
+            if knob.env:
+                monkeypatch.delenv(knob.env, raising=False)
+        scale = HEADLINE_BFS
+        app = get_app("bfs")
+        unprotected = app.program.text
+        evaluation = {
+            input_key(*app.encode(inp))
+            for inp in generate_eval_inputs(
+                app, scale.eval_inputs, derive_seed(scale.seed, "eval", "bfs")
+            )
+        }
+        assert len(evaluation) == scale.eval_inputs
+        golden: dict = {}
+
+        def note(program, args, bindings, what) -> None:
+            key = input_key(args, bindings)
+            if program.text == unprotected and key in evaluation:
+                # Hold the program: a freed program's id can be reused.
+                golden.setdefault((id(program), key), [program]).append(what)
+
+        real_run, real_recording = Program.run, Program.run_checkpointed
+
+        def run(self, args=None, bindings=None, fault=None, **kwargs):
+            if fault is None:
+                note(self, args, bindings, ("run", kwargs.get("profile")))
+            return real_run(self, args, bindings, fault, **kwargs)
+
+        def run_checkpointed(self, args=None, bindings=None, **kwargs):
+            note(self, args, bindings, ("recording", kwargs.get("profile")))
+            return real_recording(self, args, bindings, **kwargs)
+
+        monkeypatch.setattr(Program, "run", run)
+        monkeypatch.setattr(Program, "run_checkpointed", run_checkpointed)
+        for cache in ("cold", "warm"):
+            golden.clear()
+            with run_scope(cache=str(tmp_path)):
+                run_fig2_study(scale, measure_duplication=True)
+                run_fig6_study(scale, measure_duplication=True)
+            expected = [("run", True)]
+            if cache == "cold":
+                expected.append(("recording", False))
+            assert len(golden) == 2 * scale.eval_inputs, cache
+            for runs in golden.values():
+                assert runs[1:] == expected, cache
 
 
 class TestDrivers:

@@ -95,20 +95,23 @@ class TestTracingIsInert:
 class TestCounterDeterminism:
     """Deterministic counters are identical across REPRO_WORKERS settings."""
 
-    def _counters(self, app, monkeypatch, n_workers: str) -> dict:
+    def _counters(self, monkeypatch, n_workers: str) -> dict:
+        """One campaign's counters, on a fresh program: what a campaign
+        counts depends on whether its program already memoizes the golden
+        profile, so no run may inherit another's memo."""
+        from repro.apps import get_app
+
         monkeypatch.setenv("REPRO_WORKERS", n_workers)
         sink = MemorySink()
         with session(sink=sink):
-            _campaign(app, workers=None)
+            _campaign(get_app("pathfinder"), workers=None)
         summary = sink.records[-1]
         assert summary["name"] == "trace.summary"
         return summary["fields"]["counters"]
 
-    def test_counters_match_serial_vs_two_workers(
-        self, pathfinder_app, monkeypatch
-    ):
-        serial = self._counters(pathfinder_app, monkeypatch, "0")
-        parallel = self._counters(pathfinder_app, monkeypatch, "2")
+    def test_counters_match_serial_vs_two_workers(self, monkeypatch):
+        serial = self._counters(monkeypatch, "0")
+        parallel = self._counters(monkeypatch, "2")
         assert serial == parallel
         # and the deterministic quantities are actually in there
         for key in ("vm.runs", "vm.steps", "fi.trials", "fi.campaigns"):
