@@ -24,7 +24,7 @@ def test_ablation_check_placement(benchmark):
         out = {}
         for placement in ("sync", "immediate"):
             sid = classic_sid(
-                app.module, args, bindings,
+                Program(app.module), args, bindings,
                 SIDConfig(
                     protection_level=LEVEL,
                     per_instruction_trials=BENCH.per_instr_trials,

@@ -26,7 +26,7 @@ def main(app_name: str = "kmeans") -> None:
 
     level = 0.5
     sid = classic_sid(
-        app.module, args, bindings,
+        Program(app.module), args, bindings,
         SIDConfig(
             protection_level=level,
             per_instruction_trials=10,

@@ -63,7 +63,7 @@ def main(app_name: str = "fft") -> None:
     # --- Baseline SID ----------------------------------------------------
     args, bindings = app.encode(app.reference_input)
     sid = classic_sid(
-        app.module, args, bindings,
+        Program(app.module), args, bindings,
         SIDConfig(protection_level=level, per_instruction_trials=10,
                   rel_tol=app.rel_tol, abs_tol=app.abs_tol),
     )

@@ -60,7 +60,7 @@ def main() -> None:
 
     # Classic SID at a 50% dynamic-cycle budget.
     result = classic_sid(
-        module, [n], bindings,
+        program, [n], bindings,
         SIDConfig(protection_level=0.5, per_instruction_trials=20),
     )
     sel = result.selection

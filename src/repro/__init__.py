@@ -9,11 +9,12 @@ GA input search, incubative-instruction re-prioritization) run end to end.
 
 Quick start::
 
-    from repro import get_app, classic_sid, minpsid, SIDConfig, MINPSIDConfig
+    from repro import (get_app, classic_sid, minpsid, Program, SIDConfig,
+                       MINPSIDConfig)
 
     app = get_app("pathfinder")
     args, bindings = app.encode(app.reference_input)
-    baseline = classic_sid(app.module, args, bindings, SIDConfig(0.5))
+    baseline = classic_sid(Program(app.module), args, bindings, SIDConfig(0.5))
     hardened = minpsid(app, MINPSIDConfig(protection_level=0.5))
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the drivers

@@ -811,7 +811,7 @@ def _cmd_protect(args, out) -> int:
     )
     if args.method == "sid":
         res = classic_sid(
-            app.module, a, b,
+            app.program, a, b,
             SIDConfig(
                 protection_level=args.level,
                 per_instruction_trials=args.trials,

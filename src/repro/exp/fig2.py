@@ -45,7 +45,7 @@ def _run_fig2_apps(scale, study, apps, measure_duplication):
         )
         for level in scale.protection_levels:
             sid = classic_sid(
-                app.module,
+                app.program,
                 args,
                 bindings,
                 SIDConfig(

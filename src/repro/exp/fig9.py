@@ -54,7 +54,7 @@ def run_fig9_study(
 
             for level in scale.protection_levels:
                 sid = classic_sid(
-                    gen_app.module, args, bindings,
+                    gen_app.program, args, bindings,
                     SIDConfig(
                         protection_level=level,
                         per_instruction_trials=scale.per_instr_trials,

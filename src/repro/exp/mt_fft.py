@@ -129,7 +129,7 @@ def run_mt_fft_study(
                 app, scale.eval_inputs, derive_seed(scale.seed, "mt-eval", t)
             )
             sid = classic_sid(
-                app.module, args, bindings,
+                app.program, args, bindings,
                 SIDConfig(
                     protection_level=level,
                     per_instruction_trials=scale.per_instr_trials,

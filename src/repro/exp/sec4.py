@@ -86,7 +86,7 @@ def run_sec4_analysis(app_name: str, scale: ScaleConfig) -> Sec4AppResult:
         # 1/2: target instructions per protection level on SID binaries.
         for level in scale.protection_levels:
             sid = classic_sid(
-                app.module, args, bindings,
+                app.program, args, bindings,
                 SIDConfig(
                     protection_level=level,
                     per_instruction_trials=scale.per_instr_trials,

@@ -1,6 +1,6 @@
 """End-to-end classic SID (the paper's baseline technique).
 
-Given a module and its *reference input*, measure cost and benefit per
+Given a program and its *reference input*, measure cost and benefit per
 instruction (①②), select under the protection level, transform, and report
 the expected coverage — exactly the workflow existing SID studies use with a
 single input.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.module import Module
 from repro.detectors.transform import ProtectedModule, duplicate_instructions
 from repro.obs.spans import phase
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
@@ -59,17 +58,20 @@ class SIDResult:
 
 
 def classic_sid(
-    module: Module,
+    program: Program,
     args: list | None,
     bindings: dict[str, list] | None,
     config: SIDConfig = SIDConfig(),
 ) -> SIDResult:
     """Run the full baseline SID pipeline on the reference input.
 
+    ``program`` is the caller's, so its golden memo serves every protection
+    level (pass an app's ``app.program``); the transform copies
+    ``program.module`` and leaves it as it was.
+
     Its phases are trace spans (:func:`repro.obs.spans.phase`): MINPSID's,
     minus the search engine — that is the baseline's whole point.
     """
-    program = Program(module)
     with phase("per_inst_fi_ref"):
         profile = build_profile_from_source(
             program,
@@ -88,6 +90,7 @@ def classic_sid(
         )
     with phase("transform"):
         protected = duplicate_instructions(
-            module, selection.selected, check_placement=config.check_placement
+            program.module, selection.selected,
+            check_placement=config.check_placement,
         )
     return SIDResult(protected=protected, selection=selection, profile=profile)

@@ -295,13 +295,21 @@ class _BatchRun:
         return out
 
     def _row_mem(self, row: int) -> dict:
-        mem = {seg: list(cells) for seg, cells in self.mem.items()}
+        """Row's memory: the mirror's segments, shared, except for a copy of
+        each segment a column overrides (``resume`` copies before it
+        stores, so the mirror stays the golden state)."""
+        golden = self.mem
+        mem = dict(golden)
         for addr, col in self.mem_cols.items():
             if col.dtype == self._F64:
                 v = float(col[row])
             else:
                 v = int(col[row])
-            mem[addr >> SEG_SHIFT][addr & SEG_MASK] = v
+            seg = addr >> SEG_SHIFT
+            cells = mem[seg]
+            if cells is golden[seg]:
+                cells = mem[seg] = list(cells)
+            cells[addr & SEG_MASK] = v
         return mem
 
     def _row_slots(self, row: int, gslots: list, cols: list) -> list:

@@ -5,7 +5,7 @@ instruction 0 up to the targeted dynamic instance before the flip happens.
 For a campaign of N faults that replayed golden prefix dominates wall-clock:
 >99% of interpreted instructions are redundant. The fix is the classic
 checkpoint-resume scheme from the FI literature (FastFlip-style incremental
-analysis): run the golden execution once while recording full interpreter
+analysis): run the golden execution once while recording interpreter
 snapshots every K dynamic instructions, then start each trial from the
 nearest snapshot *preceding* its injection point instead of from scratch.
 
@@ -22,6 +22,15 @@ Snapshots capture, at a block boundary:
 - the emitted output so far,
 - per-instruction execution counts (so a fault's ``f_seen`` counter can be
   re-seated exactly) and the dynamic step counter.
+
+Memory segments are copy-on-write, so a capture, a resume and a convergence
+check cost what the run wrote, not what it holds. A snapshot's ``mem`` is a
+shallow copy of the recording's segment map, after which the recording owns
+no segment and copies each one the first time it stores to it; a resumed run
+starts from a shallow copy of the snapshot's map and does the same.
+Consecutive snapshots therefore share the list of every segment the golden
+run did not store to between them, and pickling a store keeps that sharing.
+Nothing may mutate a snapshot's lists.
 
 The same snapshots double as *convergence* oracles: a faulty run whose state
 becomes bit-identical to the golden state at a later checkpoint boundary is
@@ -84,13 +93,11 @@ class Snapshot:
     #: counter on resume and decides which faults a snapshot can serve.
     instr_counts: list
     #: Memory image: segment id -> cell list (globals + live allocas).
+    #: Lists are shared with neighbouring snapshots and resumed runs:
+    #: never mutate one.
     mem: dict
     #: Call stack, outermost first; the last entry is the running frame.
     frames: list
-
-    def cells(self) -> int:
-        """Total memory cells held (rough size/memory accounting)."""
-        return sum(len(c) for c in self.mem.values())
 
 
 @dataclass
@@ -142,13 +149,9 @@ class CheckpointStore:
             self._conv_cache[index] = tail
         return tail
 
-    def cells(self) -> int:
-        """Total memory cells across all snapshots (memory footprint)."""
-        return sum(s.cells() for s in self.snapshots)
 
-
-#: Smallest ``"auto"`` interval: below it a snapshot copy costs more than
-#: the replay it saves.
+#: Smallest ``"auto"`` interval: below it a capture costs more than the
+#: replay it saves.
 AUTO_MIN_INTERVAL = 256
 
 #: An ``"auto"`` recording holds fewer snapshots than this — and at least
@@ -163,11 +166,12 @@ def auto_interval(golden_steps: int) -> int:
     :data:`AUTO_MAX_SNAPSHOTS` snapshots (12–23 once it is long enough).
     The average resumed prefix is interval/2 and convergence of a masked
     fault is detected at the *next* snapshot boundary, so a shorter
-    interval cuts both — until snapshot recording (one full state copy
-    each) and store memory (snapshots × live cells) dominate. Measured on
-    the headline study, 16 snapshots ran as fast as 48 at a fraction of
-    the memory. Short programs keep the floor: below it the snapshot copy
-    costs more than the replay it saves.
+    interval cuts both — until snapshot recording (a copy of the segment
+    map, frames and counts each, plus every segment stored to since the
+    last one) and store memory dominate. Measured on the headline study,
+    16 snapshots ran as fast as 48 at a fraction of the memory. Short
+    programs keep the floor: below it a capture costs more than the
+    replay it saves.
 
     This is the interval :func:`record_checkpoints` ends with when it has
     to find one without knowing the run's length, so a campaign's store

@@ -28,7 +28,11 @@ Each block has two variants: *hooked* or not. A hooked block passes every
 value-producing instruction's result through ``_hook``, which applies the
 transient fault flip and the sticky host-fault visitor. A run uses hooked
 variants only in the blocks that hold the fault's iid or a sticky iid, so
-an unprotected block pays nothing for the hooks.
+an unprotected block pays nothing for the hooks. Once a transient flip
+fires in a run without a sticky visitor, ``_hook`` puts the fault block's
+plain entry (its function, or the stub that compiles it) back in the
+run's table, so the rest of the trial runs unhooked; a sticky run keeps
+its hooks on every visit.
 
 Profiled runs and checkpoint recordings execute the same block functions
 as plain runs. Their driver loop adds one to ``st.bc[g]``, the run's
@@ -48,6 +52,18 @@ and before the phis. A snapshot therefore has the same meaning here as in
 the reference. Resuming inside a block (after a suspended call, or at the
 batch engine's detach ``code_index``) runs a *tail* function that starts
 at that code index and skips the block entry.
+
+Memory
+------
+Loads read ``st.mem``, which maps every live segment; stores write through
+``st.wmem``, the segments the run owns (:mod:`repro.vm.checkpoint`). A
+generated store indexes ``wmem`` inside a ``try``, which costs nothing
+when nothing is raised. A ``KeyError`` means the segment is shared with a
+snapshot, or does not exist: ``_own`` copies it into both maps, or raises
+the reference's store trap, and never raises ``KeyError``/``IndexError``
+itself, so the block handler below keeps its meaning. An alloca puts its
+new list in both maps. Block functions hold both maps as locals, so
+neither may be rebound during a run: a capture clears ``wmem`` in place.
 
 Laziness
 --------
@@ -125,6 +141,22 @@ _FCMP = {0: "==", 2: "<", 3: "<=", 4: ">", 5: ">="}
 
 def _mfault(what: str, addr: int):
     raise MemoryFault(f"{what} {addr:#x}") from None
+
+
+def _own(mem: dict, wmem: dict, addr: int) -> list:
+    """The store barrier's slow path: copy the segment ``addr`` names, which
+    the run shares with a snapshot, into both maps and return the copy.
+
+    It never raises ``KeyError`` or ``IndexError``, which the block handler
+    would take for its own frame's: an unknown segment is the reference's
+    store trap here, and an out-of-range offset raises in the block frame.
+    """
+    seg = addr >> SEG_SHIFT
+    cells = mem.get(seg)
+    if cells is None:
+        raise MemoryFault(f"store to {addr:#x}") from None
+    cells = mem[seg] = wmem[seg] = list(cells)
+    return cells
 
 
 def _no_edge(prev: int):
@@ -364,10 +396,10 @@ class _Source:
             self.value(d, f"_f32({expr})" if d[6] else expr)
         elif op <= 29:
             self.cast(d)
-        elif op == 30:  # alloca
+        elif op == 30:  # alloca: a new segment the run owns
             self.emit("seg = st.next_seg")
             self.emit("st.next_seg = seg + 1")
-            self.emit(f"mem[seg] = [{self.const(d[4])}] * {d[3]}")
+            self.emit(f"mem[seg] = wmem[seg] = [{self.const(d[4])}] * {d[3]}")
             self.value(d, f"seg << {SEG_SHIFT}")
         elif op == 31:  # load
             a = self.local("a", d[3], d[4])
@@ -381,11 +413,17 @@ class _Source:
                 self.emit("if type(v) is int:")
                 self.emit(f"v = _coerce(v, {d[5]}, 0)", 2)
             self.value(d, "v")
-        elif op == 32:  # store
+        elif op == 32:  # store, through the copy-on-write barrier
             a = self.local("a", d[5], d[6])
             self.stores = True
+            self.emit("try:")
             self.emit(
-                f"mem[{a} >> {SEG_SHIFT}][{a} & {SEG_MASK}] = {opnd(d[3], d[4])}"
+                f"wmem[{a} >> {SEG_SHIFT}][{a} & {SEG_MASK}] = {opnd(d[3], d[4])}",
+                2,
+            )
+            self.emit("except KeyError:")
+            self.emit(
+                f"_own(mem, wmem, {a})[{a} & {SEG_MASK}] = {opnd(d[3], d[4])}", 2
             )
         elif op == 33:  # gep: signed index of width d[7]
             w = d[7]
@@ -481,9 +519,12 @@ class _Source:
         """The whole ``def f``: the block from its entry, or from code index
         ``start`` (a tail, for resumes)."""
         code = blk.code if start < 0 else blk.code[start:]
-        memory = any(d[0] in (31, 32) for d in code)
-        if memory or any(d[0] == 30 for d in code):
+        ops = {d[0] for d in code}
+        memory = bool(ops & {31, 32})  # loads and stores can trap
+        if memory or 30 in ops:
             self.emit("mem = st.mem")
+        if ops & {30, 32}:  # allocas and stores write the owned map
+            self.emit("wmem = st.wmem")
         if start < 0:
             self.entry(blk)
         if memory:
@@ -540,7 +581,7 @@ class CompiledProgram:
         for blk in self.blocks:
             for d in (*blk.phis, *blk.code, blk.term):
                 self.gid_of_iid[d[1]] = blk.gid
-        blocks, fn_of = self.blocks, self.fn_of
+        blocks, fn_of, gid_of_iid = self.blocks, self.fn_of, self.gid_of_iid
 
         def event(st, g, prev, slots):
             if st.bc is not None:
@@ -554,6 +595,11 @@ class CompiledProgram:
                     kind, width = flip_info[iid]
                     val = flip_value(val, st.f_bit, kind, width)
                     st.f_fired = True
+                    if st.sticky is None:
+                        # The flip was the hook's last job: the block's
+                        # next entry runs its plain function (or its stub).
+                        g = gid_of_iid[iid]
+                        st.tbl[g] = st.ct._table[g]
             sticky = st.sticky
             if sticky is not None and iid in sticky.iids:
                 val = sticky.visit(iid, val)
@@ -561,7 +607,7 @@ class CompiledProgram:
 
         self.ns: dict = {
             "__builtins__": builtins, **_HELPERS,
-            "_mfault": _mfault, "_no_edge": _no_edge, "_hang": _hang,
+            "_mfault": _mfault, "_own": _own, "_no_edge": _no_edge, "_hang": _hang,
             "_event": event, "_hook": hook, "_fn_of": fn_of, "_blocks": blocks,
         }
         self._fns: dict = {}

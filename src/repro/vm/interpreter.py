@@ -219,7 +219,7 @@ class _DecodedFunction:
 
 class _RunState:
     __slots__ = (
-        "mem", "next_seg", "output", "steps", "limit", "depth",
+        "mem", "wmem", "next_seg", "output", "steps", "limit", "depth",
         "f_iid", "f_instance", "f_bit", "f_seen", "f_fired",
         "sticky",
         "counts", "bc", "paths", "path_stack",
@@ -228,7 +228,13 @@ class _RunState:
     )
 
     def __init__(self) -> None:
+        # Copy-on-write memory: loads read ``mem``, which maps every live
+        # segment; stores write only the segments in ``wmem``, the ones this
+        # run owns (the same list objects). A store to a segment ``mem``
+        # shares with a snapshot first copies it into both maps. Code that
+        # holds either map as a local relies on neither being rebound.
         self.mem: dict[int, list] = {}
+        self.wmem: dict[int, list] = {}
         self.next_seg = 1
         self.output: list = []
         self.steps = 0
@@ -727,6 +733,7 @@ class Program:
                         f"global holds {len(cells)}"
                     )
                 cells[: len(values)] = values
+        state.wmem = dict(state.mem)
         if fault is not None:
             state.f_iid = fault.iid
             state.f_instance = fault.instance
@@ -771,14 +778,16 @@ class Program:
         profile: bool = False,
         max_snapshots: int | None = None,
     ) -> tuple[RunResult, list[Snapshot]]:
-        """Golden run recording a full state snapshot every ``interval`` steps.
+        """Golden run recording a state snapshot every ``interval`` steps.
 
         The run counts per-instruction executions (each snapshot needs them to
         seat fault instance counters); ``profile=True`` adds call-path
         profiling, as in :meth:`run`. Returns the run result plus the captured
         snapshots in steps order. Snapshots are portable: frames/memory are
         stored by name and plain lists, so they pickle to worker processes and
-        restore against any equal program.
+        restore against any equal program. A capture copies the segment map,
+        not the segments: consecutive snapshots share every segment the run
+        did not store to between them (:mod:`repro.vm.checkpoint`).
 
         ``max_snapshots`` (even) bounds the recording without knowing the
         run's length: whenever that many snapshots are held, every other one
@@ -830,7 +839,9 @@ class Program:
         The restored execution is bit-identical to a cold run that reached
         the snapshot point: memory, call stack, value slots, output, step
         counter, and the fault's already-seen instance count all come from
-        the snapshot. ``fault`` must target an instance the snapshot has not
+        the snapshot. The run shares the snapshot's memory segments and
+        copies each one at its first store to it, so the snapshot is left
+        as it was. ``fault`` must target an instance the snapshot has not
         yet executed (:meth:`CheckpointStore.snapshot_for` guarantees that).
         ``fault_fired`` marks the snapshot as post-flip state (the batch
         engine detaches rows after their fault fired), which arms the
@@ -841,7 +852,8 @@ class Program:
         state.steps = snapshot.steps
         state.next_seg = snapshot.next_seg
         state.output = list(snapshot.output)
-        state.mem = {seg: list(cells) for seg, cells in snapshot.mem.items()}
+        # Shared, not copied: the first store to a segment copies it.
+        state.mem = dict(snapshot.mem)
         state.f_fired = fault_fired
         if fault is not None:
             seen = snapshot.instr_counts[fault.iid]
@@ -922,10 +934,13 @@ class Program:
                     next_seg=state.next_seg,
                     output=list(state.output),
                     instr_counts=list(state.counts),
-                    mem={s: list(c) for s, c in state.mem.items()},
+                    mem=dict(state.mem),
                     frames=frames,
                 )
             )
+            # The snapshot now shares every segment: the run gives up
+            # ownership in place, since running blocks hold ``wmem``.
+            state.wmem.clear()
             if len(ck.snapshots) == ck.cap:
                 # Keep the odd positions: the survivors, this one included,
                 # sit one doubled interval apart.
@@ -972,7 +987,9 @@ class Program:
         compared in full. Cell comparison is two-phase per value: cheap
         ``==`` first, then bit exactness (``==`` conflates -0.0/0.0 and
         1/1.0, which would break the bit-identical-outcome guarantee; a NaN
-        fails ``==`` against itself, which is merely conservative).
+        fails ``==`` against itself, which is merely conservative). A
+        segment that is still the snapshot's own list needs neither: only
+        the segments a run (or the golden run since) stored to are compared.
         """
         if state.next_seg != snap.next_seg:
             return False
@@ -994,10 +1011,12 @@ class Program:
                 return False
             if not _live_slots_equal(sl, fr.slots, b.live_after_call[ci]):
                 return False
-        if state.mem != snap.mem:
+        smem = snap.mem
+        if state.mem != smem:
             return False
         for seg, cells in state.mem.items():
-            if not _bits_equal(cells, snap.mem[seg]):
+            other = smem[seg]
+            if cells is not other and not _bits_equal(cells, other):
                 return False
         return True
 
@@ -1055,6 +1074,7 @@ class Program:
             else:
                 code = None
         mem = state.mem
+        wmem = state.wmem
         counts = state.counts
         f_iid = state.f_iid
         sticky = state.sticky
@@ -1273,7 +1293,7 @@ class Program:
                 elif op == 30:  # alloca ---------------------------------
                     seg = state.next_seg
                     state.next_seg = seg + 1
-                    mem[seg] = [d[4]] * d[3]
+                    mem[seg] = wmem[seg] = [d[4]] * d[3]
                     val = seg << SEG_SHIFT
                 elif op == 31:  # load -----------------------------------
                     addr = d[4] if d[3] == 0 else slots[d[4]]
@@ -1295,7 +1315,12 @@ class Program:
                 elif op == 32:  # store ----------------------------------
                     v = d[4] if d[3] == 0 else slots[d[4]]
                     addr = d[6] if d[5] == 0 else slots[d[6]]
-                    cells = mem.get(addr >> SEG_SHIFT)
+                    seg = addr >> SEG_SHIFT
+                    cells = wmem.get(seg)
+                    if cells is None:
+                        cells = mem.get(seg)
+                        if cells is not None:  # shared: copy on write
+                            cells = mem[seg] = wmem[seg] = list(cells)
                     off = addr & SEG_MASK
                     if cells is None or off >= len(cells):
                         raise MemoryFault(f"store to {addr:#x}")

@@ -9,6 +9,7 @@ the suite fast.
 from __future__ import annotations
 
 import logging
+import pickle
 import struct
 
 import pytest
@@ -53,6 +54,18 @@ def bits(values) -> list:
         ("f", struct.pack("<d", v)) if type(v) is float else (type(v).__name__, v)
         for v in values
     ]
+
+
+def snapshot_bits(snaps: list) -> bytes:
+    """Snapshots with every float replaced by its encoding: equal bytes
+    mean bit-identical snapshots."""
+    return pickle.dumps([
+        (s.steps, s.next_seg, bits(s.output), s.instr_counts,
+         sorted((seg, bits(cells)) for seg, cells in s.mem.items()),
+         [(f.fn, f.block, f.prev_gid, f.call_index, bits(f.slots),
+           f.code_index) for f in s.frames])
+        for s in snaps
+    ])
 
 
 def build_sum_squares_module(size: int = 32) -> Module:

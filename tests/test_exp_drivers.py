@@ -247,6 +247,50 @@ class TestReferenceGoldenRuns:
         assert studies["warm"] == studies["cold"]
 
 
+class TestSIDLevels:
+    def test_levels_share_one_program(self, monkeypatch, tmp_path):
+        """A bfs Fig. 2 study at three protection levels decodes the
+        unprotected module once, cold cache or warm: every level's
+        ``classic_sid`` runs on the app's ``Program``. On a warm cache its
+        memo then golden-runs the reference input once for all three."""
+        from repro.apps import get_app
+        from repro.exp.fig2 import run_fig2_study
+        from repro.runconfig import KNOBS, run_scope
+        from repro.vm.interpreter import Program
+
+        for knob in KNOBS.values():
+            if knob.env:
+                monkeypatch.delenv(knob.env, raising=False)
+        app = get_app("bfs")
+        unprotected = app.program.text
+        reference = app.encode(app.reference_input)
+        decodes, runs = [], []
+        real_init, real_run = Program.__init__, Program.run
+
+        def init(self, module):
+            real_init(self, module)
+            if self.text == unprotected:
+                decodes.append(self)
+
+        def run(self, args=None, bindings=None, fault=None, **kwargs):
+            if fault is None and self.text == unprotected and (
+                args, bindings) == reference:
+                runs.append(kwargs.get("profile"))
+            return real_run(self, args, bindings, fault, **kwargs)
+
+        monkeypatch.setattr(Program, "__init__", init)
+        monkeypatch.setattr(Program, "run", run)
+        scale = HEADLINE_BFS.with_(protection_levels=(0.3, 0.5, 0.7))
+        for cache in ("cold", "warm"):
+            decodes.clear()
+            runs.clear()
+            with run_scope(cache=str(tmp_path)):
+                study = run_fig2_study(scale)
+            assert len(study.results) == 3
+            assert len(decodes) == 1, cache
+        assert runs == [True]
+
+
 class TestEvaluationGoldenRuns:
     def test_each_evaluation_input_runs_golden_once_per_driver(
         self, monkeypatch, tmp_path

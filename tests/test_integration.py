@@ -164,7 +164,7 @@ class TestEvalHelpers:
         fracs = {}
         for level in (0.3, 0.7):
             sid = classic_sid(
-                app.module, args, bindings,
+                Program(app.module), args, bindings,
                 SIDConfig(protection_level=level, per_instruction_trials=3),
             )
             fracs[level] = duplication_fraction(

@@ -11,6 +11,7 @@ from repro.sid.coverage import coverage_loss, expected_coverage, measured_covera
 from repro.sid.knapsack import dp_knapsack, greedy_knapsack, knapsack_select
 from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.sid.profiles import build_cost_benefit_profile
+from repro.vm.interpreter import Program
 from repro.sid.selection import select_instructions
 from repro.vm.interpreter import FaultSpec, Program
 from repro.vm.profiler import profile_run
@@ -329,7 +330,7 @@ class TestPipeline:
     def test_classic_sid_end_to_end(self, sumsq_profile):
         m, _, data, _ = sumsq_profile
         res = classic_sid(
-            m, [16], data, SIDConfig(protection_level=0.5, per_instruction_trials=4)
+            Program(m), [16], data, SIDConfig(protection_level=0.5, per_instruction_trials=4)
         )
         assert 0.0 <= res.expected_coverage <= 1.0
         assert res.protected.checks > 0
@@ -338,7 +339,7 @@ class TestPipeline:
     def test_pipeline_deterministic(self, sumsq_profile):
         m, _, data, _ = sumsq_profile
         cfg = SIDConfig(protection_level=0.4, per_instruction_trials=4, seed=77)
-        a = classic_sid(m, [16], data, cfg)
-        b = classic_sid(m, [16], data, cfg)
+        a = classic_sid(Program(m), [16], data, cfg)
+        b = classic_sid(Program(m), [16], data, cfg)
         assert a.selection.selected == b.selection.selected
         assert a.expected_coverage == b.expected_coverage

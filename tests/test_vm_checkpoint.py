@@ -8,11 +8,14 @@ same steps, same trap behavior — for golden and faulty runs alike.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
-from repro.errors import IRError
-from repro.fi.faultmodel import sample_fault_sites
+from repro.apps import all_app_names
+from repro.errors import IRError, Trap
+from repro.fi.campaign import run_campaign
+from repro.fi.faultmodel import FaultSite, sample_fault_sites
 from repro.fi.injector import inject_one, inject_one_resumed
 from repro.ir.builder import Builder
 from repro.ir.module import Module
@@ -23,8 +26,10 @@ from repro.vm.checkpoint import (
     auto_interval,
     record_checkpoints,
 )
-from repro.vm.interpreter import FaultSpec, Program
+from repro.vm.interpreter import INJECTABLE_OPCODES, FaultSpec, Program
+from repro.vm.memory import SEG_SHIFT
 from repro.vm.profiler import profile_run
+from tests.conftest import ReferenceProgram, bits, cached_app, snapshot_bits
 
 
 def build_callstack_module() -> Module:
@@ -317,3 +322,168 @@ class TestConvergence:
         )
         assert cold == warm
         assert fmul  # exercised module stays referenced
+
+    def test_signed_zero_in_memory_blocks_convergence(self):
+        """A faulty run whose memory differs from golden only in the sign
+        of a zero equals it under ``==``: convergence must compare the
+        bits of every segment the run wrote."""
+        m = Module("signed_zero")
+        g = m.add_global("cells", F64, 16)
+        b = Builder.new_function(m, "main", [("n", I64)], VOID)
+        with b.for_loop(b.i64(0), b.function.arg("n")) as i:
+            zero = b.fmul(b.sitofp(i, F64), b.f64(0.0))
+            b.store(zero, b.gep(g, i))
+        with b.for_loop(b.i64(0), b.function.arg("n")) as i:
+            b.emit_output(b.fdiv(b.f64(1.0), b.load(b.gep(g, i), F64)))
+        b.ret()
+        m.finalize()
+        fmul = next(i.iid for i in m.instructions() if i.opcode == "fmul")
+        fault = FaultSpec(fmul, 5, 63)  # cells[4] becomes -0.0
+        for prog in (Program(m), ReferenceProgram(m)):
+            store = record_checkpoints(prog, args=[16], interval=12)
+            k = store.snapshot_index_for(fmul, 5)
+            assert k >= 0
+            cold = prog.run(args=[16], fault=fault)
+            resumed = prog.resume(store.snapshots[k], fault=fault,
+                                  convergence=store.convergence_from(k))
+            assert not resumed.converged
+            assert bits(resumed.output) == bits(cold.output)
+            assert cold.output[4] == float("-inf")
+
+
+def pointer_faults(program: Program, counts: list, rng: random.Random,
+                   n: int) -> list[FaultSite]:
+    """Faults on executed pointer-producing instructions. Where a store
+    writes through the pointer, low bits move it to another cell of its
+    segment or past its end, and high bits to another segment or to none."""
+    iids = [
+        i.iid for i in program.module.instructions()
+        if i.opcode in INJECTABLE_OPCODES and i.type.is_ptr and counts[i.iid]
+    ]
+    return [
+        FaultSite(iid, rng.randint(1, counts[iid]),
+                  rng.choice((0, 1, 3, 12, SEG_SHIFT, SEG_SHIFT + 1, 40)))
+        for iid in (rng.choice(iids) for _ in range(n))
+    ]
+
+
+def resumed_trial(program: Program, store: CheckpointStore, site: FaultSite,
+                  limit: int):
+    """One checkpoint-resumed trial, as a campaign runs it: the output, or
+    the trap's class and message."""
+    k = store.snapshot_index_for(site.iid, site.instance)
+    if k < 0:
+        return None
+    try:
+        r = program.resume(store.snapshots[k], fault=site.to_spec(),
+                           step_limit=limit,
+                           convergence=store.convergence_from(k))
+    except Trap as t:
+        return type(t).__name__, str(t)
+    return bits(r.output), r.converged
+
+
+class TestSharedSegments:
+    """Snapshots and resumed runs share memory segments copy-on-write: a
+    run copies a segment the first time it stores to it, so nothing a
+    trial or a recording does may change a snapshot once captured."""
+
+    @pytest.mark.parametrize("name", all_app_names())
+    def test_campaign_leaves_snapshots_intact(self, name):
+        app = cached_app(name)
+        args, bindings = app.encode(app.reference_input)
+        program = Program(app.module)
+        store = record_checkpoints(program, args, bindings, profile=True)
+        before = snapshot_bits(store.snapshots)
+        run_campaign(program, 200, seed=9, args=args, bindings=bindings,
+                     checkpoints=store, cache=False, workers=1,
+                     engine="scalar")
+        profile = store.profile
+        limit = profile.steps * 8 + 10_000
+        rng = random.Random(f"pointers-{name}")
+        sites = pointer_faults(program, profile.instr_counts, rng, 40)
+        trials = [resumed_trial(program, store, s, limit) for s in sites]
+        assert snapshot_bits(store.snapshots) == before
+        # The reference interpreter resumes from the same snapshots alike.
+        reference = ReferenceProgram(app.module)
+        for site, got in list(zip(sites, trials))[:12]:
+            assert resumed_trial(reference, store, site, limit) == got, site
+        assert snapshot_bits(store.snapshots) == before
+        assert any(t is not None and t[0] == "MemoryFault" for t in trials)
+
+    def test_consecutive_snapshots_share_unwritten_segments(self):
+        """kmeans keeps hundreds of segments alive; between two snapshots
+        the golden run stores to few of them."""
+        app = cached_app("kmeans")
+        args, bindings = app.encode(app.reference_input)
+        written = []
+
+        class Tracing(ReferenceProgram):
+            # The segments the recording owns at each capture: those it
+            # stored to or allocated since the previous one.
+            def _block_event(self, state, *where):
+                if state.ckpt is not None:
+                    written.append(set(state.wmem))
+                Program._block_event(state, *where)
+
+        golden = Tracing(app.module).run(args=args, bindings=bindings)
+        interval = golden.steps // 12
+        Tracing(app.module).run_checkpointed(args=args, bindings=bindings,
+                                             interval=interval)
+        program = Program(app.module)
+        store = record_checkpoints(program, args, bindings, interval=interval)
+        snaps = store.snapshots
+        assert len(snaps) == len(written) >= 10
+        thawed = pickle.loads(pickle.dumps(store)).snapshots
+        shared = unwritten = 0
+        for k in range(1, len(snaps)):
+            prev, cur = snaps[k - 1].mem, snaps[k].mem
+            expect = set(prev) - written[k]
+            for pair in ((prev, cur), (thawed[k - 1].mem, thawed[k].mem)):
+                got = {seg for seg, cells in pair[1].items()
+                       if pair[0].get(seg) is cells}
+                assert got == expect, k
+            shared += len(expect)
+            unwritten += len(prev)
+            # Resuming the golden run re-joins it at the next snapshot:
+            # each snapshot is the exact state of the golden trajectory.
+            r = program.resume(snaps[k - 1], convergence=[snaps[k]],
+                               fault_fired=True)
+            assert r.converged and r.converged_output_len == len(
+                snaps[k].output), k
+        assert shared > 0.9 * unwritten
+
+    def test_store_traps_through_corrupted_pointers(self):
+        """A resumed run's first store to a segment takes the barrier's slow
+        path, later ones the fast path; through a corrupted pointer, both
+        trap like the reference: an unknown segment and an offset past the
+        segment's end are each ``store to <address>``."""
+        m = Module("wild_store")
+        g = m.add_global("d", F64, 8)
+        b = Builder.new_function(m, "main", [("n", I64)], VOID)
+        with b.for_loop(b.i64(0), b.function.arg("n")) as i:
+            b.store(b.sitofp(i, F64), b.gep(g, i))
+        b.emit_output(b.load(b.gep(g, b.i64(7)), F64))
+        b.ret()
+        m.finalize()
+        gep = next(i.iid for i in m.instructions() if i.opcode == "gep")
+        comp, ref = Program(m), ReferenceProgram(m)
+        store = record_checkpoints(comp, args=[8], interval=25)
+        before = snapshot_bits(store.snapshots)
+        trapped = {}
+        for instance in range(2, 9):
+            for bit in (1, 10, SEG_SHIFT, SEG_SHIFT + 1, 40):
+                site = FaultSite(gep, instance, bit)
+                k = store.snapshot_index_for(gep, instance)
+                got = resumed_trial(comp, store, site, 10_000)
+                assert got == resumed_trial(ref, store, site, 10_000), site
+                if got is not None and got[0] == "MemoryFault":
+                    addr = int(got[1].split()[-1], 16)
+                    first = store.snapshots[k].instr_counts[gep] + 1 == instance
+                    known = addr >> SEG_SHIFT in store.snapshots[k].mem
+                    assert got[1].startswith("store to ")
+                    trapped[first, known] = site
+        assert snapshot_bits(store.snapshots) == before
+        # Both barrier paths trapped on both kinds of bad address.
+        assert set(trapped) == {(True, True), (True, False), (False, True),
+                               (False, False)}

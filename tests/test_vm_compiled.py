@@ -13,7 +13,6 @@ compiled code, relocated to the protected program's numbers.
 from __future__ import annotations
 
 import builtins
-import pickle
 import random
 from collections import OrderedDict
 
@@ -31,7 +30,13 @@ from repro.vm import compiler
 from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import FrameSnapshot, Snapshot
 from repro.vm.interpreter import INJECTABLE_OPCODES, FaultSpec, Program
-from tests.conftest import ReferenceProgram, bits, cached_app, executed_sites
+from tests.conftest import (
+    ReferenceProgram,
+    bits,
+    cached_app,
+    executed_sites,
+    snapshot_bits,
+)
 
 FAULTY_RUNS = 40
 
@@ -44,17 +49,6 @@ def observe(run) -> tuple:
         return ("trap", type(t).__name__, str(t))
     return ("ok", bits(r.output), r.steps, r.fault_fired, r.converged,
             r.converged_output_len)
-
-
-def snapshot_bits(snaps: list[Snapshot]) -> bytes:
-    """Snapshots with every float replaced by its encoding."""
-    return pickle.dumps([
-        (s.steps, s.next_seg, bits(s.output), s.instr_counts,
-         sorted((seg, bits(cells)) for seg, cells in s.mem.items()),
-         [(f.fn, f.block, f.prev_gid, f.call_index, bits(f.slots),
-           f.code_index) for f in s.frames])
-        for s in snaps
-    ])
 
 
 class Pair:
@@ -235,6 +229,84 @@ class TestApps:
             ))
         assert runs[0] == runs[1]
         assert runs[0][1] > 0
+
+
+class TestUnhook:
+    """A transient fault's block runs hooked until the flip, then plain;
+    a sticky visitor keeps every hook for the whole run."""
+
+    @staticmethod
+    def hook_calls(prog: Program) -> list:
+        """Whether the flip had fired at each later ``_hook`` call."""
+        ns = prog._compiled.ns
+        real = ns["_hook"]
+        calls = []
+
+        def hook(st, iid, val):
+            calls.append(st.f_fired)
+            return real(st, iid, val)
+
+        ns["_hook"] = hook
+        return calls
+
+    @staticmethod
+    def hot_site(pair: Pair, opcode: str | None = None) -> int:
+        counts = pair.golden.instr_counts
+        module = pair.compiled.module
+        return max(
+            (i for i in pair.sites
+             if opcode is None or module.instruction(i).opcode == opcode),
+            key=counts.__getitem__,
+        )
+
+    def test_hook_leaves_after_the_flip(self):
+        pair = Pair("pathfinder")
+        prog = pair.compiled
+        iid = self.hot_site(pair)
+        _, snaps = prog.run_checkpointed(args=pair.args, bindings=pair.bindings,
+                                         interval=pair.golden.steps // 4)
+        snap = snaps[0]
+        trials = [
+            (lambda p, f: p.run(args=pair.args, bindings=pair.bindings,
+                                fault=f), 3),
+            (lambda p, f: p.resume(snap, fault=f), snap.instr_counts[iid] + 3),
+        ]
+        calls = self.hook_calls(prog)
+        blk = prog._compiled.blocks[prog._compiled.gid_of_iid[iid]]
+        for trial, instance in trials:
+            fault = FaultSpec(iid, instance, 5)
+            calls.clear()
+            got = observe(lambda: trial(prog, fault))
+            assert got == observe(lambda: trial(pair.reference, fault)), fault
+            assert got[0] == "ok" and got[3]  # the flip fired
+            assert pair.golden.instr_counts[iid] - instance > 100
+            # After the flip, hooks run only in the rest of the block
+            # execution it fired in, though the block runs 100 more times.
+            assert calls.count(False) >= 3
+            assert calls.count(True) < len(blk.code)
+
+    def test_sticky_run_keeps_its_hooks(self):
+        pair = Pair("pathfinder")
+        iid = self.hot_site(pair, "add")
+        fault = FaultSpec(iid, 2, 3)
+        model = HostFaultModel(opcode="add", bit=7, mode="permanent",
+                               seed=3, pattern_bits=8)
+        pair.compiled.run(args=pair.args, bindings=pair.bindings)
+        calls = self.hook_calls(pair.compiled)
+        runs = []
+        for prog in (pair.compiled, pair.reference):
+            sticky = model.bind(prog).start_run(salt=1)
+            runs.append((
+                observe(lambda prog=prog, sticky=sticky: prog.run(
+                    args=pair.args, bindings=pair.bindings, fault=fault,
+                    sticky=sticky, step_limit=pair.limit)),
+                sticky.visits, sticky.corrupted,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == "ok" and runs[0][0][3]
+        # The fault's block holds sticky iids: its hooks stay after the flip.
+        assert runs[0][1] > pair.golden.instr_counts[iid]
+        assert calls.count(True) > runs[0][1] // 2
 
 
 class TestBlockCounts:
