@@ -18,6 +18,10 @@ and checkpoint schedules (the repo's core invariant, enforced by
 ``tests/test_fi_checkpoint.py`` and the obs determinism tests), so a result
 computed serially may be served to a pooled, checkpointed re-run and vice
 versa. Telemetry settings never enter the key either — tracing is inert.
+
+Golden-run results — the detectors' value profiles and the dynamic
+profiles :mod:`repro.vm.profiler` stores — depend on the program, its input
+and the code salt alone, so their keys fold in nothing else.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "per_instruction_key",
     "section_summary_key",
     "value_profile_key",
+    "golden_profile_key",
 ]
 
 #: Version salt folded into every key. Bump on any change to fault-site
@@ -44,8 +49,8 @@ CODE_SALT = "repro-fi-1"
 ANALYSIS_SALT = "repro-analysis-1"
 
 
-def _base(kind: str, module_text: str, args, bindings,
-          rel_tol: float, abs_tol: float, seed: int) -> dict:
+def _golden(kind: str, module_text: str, args, bindings) -> dict:
+    """The payload of everything a golden run depends on."""
     return {
         "salt": CODE_SALT,
         "kind": kind,
@@ -55,10 +60,16 @@ def _base(kind: str, module_text: str, args, bindings,
             {k: list(v) for k, v in bindings.items()}
             if bindings is not None else None
         ),
-        "rel_tol": float(rel_tol),
-        "abs_tol": float(abs_tol),
-        "seed": int(seed),
     }
+
+
+def _base(kind: str, module_text: str, args, bindings,
+          rel_tol: float, abs_tol: float, seed: int) -> dict:
+    payload = _golden(kind, module_text, args, bindings)
+    payload["rel_tol"] = float(rel_tol)
+    payload["abs_tol"] = float(abs_tol)
+    payload["seed"] = int(seed)
+    return payload
 
 
 def whole_program_key(
@@ -111,17 +122,17 @@ def value_profile_key(module_text: str, args, bindings) -> str:
     trial plans play no part. ``CODE_SALT`` still applies — interpreter
     semantics shape the observed values.
     """
+    return stable_digest(_golden("value-profile", module_text, args, bindings))
+
+
+def golden_profile_key(module_text: str, args, bindings) -> str:
+    """Key of a golden run's dynamic profile (:mod:`repro.vm.profiler`).
+
+    Like a value profile, a pure function of the program and its input:
+    counts, steps, output and call paths come from one fault-free run.
+    """
     return stable_digest(
-        {
-            "salt": CODE_SALT,
-            "kind": "value-profile",
-            "module": module_text,
-            "args": list(args) if args is not None else None,
-            "bindings": (
-                {k: list(v) for k, v in bindings.items()}
-                if bindings is not None else None
-            ),
-        }
+        _golden("golden-profile", module_text, args, bindings)
     )
 
 

@@ -47,7 +47,13 @@ from repro.util.rng import RngStream
 from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import CheckpointStore, record_checkpoints
 from repro.vm.interpreter import Program
-from repro.vm.profiler import DynamicProfile, memoized_profile, profile_run
+from repro.vm.profiler import (
+    DynamicProfile,
+    memoized_profile,
+    profile_run,
+    store_profile,
+    stored_profile,
+)
 
 __all__ = [
     "CampaignResult",
@@ -297,6 +303,7 @@ def _golden_pass(
     profile: DynamicProfile | None,
     run: RunConfig,
     checkpoints: CheckpointStore | None,
+    profile_cache=None,
 ) -> tuple[DynamicProfile, CheckpointStore | None]:
     """The golden profile and checkpoint store a campaign's trials need.
 
@@ -304,15 +311,18 @@ def _golden_pass(
     otherwise ``run.checkpoint_interval`` selects recording (``"auto"``
     applies :func:`~repro.vm.checkpoint.auto_interval`, a positive int is
     taken literally, ``0`` keeps every trial cold). Without a ``profile``
-    the campaign takes the program's memoized one
-    (:mod:`repro.vm.profiler`); on a miss a recording campaign takes both
-    from one profiled recording run, which fills the memo, so it executes
-    the golden program once before its trials. With a profile, a
-    recording neither profiles nor thins: the profile's step count names
-    its interval.
+    the campaign takes the program's memoized one, then the one
+    ``profile_cache`` holds (:mod:`repro.vm.profiler`); on a miss a
+    recording campaign takes both from one profiled recording run, which
+    fills the memo and ``profile_cache``, so it executes the golden
+    program once before its trials. With a profile, a recording neither
+    profiles nor thins: the profile's step count names its interval.
     """
+    key = None
     if profile is None:
         profile = memoized_profile(program, args, bindings)
+    if profile is None:
+        profile, key = stored_profile(program, args, bindings, profile_cache)
     if checkpoints is None and run.checkpoint_interval:
         interval = (
             None if run.checkpoint_interval == "auto"
@@ -323,13 +333,15 @@ def _golden_pass(
                 program, args=args, bindings=bindings, interval=interval,
                 profile=True,
             )
+            store_profile(profile_cache, key, checkpoints.profile)
             return checkpoints.profile, checkpoints
         checkpoints = record_checkpoints(
             program, args=args, bindings=bindings, interval=interval,
             steps_hint=profile.steps,
         )
     if profile is None:
-        profile = profile_run(program, args=args, bindings=bindings)
+        profile = profile_run(program, args=args, bindings=bindings, cache=False)
+        store_profile(profile_cache, key, profile)
     return profile, checkpoints
 
 
@@ -547,7 +559,9 @@ def run_campaign(
     The golden ``profile`` defaults to the program's memoized one
     (:mod:`repro.vm.profiler`), so campaigns on the same program and input
     profile it once. A pre-recorded ``checkpoints`` store skips even the
-    recording run.
+    recording run. The campaign neither reads nor writes a golden-profile
+    cache entry: a replay's cache hit skips its golden pass, so a profile
+    it stored would never be read back.
 
     How the campaign executes comes from the run configuration
     (:mod:`repro.runconfig`, DESIGN.md §7.12): ``workers``, ``engine``,
@@ -650,7 +664,10 @@ def run_per_instruction_campaign(
     keywords behave as in :func:`run_campaign` — per-instruction sweeps
     replay the golden prefix hardest (trials × instructions), so they gain
     the most from checkpoint resume. A cache hit needs only the golden
-    profile: the caller's, or the program's memoized one.
+    profile: the caller's, the program's memoized one, or the campaign
+    cache's. Unlike :func:`run_campaign`, a sweep reads and writes that
+    golden-profile entry (:mod:`repro.vm.profiler`) under its own resolved
+    ``cache``, so ``cache=False`` touches neither.
     """
     module = program.module
     targets = only_iids if only_iids is not None else injectable_iids(module)
@@ -667,14 +684,16 @@ def run_per_instruction_campaign(
         payload = store_cache.get(key)
         if payload is not None:
             if profile is None:
-                profile = profile_run(program, args=args, bindings=bindings)
+                profile = profile_run(
+                    program, args=args, bindings=bindings, cache=store_cache
+                )
             cached = _decode_per_instruction(payload, profile)
             if cached is not None:
                 trials = sum(c.total for c in cached.per_iid.values())
                 _note_cache_hit("fi.per-instruction", key, trials)
                 return cached
     profile, store = _golden_pass(
-        program, args, bindings, profile, run, checkpoints
+        program, args, bindings, profile, run, checkpoints, store_cache
     )
     rng = RngStream(seed, "per-instr")
     all_sites: list[FaultSite] = []
@@ -816,7 +835,7 @@ def run_model_guided_campaign(
         masking = DEFAULT_MASKING
     module = program.module
     if profile is None:
-        profile = profile_run(program, args=args, bindings=bindings)
+        profile = profile_run(program, args=args, bindings=bindings, cache=cache)
     predicted = predict_sdc_probabilities(
         module, profile, rel_tol=rel_tol, masking=masking, cache=cache
     )

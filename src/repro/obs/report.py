@@ -177,17 +177,24 @@ def _summary_counters(records: list[dict]) -> dict:
 
 
 def _cache_table(records: list[dict]) -> str | None:
+    """Store effectiveness. Golden-profile reads (:mod:`repro.vm.profiler`)
+    share the store; their hits and misses are shown apart, so the hit
+    rate stays the campaigns'."""
     counters = _summary_counters(records)
     if not any(k.startswith("cache.") for k in counters):
         return None
-    hits = counters.get("cache.hit", 0)
-    misses = counters.get("cache.miss", 0)
+    served = counters.get("vm.profile_cache_hits", 0)
+    profile_misses = counters.get("vm.profile_cache_misses", 0)
+    hits = counters.get("cache.hit", 0) - served
+    misses = counters.get("cache.miss", 0) - profile_misses
     lookups = hits + misses
     rows = [
         ["lookups", f"{lookups:g}"],
         ["hits", f"{hits:g}"],
         ["misses", f"{misses:g}"],
         ["hit rate", f"{hits / lookups:.1%}" if lookups else "-"],
+        ["golden profiles served", f"{served:g}"],
+        ["golden-profile misses", f"{profile_misses:g}"],
         ["writes", f"{counters.get('cache.write', 0):g}"],
         ["corrupt entries", f"{counters.get('cache.corrupt', 0):g}"],
         ["evicted entries", f"{counters.get('cache.evicted', 0):g}"],

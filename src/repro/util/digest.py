@@ -17,7 +17,9 @@ Encoding rules (stable across processes and Python versions):
 * ints encode as decimal ASCII (arbitrary precision, sign included);
 * strings encode as UTF-8, bytes verbatim, both length-prefixed;
 * lists and tuples encode identically (element count + elements) — they are
-  interchangeable payload containers;
+  interchangeable payload containers; a list of exact floats or of exact
+  ints (an input array, an iid set) encodes in one pass, to the bytes the
+  per-element rule writes;
 * dict items are sorted by the encoding of their keys, so insertion order
   is canonicalized away;
 * :class:`enum.Enum` members encode as (class name, value).
@@ -64,8 +66,17 @@ def _encode(value, out: bytearray) -> None:
     elif isinstance(value, (list, tuple)):
         out += b"l"
         out += struct.pack(">I", len(value))
-        for item in value:
-            _encode(item, out)
+        kinds = set(map(type, value))
+        run = (
+            _float_run(value) if kinds == {float}
+            else _int_run(value) if kinds == {int}
+            else None
+        )
+        if run is not None:
+            out += run
+        else:
+            for item in value:
+                _encode(item, out)
     elif isinstance(value, dict):
         items = []
         for k, v in value.items():
@@ -82,6 +93,34 @@ def _encode(value, out: bytearray) -> None:
         raise TypeError(
             f"canonical_bytes: unsupported type {type(value).__name__!r}"
         )
+
+
+#: Tag and length prefix of an int whose decimal form has ``n`` < 256
+#: characters, as latin-1 text (the digits are ASCII).
+_INT_HEADS = ["i\x00\x00\x00" + chr(n) for n in range(256)]
+
+
+def _float_run(value) -> bytearray:
+    """A list of exact floats' elements, packed at once and then tagged."""
+    n = len(value)
+    raw = struct.pack(f">{n}d", *value)
+    run = bytearray(9 * n)
+    run[0::9] = b"f" * n
+    for k in range(8):
+        run[k + 1 :: 9] = raw[k::8]
+    return run
+
+
+def _int_run(value) -> bytes | None:
+    """A list of exact ints' elements in one join; ``None`` if one has 256
+    or more digits (the per-element rule then encodes it)."""
+    digits = list(map(str, value))
+    try:
+        return "".join([_INT_HEADS[len(d)] + d for d in digits]).encode(
+            "latin-1"
+        )
+    except IndexError:
+        return None
 
 
 def canonical_bytes(value) -> bytes:

@@ -2,7 +2,8 @@
 
 Provides golden runs, dynamic profiling (per-instruction execution counts —
 the input to the SID cost model and to MINPSID's weighted-CFG fitness — and
-call-path counts, memoized per program and input), golden checkpoints, a
+call-path counts, memoized per program and input and kept in the campaign
+cache), golden checkpoints, a
 single-bit-flip fault hook, and trap/hang semantics that the
 fault-injection layer classifies into outcomes.
 """

@@ -9,20 +9,30 @@ block entries and expands them per instruction when the run returns.
 
 A golden run is deterministic in (program, input), so each
 :class:`~repro.vm.interpreter.Program` memoizes its profiles
-(``Program.golden_profiles``): :func:`profile_run` executes an input at
-most once per program, and a profiled checkpoint recording fills the memo
-too. The memo lives and dies with its program. A run that traps or hangs
-raises and leaves nothing in it. Callers share the memoized objects, so
-none may mutate one.
+(``Program.golden_profiles``): :func:`profile_run` takes an input's
+profile at most once per program, and a profiled checkpoint recording
+fills the memo too. The memo lives and dies with its program; the
+campaign cache (:mod:`repro.cache`) is the tier behind it. A profile
+depends only on (module text, input, ``CODE_SALT``), so a memo miss reads
+the store's entry under :func:`~repro.cache.keys.golden_profile_key`
+before it runs anything, and a profile it had to run is written there, for
+the next program of the same text and the next process. An entry holds
+the counts, steps, output and call paths; cycles are recomputed from the
+counts with the current cost model. A run that traps or hangs raises and
+leaves nothing in the memo or the store. Callers share the memoized
+objects, so none may mutate one.
 """
 
 from __future__ import annotations
 
 import pickle
+import struct
 from dataclasses import dataclass, field
 
+from repro.cache.keys import golden_profile_key
 from repro.ir.module import Module
 from repro.obs.core import current as _obs_current
+from repro.runconfig import resolve_field
 from repro.vm.costmodel import DEFAULT_COST_MODEL
 from repro.vm.interpreter import Program, RunResult
 
@@ -32,6 +42,8 @@ __all__ = [
     "memoized_profile",
     "profile_of",
     "profile_run",
+    "store_profile",
+    "stored_profile",
 ]
 
 
@@ -93,25 +105,66 @@ def memoized_profile(
     """
     prof = program.golden_profiles.get(input_key(args, bindings))
     if prof is not None:
-        _note_profile(program.module, prof, memo=True)
+        _note_profile(program.module, prof, "memo")
     return prof
+
+
+def stored_profile(
+    program: Program, args, bindings, store
+) -> tuple[DynamicProfile | None, str | None]:
+    """``program``'s golden profile of this input from the campaign cache.
+
+    Executes nothing. Returns the profile (memoized on ``program``, and
+    reported as one ``vm.profile`` event with ``cached`` set) or ``None``,
+    and the entry's key, for :func:`store_profile` to write the profile a
+    caller then takes; ``(None, None)`` without a ``store``. A malformed
+    entry reads as a miss, and the write replaces it.
+    """
+    if store is None:
+        return None, None
+    key = golden_profile_key(program.text, args, bindings)
+    payload = store.get(key)
+    if payload is None:
+        t = _obs_current()
+        if t is not None:
+            t.count("vm.profile_cache_misses")
+        return None, key
+    found = _decode_profile(payload, program.module)
+    if found is None:
+        return None, key
+    prof = _memoize(program, args, bindings, _profile(program.module, *found))
+    _note_profile(program.module, prof, "cache")
+    return prof, key
+
+
+def store_profile(store, key: str | None, prof: DynamicProfile) -> None:
+    """Write a profile :func:`stored_profile` missed (no-op without a store)."""
+    if store is not None:
+        store.put(key, _encode_profile(prof))
 
 
 def profile_run(
     program: Program,
     args: list | None = None,
     bindings: dict[str, list] | None = None,
+    cache=None,
 ) -> DynamicProfile:
     """The golden profile of ``program`` on one input.
 
-    The first call per (program, input) runs the program with profiling
-    and memoizes the profile; later calls return the same object and
-    execute nothing.
+    The first call per (program, input) reads the campaign cache's entry
+    or, on a miss, runs the program with profiling and writes the entry;
+    either way the profile is memoized, and later calls return the same
+    object and execute nothing. ``cache`` overrides the ambient campaign
+    cache (:mod:`repro.runconfig`); ``False`` neither reads nor writes one.
     """
     prof = memoized_profile(program, args, bindings)
     if prof is None:
-        result = program.run(args=args, bindings=bindings, profile=True)
-        prof = profile_of(program, result, args, bindings)
+        store = resolve_field("cache", cache)
+        prof, key = stored_profile(program, args, bindings, store)
+        if prof is None:
+            result = program.run(args=args, bindings=bindings, profile=True)
+            prof = profile_of(program, result, args, bindings)
+            store_profile(store, key, prof)
     return prof
 
 
@@ -130,7 +183,22 @@ def profile_of(
     it, this one is memoized.
     """
     module: Module = program.module
-    counts = result.instr_counts or [0] * module.instruction_count()
+    prof = _memoize(program, args, bindings, _profile(
+        module,
+        result.instr_counts or [0] * module.instruction_count(),
+        result.steps,
+        result.output,
+        dict(result.call_paths or {}),
+    ))
+    _note_profile(module, prof, "run")
+    return prof
+
+
+def _profile(
+    module: Module, counts: list, steps: int, output: list, call_paths: dict
+) -> DynamicProfile:
+    """A profile from what its golden run observed; cycles come from the
+    counts under the current cost model."""
     cycles = [0] * len(counts)
     total = 0
     fn_cycles: dict[str, int] = {}
@@ -142,25 +210,91 @@ def profile_of(
             fn_total += c
         fn_cycles[fn.name] = fn_total
         total += fn_total
-    prof = DynamicProfile(
+    return DynamicProfile(
         instr_counts=counts,
         instr_cycles=cycles,
         total_cycles=total,
-        output=result.output,
-        steps=result.steps,
+        output=output,
+        steps=steps,
         fn_cycles=fn_cycles,
-        call_paths=dict(result.call_paths or {}),
+        call_paths=call_paths,
     )
+
+
+def _memoize(program: Program, args, bindings, prof: DynamicProfile):
     program.golden_profiles.setdefault(input_key(args, bindings), prof)
-    _note_profile(module, prof, memo=False)
     return prof
 
 
-def _note_profile(module: Module, prof: DynamicProfile, memo: bool) -> None:
+# ---------------------------------------------------------------------------
+# Campaign-cache entries. Output floats are stored as the hex of their
+# IEEE-754 bits: JSON float text loses NaN payloads, and outputs are compared
+# bit for bit. The decoder is defensive, like the campaign decoders: any
+# malformed entry reads as a miss, never an exception or a wrong profile.
+# ---------------------------------------------------------------------------
+
+
+def _encode_profile(prof: DynamicProfile) -> dict:
+    return {
+        "kind": "golden-profile",
+        "counts": prof.instr_counts,
+        "steps": prof.steps,
+        "output": [
+            struct.pack(">d", v).hex() if type(v) is float else v
+            for v in prof.output
+        ],
+        "call_paths": [[list(p), n] for p, n in prof.call_paths.items()],
+    }
+
+
+def _decode_profile(payload: dict | None, module: Module) -> tuple | None:
+    """``(counts, steps, output, call_paths)`` of a well-formed entry."""
+    if not isinstance(payload, dict) or payload.get("kind") != "golden-profile":
+        return None
+    counts, steps = payload.get("counts"), payload.get("steps")
+    output, paths = payload.get("output"), payload.get("call_paths")
+    if (
+        type(counts) is not list
+        or len(counts) != module.instruction_count()
+        or not set(map(type, counts)) <= {int}
+        or type(steps) is not int
+        or type(output) is not list
+        or type(paths) is not list
+    ):
+        return None
+    try:
+        output = [
+            v if type(v) is int else struct.unpack(">d", bytes.fromhex(v))[0]
+            for v in output
+        ]
+        call_paths = {}
+        for path, n in paths:
+            if (
+                type(path) is not list
+                or not set(map(type, path)) <= {str}
+                or type(n) is not int
+            ):
+                return None
+            call_paths[tuple(path)] = n
+    except (TypeError, ValueError, struct.error):
+        return None
+    return counts, steps, output, call_paths
+
+
+#: The counter of each source :func:`_note_profile` reports.
+_PROFILE_COUNTERS = {
+    "run": "vm.profile_runs",
+    "memo": "vm.profile_memo_hits",
+    "cache": "vm.profile_cache_hits",
+}
+
+
+def _note_profile(module: Module, prof: DynamicProfile, source: str) -> None:
     """Emit the ``vm.profile`` event of a profile a caller receives.
 
-    One event per profile served, run or memoized (``memo``), so a trace's
-    hotspot report sees every module a traced session profiled.
+    One event per profile served — run, memoized or read from the campaign
+    cache (``source``) — so a trace's hotspot report sees every module a
+    traced session profiled. Each source has its own counter.
     """
     t = _obs_current()
     if t is None:
@@ -189,12 +323,13 @@ def _note_profile(module: Module, prof: DynamicProfile, memo: bool) -> None:
         }
         for iid in top
     ]
-    t.count("vm.profile_memo_hits" if memo else "vm.profile_runs")
+    t.count(_PROFILE_COUNTERS[source])
     t.emit(
         "vm.profile",
         {
             "module": module.name,
-            "memo": memo,
+            "memo": source == "memo",
+            "cached": source == "cache",
             "steps": prof.steps,
             "total_cycles": prof.total_cycles,
             "instruction_mix": mix,

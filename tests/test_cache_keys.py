@@ -8,9 +8,17 @@ worker counts, and checkpoint schedules must not perturb it).
 
 from __future__ import annotations
 
+import enum
+import struct
+
 import pytest
 
-from repro.cache.keys import per_instruction_key, whole_program_key
+from repro.cache.keys import (
+    golden_profile_key,
+    per_instruction_key,
+    value_profile_key,
+    whole_program_key,
+)
 from repro.ir.printer import print_module
 from repro.util.digest import canonical_bytes, stable_digest
 
@@ -46,6 +54,108 @@ class TestCanonicalBytes:
     def test_encoding_is_stable_across_calls(self):
         payload = {"module": "text", "seed": 7, "tol": [0.0, 1e-9]}
         assert canonical_bytes(payload) == canonical_bytes(payload)
+
+
+def _per_element(value, out: bytearray) -> None:
+    """The encoder as it was before lists of exact floats or ints were
+    encoded in one pass: a frozen copy, one element at a time."""
+    if value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif isinstance(value, enum.Enum):
+        out += b"E"
+        _per_element(type(value).__name__, out)
+        _per_element(value.value, out)
+    elif isinstance(value, int):
+        raw = str(value).encode("ascii")
+        out += b"i" + struct.pack(">I", len(raw)) + raw
+    elif isinstance(value, float):
+        out += b"f" + struct.pack(">d", value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out += b"s" + struct.pack(">I", len(raw)) + raw
+    elif isinstance(value, (bytes, bytearray)):
+        out += b"b" + struct.pack(">I", len(value)) + bytes(value)
+    elif isinstance(value, (list, tuple)):
+        out += b"l" + struct.pack(">I", len(value))
+        for item in value:
+            _per_element(item, out)
+    elif isinstance(value, dict):
+        items = []
+        for k, v in value.items():
+            kb = bytearray()
+            _per_element(k, kb)
+            items.append((bytes(kb), v))
+        items.sort(key=lambda kv: kv[0])
+        out += b"d" + struct.pack(">I", len(items))
+        for kb, v in items:
+            out += kb
+            _per_element(v, out)
+    else:
+        raise TypeError(type(value).__name__)
+
+
+def _from_bits(pattern: int) -> float:
+    return struct.unpack(">d", pattern.to_bytes(8, "big"))[0]
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Ratio(float):
+    pass
+
+
+#: Lists every fast path sees, and the ones it must leave to the
+#: per-element rule.
+CORPUS = {
+    "empty": [],
+    "empty-tuple": (),
+    "bools": [True, False, True],
+    "bools-and-ints": [1, True, 0, False],
+    "ints": [0, 1, -1, 2**80, -(2**80), 10**255 - 1],
+    "long-int": [1, 10**300, -(10**256)],
+    "floats": [0.0, -0.0, 1.5, -2.25, 1e308, 5e-324],
+    "infinities": [float("inf"), float("-inf")],
+    "nan-payloads": [
+        _from_bits(0x7FF8_0000_0000_0001),
+        _from_bits(0xFFF0_0000_0000_0ABC),
+        float("nan"),
+    ],
+    "int-and-equal-float": [1, 1.0, 0, 0.0],
+    "mixed": [1, 2.5, "x", None, b"y", True],
+    "int-enum": [_Level.LOW, 1],
+    "float-subclass": [_Ratio(0.5), 0.5],
+    "nested": [[1.0, 2.0], [3, 4], [], [[-0.0]], ([5], (6.5,))],
+    "tuple": (1, 2, 3),
+    "dict-of-lists": {"a": [1.0, -0.0], "b": [1, 2], "c": [], "d": [1, 1.0]},
+    "iid-set": list(range(0, 3000, 7)),
+}
+
+
+class TestListRuns:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_runs_encode_as_the_per_element_rule(self, name):
+        value = CORPUS[name]
+        frozen = bytearray()
+        _per_element(value, frozen)
+        assert canonical_bytes(value) == bytes(frozen)
+
+    def test_campaign_key_bytes_are_pinned(self):
+        """Existing cache entries stay readable: any byte change to the
+        key encoding changes these digests."""
+        text = print_module(build_sum_squares_module())
+        bindings = {"data": [float(i) for i in range(32)]}
+        assert per_instruction_key(
+            text, [8], bindings, 0.0, 0.0, 4, 7, (3, 5)
+        ) == "2de6c5a86ce1785e94eb2eeae87f657a51588b3a429f5fd37bf8176d7a08665a"
+        assert value_profile_key(text, [8], bindings) == (
+            "359db53911f1ef4c4f13ec951af765b0149aeb9851d89f52396b7798f7e07f82"
+        )
 
 
 BASE = dict(
@@ -123,3 +233,21 @@ class TestPerInstructionKey:
             self.text, BASE["args"], BASE["bindings"], 0.0, 0.0, 4, 7
         )
         assert wp != self.key(trials=4, seed=7)
+
+
+class TestGoldenProfileKey:
+    def setup_method(self):
+        self.text = print_module(build_sum_squares_module())
+
+    def test_input_and_program_are_in_the_key(self):
+        base = golden_profile_key(self.text, [8], BASE["bindings"])
+        assert base == golden_profile_key(self.text, (8,), BASE["bindings"])
+        assert base != golden_profile_key(self.text, [8.0], BASE["bindings"])
+        assert base != golden_profile_key(
+            print_module(build_branchy_module()), [8], BASE["bindings"]
+        )
+
+    def test_never_collides_with_a_value_profile(self):
+        assert golden_profile_key(self.text, [8], None) != value_profile_key(
+            self.text, [8], None
+        )

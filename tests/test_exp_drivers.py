@@ -191,11 +191,13 @@ class TestReferenceGoldenRuns:
     ):
         """A bfs fig2 + fig6 study at the benchmark's ``headline-cold``
         sizes executes bfs's unprotected program on its reference input
-        twice, cold cache or warm: once per reference sweep (SID's and
-        MINPSID's), whose golden pass both profiles and records
-        checkpoints, or profiles alone on a cache hit. The SID and MINPSID
-        pipelines, the input search and its GA take the profile from
-        there."""
+        twice on a cold cache, once per reference sweep: SID's golden pass
+        profiles while it records and writes the profile to the cache, and
+        MINPSID's, on Fig. 6's own program, reads it from there and
+        records unprofiled at the interval its step count names. On a warm
+        cache both sweeps and the profile are cache hits, so nothing
+        runs. The SID and MINPSID pipelines, the input search and its GA
+        take the profile from there."""
         from repro.apps import get_app
         from repro.exp.fig2 import run_fig2_study
         from repro.exp.fig6 import run_fig6_study
@@ -223,12 +225,12 @@ class TestReferenceGoldenRuns:
 
         def run(self, args=None, bindings=None, fault=None, **kwargs):
             if fault is None and on_reference(self, args, bindings):
-                runs.append("run")
+                runs.append(("run", kwargs.get("profile")))
             return real_run(self, args, bindings, fault, **kwargs)
 
         def run_checkpointed(self, args=None, bindings=None, **kwargs):
             if on_reference(self, args, bindings):
-                runs.append("recording")
+                runs.append(("recording", kwargs.get("profile")))
             return real_recording(self, args, bindings, **kwargs)
 
         monkeypatch.setattr(Program, "run", run)
@@ -242,7 +244,10 @@ class TestReferenceGoldenRuns:
                     run_fig2_study(scale, measure_duplication=True).to_dict(),
                     run_fig6_study(scale, measure_duplication=True).to_dict(),
                 )
-            expected = ["recording"] * 2 if cache == "cold" else ["run"] * 2
+            expected = (
+                [("recording", True), ("recording", False)]
+                if cache == "cold" else []
+            )
             assert runs == expected, cache
         assert studies["warm"] == studies["cold"]
 
@@ -251,8 +256,11 @@ class TestSIDLevels:
     def test_levels_share_one_program(self, monkeypatch, tmp_path):
         """A bfs Fig. 2 study at three protection levels decodes the
         unprotected module once, cold cache or warm: every level's
-        ``classic_sid`` runs on the app's ``Program``. On a warm cache its
-        memo then golden-runs the reference input once for all three."""
+        ``classic_sid`` runs on the app's ``Program``. On a cold cache the
+        first level's sweep takes the reference profile from its
+        recording; on a warm one the first level reads it from the cache.
+        Either way no plain golden run executes, and the other levels
+        read the program's memo."""
         from repro.apps import get_app
         from repro.exp.fig2 import run_fig2_study
         from repro.runconfig import KNOBS, run_scope
@@ -288,20 +296,22 @@ class TestSIDLevels:
                 study = run_fig2_study(scale)
             assert len(study.results) == 3
             assert len(decodes) == 1, cache
-        assert runs == [True]
+            assert runs == [], cache
 
 
 class TestEvaluationGoldenRuns:
     def test_each_evaluation_input_runs_golden_once_per_driver(
         self, monkeypatch, tmp_path
     ):
-        """In a bfs Fig. 2 + Fig. 6 study each driver's unprotected
-        program executes every evaluation input once as a golden run, cold
-        cache or warm: the input filter's profiled run. The evaluation
-        campaigns and ``duplication_fraction`` take the profile from the
-        program's memo. On a cold cache each evaluation campaign then
-        records its checkpoints, unprofiled, with the interval the
-        memoized step count names."""
+        """In a bfs Fig. 2 + Fig. 6 study on a cold cache, Fig. 2's input
+        filter profiles each evaluation input and writes the profile to
+        the cache; Fig. 6's filter, on its own program, reads it from
+        there. The evaluation campaigns and ``duplication_fraction`` take
+        the profile from each program's memo, and each figure's
+        evaluation campaign records its checkpoints, unprofiled, with the
+        interval the profile's step count names. On a warm cache the
+        filters read every profile from the cache and every campaign is a
+        cache hit, so no evaluation input runs."""
         from repro.apps import get_app
         from repro.exp.fig2 import run_fig2_study
         from repro.exp.fig6 import run_fig6_study
@@ -345,17 +355,24 @@ class TestEvaluationGoldenRuns:
 
         monkeypatch.setattr(Program, "run", run)
         monkeypatch.setattr(Program, "run_checkpointed", run_checkpointed)
+        recording = ("recording", False)
+        expected = {
+            "cold": ([("run", True), recording], [recording]),
+            "warm": (None, None),
+        }
         for cache in ("cold", "warm"):
-            golden.clear()
-            with run_scope(cache=str(tmp_path)):
-                run_fig2_study(scale, measure_duplication=True)
-                run_fig6_study(scale, measure_duplication=True)
-            expected = [("run", True)]
-            if cache == "cold":
-                expected.append(("recording", False))
-            assert len(golden) == 2 * scale.eval_inputs, cache
-            for runs in golden.values():
-                assert runs[1:] == expected, cache
+            for run_study, want in zip(
+                (run_fig2_study, run_fig6_study), expected[cache]
+            ):
+                golden.clear()
+                with run_scope(cache=str(tmp_path)):
+                    run_study(scale, measure_duplication=True)
+                if want is None:
+                    assert golden == {}, (cache, run_study.__name__)
+                    continue
+                assert len(golden) == scale.eval_inputs, cache
+                for runs in golden.values():
+                    assert runs[1:] == want, (cache, run_study.__name__)
 
 
 class TestDrivers:

@@ -294,6 +294,42 @@ class TestPerfReferences:
         assert "Perf references" not in out
 
 
+class TestCacheTable:
+    """Golden-profile reads share the store but not the campaign rows."""
+
+    @staticmethod
+    def _rows(counters) -> dict:
+        from repro.obs.report import _cache_table
+
+        text = _cache_table(
+            [{"kind": "summary", "fields": {"counters": counters}}]
+        )
+        rows = {}
+        for line in text.splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 2:
+                rows[cells[0]] = cells[1]
+        return rows
+
+    def test_profile_hits_and_misses_are_shown_apart(self):
+        rows = self._rows({
+            "cache.hit": 7, "cache.miss": 3, "cache.write": 4,
+            "vm.profile_cache_hits": 5, "vm.profile_cache_misses": 1,
+        })
+        assert rows["lookups"] == "4"
+        assert rows["hits"] == "2"
+        assert rows["misses"] == "2"
+        assert rows["hit rate"] == "50.0%"
+        assert rows["golden profiles served"] == "5"
+        assert rows["golden-profile misses"] == "1"
+        assert rows["writes"] == "4"
+
+    def test_a_campaign_only_trace_reads_as_before(self):
+        rows = self._rows({"cache.hit": 3, "cache.miss": 1})
+        assert (rows["lookups"], rows["hit rate"]) == ("4", "75.0%")
+        assert rows["golden profiles served"] == "0"
+
+
 class TestFabricHealthTable:
     """Per-adapter columns in the "Fabric health" report section."""
 
