@@ -91,16 +91,29 @@ class ValueProfile:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ValueProfile":
+    def from_payload(cls, payload) -> "ValueProfile | None":
+        """The profile :meth:`to_payload` wrote, or ``None`` for a
+        malformed payload, which a cache read takes as a miss."""
+        if not isinstance(payload, dict):
+            return None
+        rows = payload.get("records", {})
+        observed = payload.get("observed", 0)
+        if not isinstance(rows, dict) or type(observed) is not int:
+            return None
         records = {}
-        for key, row in payload.get("records", {}).items():
-            vmin, vmax, count, nan_seen, all_integral = row
-            iid = int(key)
-            records[iid] = ValueRecord(
-                iid=iid, vmin=vmin, vmax=vmax, count=int(count),
-                nan_seen=bool(nan_seen), all_integral=bool(all_integral),
-            )
-        return cls(records=records, observed=int(payload.get("observed", 0)))
+        try:
+            for key, row in rows.items():
+                vmin, vmax, count, nan_seen, all_integral = row
+                if not {type(vmin), type(vmax)} <= {int, float}:
+                    return None
+                iid = int(key)
+                records[iid] = ValueRecord(
+                    iid=iid, vmin=vmin, vmax=vmax, count=int(count),
+                    nan_seen=bool(nan_seen), all_integral=bool(all_integral),
+                )
+        except (TypeError, ValueError):
+            return None
+        return cls(records=records, observed=observed)
 
 
 def mine_value_profile(
@@ -112,18 +125,19 @@ def mine_value_profile(
     """Mine (or load from cache) the value profile of one golden run.
 
     ``cache`` overrides the ambient campaign cache; pass ``False`` to force
-    a fresh mining run.
+    a fresh mining run. A malformed cache entry reads as a miss, and the
+    mined profile replaces it.
     """
     store = resolve_field("cache", cache)
     key = None
     t = _obs_current()
     if store is not None:
         key = value_profile_key(program.text, args, bindings)
-        hit = store.get(key)
+        hit = ValueProfile.from_payload(store.get(key))
         if hit is not None:
             if t:
                 t.count("detectors.value_profile.cache_hits")
-            return ValueProfile.from_payload(hit)
+            return hit
 
     iids = [
         i.iid

@@ -142,7 +142,7 @@ class PerInstructionResult:
 # ---------------------------------------------------------------------------
 # Parallel worker machinery. A worker serves every pooled campaign of its run
 # scope, one at a time. The per-map initializer seeds it once per campaign
-# with the trial context (golden store, output, input, tolerances) and the
+# with the trial context (golden store, output, tolerances) and the
 # Program, rebuilt from module text and kept while later campaigns inject
 # into the same text. A worker holds one context and one Program: both are
 # dropped before the next campaign's are decoded.
@@ -164,19 +164,17 @@ def _get_program(module_text: str) -> Program:
 def _run_chunk_scalar(
     program: Program,
     chunk: list,
-    store: CheckpointStore | None,
+    store: CheckpointStore,
     golden_output: list,
     golden_steps: int,
-    args,
-    bindings,
     rel_tol: float,
     abs_tol: float,
     rep=None,
 ) -> list[tuple[int, int, str]]:
     """One interpreter run per row: ``chunk`` rows → ``(pos, iid, outcome)``.
 
-    Each trial resumes from its row's snapshot (cold when -1/no store) with
-    the later snapshots as convergence oracles.
+    Each trial resumes from its row's snapshot with the later snapshots as
+    convergence oracles.
     """
     out = []
     with _span("chunk", {"trials": len(chunk)}, infra=True):
@@ -187,8 +185,6 @@ def _run_chunk_scalar(
                 store,
                 golden_output,
                 golden_steps,
-                args=args,
-                bindings=bindings,
                 rel_tol=rel_tol,
                 abs_tol=abs_tol,
                 snapshot_index=snap_index,
@@ -202,11 +198,9 @@ def _run_chunk_scalar(
 def _run_chunk_lockstep(
     program: Program,
     chunk: list,
-    store: CheckpointStore | None,
+    store: CheckpointStore,
     golden_output: list,
     golden_steps: int,
-    args,
-    bindings,
     rel_tol: float,
     abs_tol: float,
     rep=None,
@@ -215,26 +209,17 @@ def _run_chunk_lockstep(
 
     The chunk is pre-sorted by snapshot index, so every fault in it lies
     after the chunk-minimum snapshot — the whole batch resumes from that
-    one snapshot (cold when -1/no store) with the later snapshots as
-    convergence oracles for detached rows.
+    one snapshot with the later snapshots as convergence oracles for rows
+    that leave it.
     """
-    faults = [FaultSite(iid, inst, bit).to_spec()
-              for _pos, iid, inst, bit, _si in chunk]
     snap_index = chunk[0][4]
-    snapshot = convergence = None
-    if store is not None:
-        if snap_index >= 0:
-            snapshot = store.snapshots[snap_index]
-        convergence = store.convergence_from(snap_index)
     with _span("chunk", {"trials": len(chunk)}, infra=True):
         results, _stats = run_trials_lockstep(
             program,
-            faults,
-            args=args,
-            bindings=bindings,
+            [FaultSite(iid, inst, bit) for _pos, iid, inst, bit, _si in chunk],
+            store.snapshots[snap_index],
             golden_output=golden_output,
-            snapshot=snapshot,
-            convergence=convergence,
+            convergence=store.convergence_from(snap_index),
             step_limit=golden_steps * 8 + 10_000,
         )
     out = []
@@ -304,19 +289,20 @@ def _golden_pass(
     run: RunConfig,
     checkpoints: CheckpointStore | None,
     profile_cache=None,
-) -> tuple[DynamicProfile, CheckpointStore | None]:
+) -> tuple[DynamicProfile, CheckpointStore]:
     """The golden profile and checkpoint store a campaign's trials need.
 
     Precedence: an explicit pre-recorded ``checkpoints`` store wins;
     otherwise ``run.checkpoint_interval`` selects recording (``"auto"``
-    applies :func:`~repro.vm.checkpoint.auto_interval`, a positive int is
-    taken literally, ``0`` keeps every trial cold). Without a ``profile``
-    the campaign takes the program's memoized one, then the one
-    ``profile_cache`` holds (:mod:`repro.vm.profiler`); on a miss a
-    recording campaign takes both from one profiled recording run, which
-    fills the memo and ``profile_cache``, so it executes the golden
-    program once before its trials. With a profile, a recording neither
-    profiles nor thins: the profile's step count names its interval.
+    thins its way to :func:`~repro.vm.checkpoint.auto_interval`, a positive
+    int is taken literally), and ``0`` gives a store that holds only the
+    entry snapshot, so every trial starts at step 0 with no oracles.
+    Without a ``profile`` the campaign takes the program's memoized one,
+    then the one ``profile_cache`` holds (:mod:`repro.vm.profiler`); on a
+    miss a recording campaign takes both from one profiled recording run,
+    which fills the memo and ``profile_cache``, so it executes the golden
+    program once before its trials. Whether or not a profile exists, the
+    recording and so its snapshots are the same.
     """
     key = None
     if profile is None:
@@ -328,30 +314,29 @@ def _golden_pass(
             None if run.checkpoint_interval == "auto"
             else run.checkpoint_interval
         )
-        if profile is None:
-            checkpoints = record_checkpoints(
-                program, args=args, bindings=bindings, interval=interval,
-                profile=True,
-            )
-            store_profile(profile_cache, key, checkpoints.profile)
-            return checkpoints.profile, checkpoints
         checkpoints = record_checkpoints(
             program, args=args, bindings=bindings, interval=interval,
-            steps_hint=profile.steps,
+            profile=profile is None,
         )
+        if profile is None:
+            profile = checkpoints.profile
+            store_profile(profile_cache, key, profile)
     if profile is None:
         profile = profile_run(program, args=args, bindings=bindings, cache=False)
         store_profile(profile_cache, key, profile)
+    if checkpoints is None:
+        checkpoints = CheckpointStore(
+            interval=0, snapshots=[program.entry_snapshot(args, bindings)],
+            golden_steps=profile.steps,
+        )
     return profile, checkpoints
 
 
 def _dispatch_sites(
     program: Program,
     sites: list[FaultSite],
-    store: CheckpointStore | None,
+    store: CheckpointStore,
     profile: DynamicProfile,
-    args,
-    bindings,
     rel_tol: float,
     abs_tol: float,
     run: RunConfig,
@@ -364,8 +349,8 @@ def _dispatch_sites(
     snapshot run back to back (restore locality), by instance within it,
     so execution sweeps the golden timeline once — and cut into chunks.
     The scalar engine runs one interpreter per trial, resumed from the
-    nearest preceding snapshot (cold without a store), in one chunk
-    serially or about four per worker. The batch engine vectorizes
+    nearest preceding snapshot, in one chunk serially or about four per
+    worker. The batch engine vectorizes
     ``batch_size`` rows per chunk in lockstep from the chunk-minimum
     snapshot. Serial runs execute the chunks in-process; pooled runs farm
     them to workers. Results are reassembled in sampling order, so
@@ -386,11 +371,7 @@ def _dispatch_sites(
 
         pool_factory = harness.pool_factory(run)
     lockstep = run.engine == "batch"
-    snap = [
-        store.snapshot_index_for(s.iid, s.instance) if store is not None
-        else -1
-        for s in sites
-    ]
+    snap = [store.snapshot_index_for(s.iid, s.instance) for s in sites]
     order = sorted(range(len(sites)), key=lambda k: (snap[k], sites[k].instance))
     rows = [
         (k, sites[k].iid, sites[k].instance, sites[k].bit, snap[k])
@@ -406,8 +387,7 @@ def _dispatch_sites(
     if serial and not lockstep:
         size = max(1, len(rows))  # one chunk
     chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
-    trial = (store, profile.output, profile.steps, args, bindings, rel_tol,
-             abs_tol)
+    trial = (store, profile.output, profile.steps, rel_tol, abs_tol)
     run_chunk = _run_chunk_lockstep if lockstep else _run_chunk_scalar
     t = _obs_current()
     rep = t.progress_for(obs_label, len(sites)) if t is not None else None
@@ -457,7 +437,7 @@ def _run_config(
 ) -> RunConfig:
     """An entry point's run configuration; its keywords are the explicit
     layer (``None`` = not set), except that an explicit
-    ``checkpoint_interval=None`` keeps meaning cold replay."""
+    ``checkpoint_interval=None`` keeps meaning an entry-only store."""
     if checkpoint_interval is None:
         checkpoint_interval = 0
     elif checkpoint_interval is UNSET:
@@ -568,10 +548,11 @@ def run_campaign(
     ``batch_size``, ``transport``, ``cache`` and ``checkpoint_interval``
     are its explicit layer over the ambient scope and the environment, and
     ``None`` leaves a field to them — except ``checkpoint_interval=None``
-    (or ``0``), which replays every trial cold. Trials otherwise resume
-    from golden checkpoints (``"auto"``: about 16 snapshots per golden
-    run; an int: every that many instructions), and without a ``profile``
-    the recording run profiles too. ``cache=False`` turns result caching
+    (or ``0``), which starts every trial at step 0, from a store that
+    holds only the input's entry snapshot. Trials otherwise resume from
+    golden checkpoints (``"auto"``: about 16 snapshots per golden run; an
+    int: every that many instructions), and without a ``profile`` the
+    recording run profiles too. ``cache=False`` turns result caching
     off for this call; a hit returns a bit-identical result without
     profiling or injecting. None of these settings changes the outcomes
     or enters a cache key; a supervised pooled campaign is bit-identical
@@ -605,7 +586,7 @@ def run_campaign(
                 "label": "fi.whole-program",
                 "trials": len(sites),
                 "seed": seed,
-                "checkpointed": store is not None,
+                "checkpointed": len(store) > 1,
                 "engine": run.engine,
             },
             campaign=cid,
@@ -620,8 +601,8 @@ def run_campaign(
         campaign=cid,
     ):
         per_fault = _dispatch_sites(
-            program, sites, store, profile, args, bindings, rel_tol, abs_tol,
-            run, "fi campaign", cid,
+            program, sites, store, profile, rel_tol, abs_tol, run,
+            "fi campaign", cid,
         )
     counts = OutcomeCounts()
     for _, o in per_fault:
@@ -714,7 +695,7 @@ def run_per_instruction_campaign(
                 "seed": seed,
                 "n_iids": len(targets),
                 "trials_per_instruction": trials_per_instruction,
-                "checkpointed": store is not None,
+                "checkpointed": len(store) > 1,
                 "engine": run.engine,
             },
             campaign=cid,
@@ -729,8 +710,8 @@ def run_per_instruction_campaign(
         campaign=cid,
     ):
         per_fault = _dispatch_sites(
-            program, all_sites, store, profile, args, bindings, rel_tol,
-            abs_tol, run, "per-instruction fi", cid,
+            program, all_sites, store, profile, rel_tol, abs_tol, run,
+            "per-instruction fi", cid,
         )
     per_iid: dict[int, OutcomeCounts] = {}
     agg = OutcomeCounts()

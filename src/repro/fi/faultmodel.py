@@ -17,7 +17,6 @@ comparisons, casts, loads, address generation); see
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.ir.module import Module
@@ -33,16 +32,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FaultSite:
-    """A concrete fault: static iid + dynamic instance + bit position."""
-
-    iid: int
-    instance: int
-    bit: int
-
-    def to_spec(self) -> FaultSpec:
-        return FaultSpec(self.iid, self.instance, self.bit)
+#: A concrete fault: static iid + dynamic instance + bit position. The VM's
+#: own fault triple, so a sampled site is what a trial injects.
+FaultSite = FaultSpec
 
 
 def injectable_iids(module: Module) -> list[int]:

@@ -38,25 +38,28 @@ def inject_one(
 ) -> Outcome:
     """Execute once with ``site``'s bit flip and classify the outcome.
 
-    The run starts cold, at instruction 0. The hang budget is
-    ``hang_factor``× the golden dynamic instruction count (plus slack for
-    short programs), the usual FI-practice heuristic.
+    The run starts at instruction 0, from the input's entry snapshot: a
+    :func:`inject_one_resumed` trial on a store that holds only that
+    snapshot. The hang budget is ``hang_factor``× the golden dynamic
+    instruction count (plus slack for short programs), the usual
+    FI-practice heuristic.
     """
+    store = CheckpointStore(
+        interval=0, snapshots=[program.entry_snapshot(args, bindings)],
+        golden_steps=golden_steps,
+    )
     return inject_one_resumed(
-        program, site, None, golden_output, golden_steps, args=args,
-        bindings=bindings, rel_tol=rel_tol, abs_tol=abs_tol,
-        hang_factor=hang_factor,
+        program, site, store, golden_output, golden_steps, rel_tol=rel_tol,
+        abs_tol=abs_tol, hang_factor=hang_factor,
     )
 
 
 def inject_one_resumed(
     program: Program,
     site: FaultSite,
-    store: CheckpointStore | None,
+    store: CheckpointStore,
     golden_output: list,
     golden_steps: int,
-    args: list | None = None,
-    bindings: dict[str, list] | None = None,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
     hang_factor: int = 8,
@@ -64,49 +67,32 @@ def inject_one_resumed(
 ) -> Outcome:
     """Like :func:`inject_one`, resuming from the nearest golden checkpoint.
 
-    The trial restores the latest snapshot taken before the fault's dynamic
-    instance (cold start when none precedes it) and runs with the later
-    snapshots as convergence oracles: a faulty state that re-joins the
-    golden trajectory bit-for-bit stops early and splices the golden output
-    tail. Both paths are bit-identical to :func:`inject_one` by
-    construction — the classified outcome never differs.
+    The trial restores the latest snapshot of ``store`` taken before the
+    fault's dynamic instance (the entry snapshot when no later one
+    precedes it) and runs with the later snapshots as convergence oracles:
+    a faulty state that re-joins the golden trajectory bit-for-bit stops
+    early and splices the golden output tail. The classified outcome is
+    the same from any snapshot that precedes the fault, by construction.
 
     ``snapshot_index`` (as from :meth:`CheckpointStore.snapshot_index_for`)
-    skips the lookup when the scheduler already sorted sites by it. Without
-    a ``store`` the trial runs cold, with no oracles (:func:`inject_one`).
+    skips the lookup when the scheduler already sorted sites by it.
     """
-    if store is None:
-        snapshot_index, convergence = -1, None
-    else:
-        if snapshot_index is None:
-            snapshot_index = store.snapshot_index_for(site.iid, site.instance)
-        convergence = store.convergence_from(snapshot_index)
+    if snapshot_index is None:
+        snapshot_index = store.snapshot_index_for(site.iid, site.instance)
     limit = golden_steps * hang_factor + 10_000
     trap: Trap | None = None
     output: list | None = None
     with _span("trial", {"iid": site.iid}, infra=True):
         try:
-            if snapshot_index < 0:
-                with _span("vm.run", infra=True):
-                    result = program.run(
-                        args=args,
-                        bindings=bindings,
-                        fault=site.to_spec(),
-                        step_limit=limit,
-                        convergence=convergence,
-                    )
-            else:
-                with _span(
-                    "checkpoint.restore",
-                    {"snapshot": snapshot_index},
-                    infra=True,
-                ):
-                    result = program.resume(
-                        store.snapshots[snapshot_index],
-                        fault=site.to_spec(),
-                        step_limit=limit,
-                        convergence=convergence,
-                    )
+            with _span(
+                "checkpoint.restore", {"snapshot": snapshot_index}, infra=True
+            ):
+                result = program.resume(
+                    store.snapshots[snapshot_index],
+                    fault=site,
+                    step_limit=limit,
+                    convergence=store.convergence_from(snapshot_index),
+                )
             output = result.output
             if result.converged:
                 output = output + golden_output[result.converged_output_len :]

@@ -225,8 +225,9 @@ def measure_batch_throughput(
 ) -> BatchThroughputReport:
     """Time one seeded fault list through the scalar and batch executors.
 
-    Both timings are *cold* (no checkpoint store) and run the exact fault
-    list a ``run_campaign(n_faults, seed)`` would sample, so the ratio is
+    Both timings are *cold* (every trial and batch starts from the input's
+    entry snapshot) and run the exact fault list a
+    ``run_campaign(n_faults, seed)`` would sample, so the ratio is
     the honest per-trial speedup of lockstep vectorization — checkpoint
     resume composes on top and is measured separately by
     :func:`measure_fi_throughput`. The scalar side times
@@ -265,15 +266,15 @@ def measure_batch_throughput(
         ]
         scalar_seconds = min(scalar_seconds, time.perf_counter() - t0)
 
-    specs = [s.to_spec() for s in sites]
+    entry = program.entry_snapshot(args, bindings)
     batch_seconds = float("inf")
     for _ in range(max(1, batch_repeats or repeats)):
         stats = BatchStats()
         batched = []
         t0 = time.perf_counter()
-        for i in range(0, len(specs), width):
+        for i in range(0, len(sites), width):
             results, st = run_trials_lockstep(
-                program, specs[i : i + width], args=args, bindings=bindings,
+                program, sites[i : i + width], entry,
                 golden_output=profile.output, step_limit=limit,
             )
             stats.merge(st)

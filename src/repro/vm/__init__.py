@@ -16,7 +16,7 @@ from repro.vm.checkpoint import (
     record_checkpoints,
 )
 from repro.vm.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.vm.memory import SEG_SHIFT, SEG_MASK, address_of, segment_of, offset_of
+from repro.vm.memory import SEG_SHIFT, SEG_MASK
 from repro.vm.interpreter import FaultSpec, Program, RunResult
 from repro.vm.profiler import DynamicProfile, profile_run
 
@@ -25,9 +25,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "SEG_SHIFT",
     "SEG_MASK",
-    "address_of",
-    "segment_of",
-    "offset_of",
     "Program",
     "RunResult",
     "FaultSpec",

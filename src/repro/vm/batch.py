@@ -43,14 +43,17 @@ planes. Anything else leaves the batch with exact scalar state:
   failed ``check``) classify the row immediately — CRASH/DETECTED outcomes
   need no further execution;
 - **detached to the compile tier**: a row whose branch condition differs
-  from golden, or whose divergent-address store would need a mixed-dtype
-  column, is materialized into a :class:`~repro.vm.checkpoint.Snapshot`
-  (its exact slots, memory, and output, reconstructed from golden +
-  columns) and finished by :meth:`Program.resume` with the usual
-  convergence oracles. A branch-divergent row resumes at the other
-  target's entry, where ``self.steps`` already counts the branching block
-  — exactly where checkpoint snapshots are defined; a store-divergent row
-  resumes mid-block at the store, which its tail re-executes.
+  from golden is materialized into a
+  :class:`~repro.vm.checkpoint.Snapshot` (its exact slots, memory, and
+  output, reconstructed from golden + columns) at the other target's
+  entry, where ``self.steps`` already counts the branching block — exactly
+  where checkpoint snapshots are defined — and finished by
+  :meth:`Program.resume` with the usual convergence oracles;
+- **restarted on the compile tier**: a row whose divergent-address store
+  would need a mixed-dtype column runs again as an ordinary scalar trial,
+  from the latest of the batch's golden snapshots (its start and its
+  oracles) that precedes its fault, with the later ones as oracles. So
+  every snapshot a trial resumes from sits at a block entry.
 
 A lockstep row follows the mirror step for step, so ``alive`` is the one
 row mask, and such a row cannot hang: the golden run completed the same
@@ -59,7 +62,7 @@ trace under the step limit.
 Outcomes are therefore bit-identical to the scalar engine *by
 construction*: every value a row ever observes is either the golden value
 (shared), computed by the same formula (vectorized/fixup tiers), or
-produced by the compile tier itself (detached tail).
+produced by the compile tier itself (detached tail, restarted trial).
 
 Sticky host faults are scalar-only
 ----------------------------------
@@ -93,7 +96,7 @@ from repro.obs.core import current as _obs_current
 from repro.obs.spans import span as _span
 from repro.runconfig import DEFAULT_BATCH_SIZE, ENGINES, run_scope
 from repro.util.bitops import flip_value, float64_to_bits
-from repro.vm.checkpoint import FrameSnapshot, Snapshot
+from repro.vm.checkpoint import FrameSnapshot, Snapshot, latest_before
 from repro.vm.memory import SEG_MASK, SEG_SHIFT
 from repro.vm.ops import coerce_load, f32, fdiv, fmath, fnan, int_op
 
@@ -185,20 +188,11 @@ class _BatchRun:
     """One lockstep batch: golden mirror replay + N rows of diff columns."""
 
     def __init__(
-        self,
-        program,
-        faults,
-        args,
-        bindings,
-        golden_output,
-        snapshot,
-        convergence,
-        step_limit,
+        self, program, faults, golden_output, snapshot, convergence, step_limit
     ):
         self.prog = program
         self.n = len(faults)
-        self.args = args
-        self.bindings = bindings
+        self.faults = faults
         self.golden_output = golden_output
         self.snapshot = snapshot
         self.convergence = convergence
@@ -315,17 +309,11 @@ class _BatchRun:
     def _row_slots(self, row: int, gslots: list, cols: list) -> list:
         return [self._row_val(row, gv, c) for gv, c in zip(gslots, cols)]
 
-    def _detach_row(
-        self, row, dfn, block_name, prev_gid, gslots, cols, code_index, reason
-    ) -> None:
-        """Materialize a diverged row's exact state and finish it scalar.
-
-        ``code_index`` >= 0 resumes mid-block at that instruction (store
-        divergence — the scalar run re-executes the store); -1 resumes at
-        ``block_name``'s entry (branch divergence — ``self.steps`` is the
-        step count at the target block's entry, pre-accounting, exactly
-        where checkpoint snapshots are defined).
-        """
+    def _detach_row(self, row, dfn, block_name, prev_gid, gslots, cols) -> None:
+        """Materialize a branch-divergent row's exact state at
+        ``block_name``'s entry and finish it scalar (``self.steps`` is the
+        step count at that entry, pre-accounting, exactly where checkpoint
+        snapshots are defined)."""
         frames = [
             FrameSnapshot(f[0].name, f[3].name, f[4], f[5],
                           self._row_slots(row, f[1], f[2]))
@@ -333,7 +321,7 @@ class _BatchRun:
         ]
         frames.append(
             FrameSnapshot(dfn.name, block_name, prev_gid, -1,
-                          self._row_slots(row, gslots, cols), code_index)
+                          self._row_slots(row, gslots, cols))
         )
         snap = Snapshot(
             steps=self.steps,
@@ -343,15 +331,28 @@ class _BatchRun:
             mem=self._row_mem(row),
             frames=frames,
         )
-        self._finish_scalar(row, snap, reason)
+        self._finish_scalar(row, f"{dfn.name}:{block_name}", "condbr", snap,
+                            None, self.convergence)
 
-    def _finish_scalar(self, row: int, snap: Snapshot, reason: str) -> None:
-        """Run a detached row's scalar tail from ``snap`` and record it."""
+    def _restart_row(self, row, site: str) -> None:
+        """Run a row again as the scalar trial of its fault: from the latest
+        golden snapshot of the batch (its start, then its oracles) that
+        precedes the fault, with the later ones as oracles."""
+        fault = self.faults[row]
+        snaps = [self.snapshot, *self.convergence]
+        k = latest_before(snaps, fault.iid, fault.instance)
+        self._finish_scalar(row, site, "store-dtype", snaps[k], fault,
+                            snaps[k + 1:])
+
+    def _finish_scalar(
+        self, row: int, site: str, reason: str, snap: Snapshot, fault,
+        convergence: list,
+    ) -> None:
+        """Run a row that left the batch on the compile tier from ``snap``,
+        after its flip (``fault`` None) or with it, and record it."""
         self.stats.detached += 1
         reasons = self.stats.detach_reasons
         reasons[reason] = reasons.get(reason, 0) + 1
-        fr = snap.frames[-1]
-        site = f"{fr.fn}:{fr.block}"
         sites = self.stats.detach_sites
         sites[site] = sites.get(site, 0) + 1
         self._mark_done_detached(row)
@@ -362,10 +363,10 @@ class _BatchRun:
             try:
                 res = self.prog.resume(
                     snap,
-                    fault=None,
+                    fault=fault,
                     step_limit=self.step_limit,
-                    convergence=self.convergence,
-                    fault_fired=True,
+                    convergence=convergence,
+                    fault_fired=fault is None,
                 )
                 output = res.output
                 if res.converged:
@@ -553,9 +554,9 @@ class _BatchRun:
             return gval, None
         return gval, col
 
-    def _store(self, d, idx, dfn, blk, prev_gid, gslots, cols) -> None:
+    def _store(self, d, dfn, blk, gslots, cols) -> None:
         """Execute a store; divergent-address rows write their own columns
-        (or detach when a column would need mixed dtypes)."""
+        (or restart when a column would need mixed dtypes)."""
         gv = d[4] if d[3] == 0 else gslots[d[4]]
         vcol = None if d[3] == 0 else cols[d[4]]
         gaddr = d[6] if d[5] == 0 else gslots[d[6]]
@@ -579,8 +580,7 @@ class _BatchRun:
             return
 
         # Divergent address stream. Pass 0: classify every divergent row
-        # *before* any memory mutation, so detached rows materialize the
-        # exact pre-store state (their scalar tail re-executes the store).
+        # before any memory mutation.
         old_gv = cells[off]
         class_flip = (type(old_gv) is float) != (type(gv) is float)
         new_is_float = type(gv) is float
@@ -598,10 +598,7 @@ class _BatchRun:
             if tgt_is_float != new_is_float or class_flip:
                 # The row's view of some cell needs a dtype its column
                 # cannot hold alongside golden — leave the batch instead.
-                self._detach_row(
-                    r, dfn, blk.name, prev_gid, gslots, cols, idx,
-                    "store-dtype",
-                )
+                self._restart_row(r, f"{dfn.name}:{blk.name}")
                 continue
             plans.append((r, addr, v_r))
 
@@ -610,7 +607,7 @@ class _BatchRun:
         cells[off] = gv
         # Rebuild the golden address's column: rows that wrote elsewhere
         # keep their pre-store view; rows that wrote here get their value.
-        dv &= self.alive  # drop rows finalized/detached in pass 0
+        dv &= self.alive  # drop rows finalized/restarted in pass 0
         if dv.any():
             base = old_col.copy() if old_col is not None else self._bcast(old_gv)
             wmask = self.alive & ~dv
@@ -779,10 +776,7 @@ class _BatchRun:
         ``(output, trap)`` pair per row."""
         try:
             with _np.errstate(all="ignore"):
-                if self.snapshot is None:
-                    self._start_cold()
-                else:
-                    self._start_seeded()
+                self._start()
         except _AllDone:
             pass
         if self.alive_count:
@@ -792,39 +786,8 @@ class _BatchRun:
                 self.stats.lockstep_steps += self.steps - self.base_steps
         return self.results, self.stats
 
-    def _start_cold(self) -> None:
-        prog = self.prog
-        self.next_seg = prog._first_dyn_seg
-        for seg, cells in prog.global_template:
-            self.mem[seg] = list(cells)
-        if self.bindings:
-            for name, values in self.bindings.items():
-                addr = prog.global_addr.get(name)
-                if addr is None:
-                    raise IRError(f"binding for unknown global @{name}")
-                cells = self.mem[addr >> SEG_SHIFT]
-                if len(values) > len(cells):
-                    raise IRError(
-                        f"binding for @{name} has {len(values)} values; "
-                        f"global holds {len(cells)}"
-                    )
-                cells[: len(values)] = values
-        main = prog.functions["main"]
-        main_fn = prog.module.functions["main"]
-        args = list(self.args) if self.args else []
-        if len(args) != main.arg_slots:
-            raise IRError(
-                f"@main expects {main.arg_slots} arguments, got {len(args)}"
-            )
-        coerced = []
-        for a, p in zip(args, main_fn.args):
-            if p.type.is_float:
-                coerced.append(float(a))
-            else:
-                coerced.append(int(a) & p.type.mask)
-        self._exec_fn(main, coerced, [None] * len(coerced))
-
-    def _start_seeded(self) -> None:
+    def _start(self) -> None:
+        """Seat the mirror at the batch's snapshot and replay from there."""
         snap = self.snapshot
         prog = self.prog
         self.steps = snap.steps
@@ -864,7 +827,6 @@ class _BatchRun:
             blk = dfn.entry
             prev_gid = -1
             code = None
-            base_ci = 0
         else:
             frames, fi = resume
             fr = frames[fi]
@@ -872,7 +834,6 @@ class _BatchRun:
             cols = fr.cols
             blk = fr.blk
             prev_gid = fr.prev_gid
-            base_ci = 0
             if fi + 1 < len(frames):
                 d = blk.code[fr.call_index]
                 self.shadow.append(
@@ -885,8 +846,7 @@ class _BatchRun:
                 if d[2] >= 0:
                     gslots[d[2]] = rv
                     cols[d[2]] = rcol
-                base_ci = fr.call_index + 1
-                code = blk.code[base_ci:]
+                code = blk.code[fr.call_index + 1:]
             else:
                 code = None
         mem = self.mem
@@ -916,9 +876,8 @@ class _BatchRun:
                         cols[d[2]] = cv
                     self.steps += len(blk.phis)
                 code = blk.code
-                base_ci = 0
 
-            for ci, d in enumerate(code):
+            for d in code:
                 op = d[0]
                 col = None
                 if op <= 12:  # integer binop ----------------------------
@@ -1017,8 +976,7 @@ class _BatchRun:
                     acol = None if d[3] == 0 else cols[d[4]]
                     val, col = self._load(d, gaddr, acol, dfn, gslots, cols)
                 elif op == 32:  # store ----------------------------------
-                    self._store(d, base_ci + ci, dfn, blk, prev_gid,
-                                gslots, cols)
+                    self._store(d, dfn, blk, gslots, cols)
                     continue
                 elif op == 33:  # gep ------------------------------------
                     p = d[4] if d[3] == 0 else gslots[d[4]]
@@ -1142,7 +1100,7 @@ class _BatchRun:
                         other = (t[5] if gc else t[4]).name
                         for r in _np.nonzero(dv)[0]:
                             self._detach_row(int(r), dfn, other, blk.gid,
-                                             gslots, cols, -1, "condbr")
+                                             gslots, cols)
                 prev_gid = blk.gid
                 blk = t[4] if gc else t[5]
             else:  # ret
@@ -1271,10 +1229,8 @@ class _BatchRun:
 def run_trials_lockstep(
     program,
     faults,
-    args: list | None = None,
-    bindings: dict | None = None,
+    snapshot: Snapshot,
     golden_output: list | None = None,
-    snapshot: Snapshot | None = None,
     convergence: list | None = None,
     step_limit: int | None = None,
 ):
@@ -1283,17 +1239,21 @@ def run_trials_lockstep(
     Parameters
     ----------
     faults:
-        One :class:`~repro.vm.interpreter.FaultSpec` per row. When
-        ``snapshot`` is given, every fault's target instance must lie after
-        the snapshot (the campaign groups trials by checkpoint segment).
+        One :class:`~repro.vm.interpreter.FaultSpec` per row. Every fault's
+        target instance must lie after ``snapshot`` (the campaign groups
+        trials by checkpoint segment).
+    snapshot:
+        The golden snapshot the mirror replay starts from: a checkpoint, or
+        :meth:`Program.entry_snapshot <repro.vm.interpreter.Program.entry_snapshot>`.
     golden_output:
         The golden run's output, used to splice converged detached tails.
-    snapshot / convergence:
-        Checkpoint seeding: start the mirror replay at ``snapshot`` and hand
-        ``convergence`` oracles to detached rows' scalar tails.
+    convergence:
+        The golden snapshots after ``snapshot``: oracles for rows that
+        leave the batch, and the start of a restarted row's trial.
     step_limit:
-        Hang budget applied to detached scalar tails (lockstep rows follow
-        the golden trace and cannot hang by construction).
+        Hang budget of the scalar runs of rows that leave the batch
+        (lockstep rows follow the golden trace and cannot hang by
+        construction).
 
     Returns ``(results, stats)`` where ``results[i]`` is ``(output, trap)``
     for row i — the same observables the scalar injector classifies — and
@@ -1304,11 +1264,9 @@ def run_trials_lockstep(
     run = _BatchRun(
         program,
         faults,
-        args,
-        bindings,
         golden_output if golden_output is not None else [],
         snapshot,
-        convergence,
+        convergence or [],
         step_limit,
     )
     with _span("batch.lockstep", infra=True) as sp:

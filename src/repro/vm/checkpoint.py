@@ -9,12 +9,18 @@ analysis): run the golden execution once while recording interpreter
 snapshots every K dynamic instructions, then start each trial from the
 nearest snapshot *preceding* its injection point instead of from scratch.
 
+Every execution starts from a snapshot. The first one of a store is the
+*entry snapshot* (:meth:`~repro.vm.interpreter.Program.entry_snapshot`):
+``@main`` on one input before its first block, at step 0. It precedes every
+fault, so a trial always has a snapshot to restore, and a store recorded
+with no interval at all holds the entry snapshot alone.
+
 A :class:`Snapshot` is a *portable* value object — function/block references
 are stored by name, slots/memory as plain Python lists — so stores pickle
 cheaply to worker processes, which re-resolve names against their own decoded
 :class:`~repro.vm.interpreter.Program`.
 
-Snapshots capture, at a block boundary:
+Snapshots capture, at a block entry:
 
 - the full call stack (one :class:`FrameSnapshot` per active frame: function,
   current block, phi predecessor, suspended call site, and all value slots),
@@ -26,7 +32,8 @@ Snapshots capture, at a block boundary:
 Memory segments are copy-on-write, so a capture, a resume and a convergence
 check cost what the run wrote, not what it holds. A snapshot's ``mem`` is a
 shallow copy of the recording's segment map, after which the recording owns
-no segment and copies each one the first time it stores to it; a resumed run
+no segment and copies each one the first time it stores to it; a recording
+starts out owning none, since its entry snapshot is kept too. A resumed run
 starts from a shallow copy of the snapshot's map and does the same.
 Consecutive snapshots therefore share the list of every segment the golden
 run did not store to between them, and pickling a store keeps that sharing.
@@ -36,8 +43,8 @@ The same snapshots double as *convergence* oracles: a faulty run whose state
 becomes bit-identical to the golden state at a later checkpoint boundary is
 guaranteed to finish exactly like the golden run, so the interpreter can stop
 early and splice the golden output tail (see ``convergence`` in
-:meth:`Program.run`/:meth:`Program.resume`). That prunes the post-fault tail
-of masked faults, which checkpoint-skipping alone cannot touch.
+:meth:`Program.resume`). That prunes the post-fault tail of masked faults,
+which checkpoint-skipping alone cannot touch.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ __all__ = [
     "Snapshot",
     "CheckpointStore",
     "auto_interval",
+    "latest_before",
     "record_checkpoints",
 ]
 
@@ -72,16 +80,11 @@ class FrameSnapshot:
     call_index: int
     #: All value slots of the frame (args + produced values, ``None`` unset).
     slots: list
-    #: Innermost frame only: resume mid-block at this code index (-1 resumes
-    #: at the block entry). Used by the batch engine's detach path, whose
-    #: address-stream divergences surface at an individual store; checkpoint
-    #: recording always captures at block boundaries and leaves this at -1.
-    code_index: int = -1
 
 
 @dataclass
 class Snapshot:
-    """Full interpreter state at one golden-run block boundary."""
+    """Full interpreter state at one block entry."""
 
     #: Dynamic instruction counter at capture (before the block's accounting).
     steps: int
@@ -102,7 +105,8 @@ class Snapshot:
 
 @dataclass
 class CheckpointStore:
-    """Ordered checkpoints of one golden (program, args, bindings) run."""
+    """Ordered checkpoints of one golden (program, args, bindings) run,
+    the entry snapshot first."""
 
     interval: int
     snapshots: list
@@ -119,27 +123,10 @@ class CheckpointStore:
         return len(self.snapshots)
 
     def snapshot_index_for(self, iid: int, instance: int) -> int:
-        """Latest snapshot taken strictly before the fault's injection point.
-
-        Returns -1 when no snapshot precedes it (the trial starts cold).
-        A snapshot is usable iff the target instruction had executed fewer
-        than ``instance`` times at capture — the flip has not happened yet,
-        so the resumed prefix stays bit-identical to a cold run.
-        """
-        snaps = self.snapshots
-        lo, hi = 0, len(snaps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if snaps[mid].instr_counts[iid] < instance:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
-
-    def snapshot_for(self, iid: int, instance: int):
-        """The snapshot to resume from, or ``None`` for a cold start."""
-        k = self.snapshot_index_for(iid, instance)
-        return self.snapshots[k] if k >= 0 else None
+        """Latest snapshot taken strictly before the fault's injection point
+        (:func:`latest_before`); the entry snapshot, index 0, precedes every
+        fault."""
+        return latest_before(self.snapshots, iid, instance)
 
     def convergence_from(self, index: int) -> list:
         """Snapshots after ``index`` (convergence oracles for that resume)."""
@@ -148,6 +135,26 @@ class CheckpointStore:
             tail = self.snapshots[index + 1 :]
             self._conv_cache[index] = tail
         return tail
+
+
+def latest_before(snapshots: list, iid: int, instance: int) -> int:
+    """Index of the latest of ``snapshots`` (in steps order) taken strictly
+    before the ``instance``-th execution of ``iid``.
+
+    A snapshot is usable iff the target instruction had executed fewer than
+    ``instance`` times at capture: the flip has not happened yet, so the
+    resumed prefix stays bit-identical to a run from the entry snapshot.
+    Returns -1 when none is, which a list that starts with an entry
+    snapshot never gives.
+    """
+    lo, hi = 0, len(snapshots)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if snapshots[mid].instr_counts[iid] < instance:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo - 1
 
 
 #: Smallest ``"auto"`` interval: below it a capture costs more than the
@@ -173,9 +180,8 @@ def auto_interval(golden_steps: int) -> int:
     programs keep the floor: below it a capture costs more than the
     replay it saves.
 
-    This is the interval :func:`record_checkpoints` ends with when it has
-    to find one without knowing the run's length, so a campaign's store
-    looks the same whether or not a profile preceded it.
+    An ``"auto"`` recording (:func:`record_checkpoints` with no interval)
+    thins its way to this interval without knowing the run's length.
     """
     interval = AUTO_MIN_INTERVAL
     while golden_steps >= AUTO_MAX_SNAPSHOTS * interval:
@@ -188,20 +194,20 @@ def record_checkpoints(
     args: list | None = None,
     bindings: dict[str, list] | None = None,
     interval: int | None = None,
-    steps_hint: int | None = None,
     step_limit: int | None = None,
     profile: bool = False,
 ) -> CheckpointStore:
     """Golden-run ``program`` once, recording snapshots every ``interval``.
 
-    ``interval=None`` applies :func:`auto_interval` to ``steps_hint`` (pass
-    ``profile.steps`` when a profile exists — the campaigns do). Lacking a
-    hint, the same run finds the interval: it records from
-    :data:`AUTO_MIN_INTERVAL` on and, whenever it holds
-    :data:`AUTO_MAX_SNAPSHOTS` snapshots, drops every other one and doubles
-    the interval, which keeps the survivors evenly spaced. The recorded run
-    counts per-instruction executions, so each snapshot carries the counts
-    needed to seat fault instance counters on resume.
+    The store's first snapshot is the entry snapshot the recording started
+    from. ``interval=None`` lets the run find its interval: it records from
+    :data:`AUTO_MIN_INTERVAL` on and, whenever it has captured
+    :data:`AUTO_MAX_SNAPSHOTS` snapshots, drops every other capture and
+    doubles the interval, which keeps the survivors evenly spaced. It ends
+    at :func:`auto_interval` of the run's length, so snapshot positions
+    depend on the program and its input alone. The recorded run counts
+    per-instruction executions, so each snapshot carries the counts needed
+    to seat fault instance counters on resume.
 
     ``profile=True`` makes the recording run a full profiling run as well:
     the store's ``profile`` then holds its
@@ -211,10 +217,7 @@ def record_checkpoints(
     """
     max_snapshots = None
     if interval is None:
-        if steps_hint is None:
-            interval, max_snapshots = AUTO_MIN_INTERVAL, AUTO_MAX_SNAPSHOTS
-        else:
-            interval = auto_interval(steps_hint)
+        interval, max_snapshots = AUTO_MIN_INTERVAL, AUTO_MAX_SNAPSHOTS
     result, snapshots = program.run_checkpointed(
         args=args, bindings=bindings, interval=interval, step_limit=step_limit,
         profile=profile, max_snapshots=max_snapshots,

@@ -6,10 +6,10 @@ dispatch, several list reads and an operand-kind test per instruction. The
 compile tier removes that overhead: on a block's first execution it writes
 the block as Python source, with every operand spelled as ``slots[i]`` or a
 folded constant, and turns it into one function: by ``compile()``, or by
-relocating code compiled for a block of the same shape (below). Each
-:class:`~repro.vm.interpreter.Program` entry point (plain, faulty,
-profiled and sticky runs, checkpoint recording, and resume from a
-snapshot) executes these functions.
+relocating code compiled for a block of the same shape (below). Every
+:class:`~repro.vm.interpreter.Program` execution (plain, profiled and
+sticky runs, checkpoint recordings, and trials) starts from a snapshot's
+frames and executes these functions.
 
 Block functions
 ---------------
@@ -28,11 +28,11 @@ Each block has two variants: *hooked* or not. A hooked block passes every
 value-producing instruction's result through ``_hook``, which applies the
 transient fault flip and the sticky host-fault visitor. A run uses hooked
 variants only in the blocks that hold the fault's iid or a sticky iid, so
-an unprotected block pays nothing for the hooks. Once a transient flip
-fires in a run without a sticky visitor, ``_hook`` puts the fault block's
-plain entry (its function, or the stub that compiles it) back in the
-run's table, so the rest of the trial runs unhooked; a sticky run keeps
-its hooks on every visit.
+an unprotected block pays nothing for the hooks. A run carries one or the
+other: a trial a transient fault, a golden run a sticky visitor. Once the
+flip fires, ``_hook`` puts the fault block's plain entry (its function, or
+the stub that compiles it) back in the run's table, so the rest of the
+trial runs unhooked; a sticky run keeps its hooks for the whole run.
 
 Profiled runs and checkpoint recordings execute the same block functions
 as plain runs. Their driver loop adds one to ``st.bc[g]``, the run's
@@ -49,9 +49,9 @@ Accounting is the reference interpreter's, per block: a block adds
 passes the limit, then adds one step per phi. Block events (checkpoint
 capture, convergence checks) fire at block entry, before the accounting
 and before the phis. A snapshot therefore has the same meaning here as in
-the reference. Resuming inside a block (after a suspended call, or at the
-batch engine's detach ``code_index``) runs a *tail* function that starts
-at that code index and skips the block entry.
+the reference. A snapshot's innermost frame sits at a block entry; each
+frame it called from resumes after its suspended call, through a *tail*
+function that starts at the next code index and skips the block entry.
 
 Memory
 ------
@@ -595,11 +595,10 @@ class CompiledProgram:
                     kind, width = flip_info[iid]
                     val = flip_value(val, st.f_bit, kind, width)
                     st.f_fired = True
-                    if st.sticky is None:
-                        # The flip was the hook's last job: the block's
-                        # next entry runs its plain function (or its stub).
-                        g = gid_of_iid[iid]
-                        st.tbl[g] = st.ct._table[g]
+                    # The flip was the hook's last job: the block's next
+                    # entry runs its plain function (or its stub).
+                    g = gid_of_iid[iid]
+                    st.tbl[g] = st.ct._table[g]
             sticky = st.sticky
             if sticky is not None and iid in sticky.iids:
                 val = sticky.visit(iid, val)
@@ -659,7 +658,8 @@ class CompiledProgram:
     def block(self, g: int, hooked: bool, start: int = -1):
         """Block ``g``'s function, hooked or not, compiled on first use.
 
-        ``start >= 0`` gives the tail from that code index instead.
+        ``start >= 0`` gives the tail from that code index instead: the rest
+        of a block after a suspended call.
         """
         key = (g, start, hooked)
         fn = self._fns.get(key)
@@ -706,12 +706,14 @@ class CompiledProgram:
         return counts
 
     # -- execution -----------------------------------------------------
-    def execute(self, dfn, args, st, resume=None):
-        """``Program._exec_fn``'s contract, on compiled blocks.
+    def execute(self, frames: list, st):
+        """``Program._exec_fn``'s contract on compiled blocks, resuming
+        ``frames`` (a snapshot's, resolved) from the outermost one.
 
-        A run that counts (``st.counts`` set; never a resume) counts block
-        entries into ``st.bc`` and leaves the per-iid expansion in
-        ``st.counts`` when it returns, as at each block event.
+        A run that counts (``st.counts`` set; it starts from an entry
+        snapshot) counts block entries into ``st.bc`` and leaves the
+        per-iid expansion in ``st.counts`` when it returns, as at each
+        block event.
         """
         gid_of_iid = self.gid_of_iid
         hooks = set()
@@ -726,14 +728,12 @@ class CompiledProgram:
                 tbl[g] = _stub(g, True)
         st.tbl = tbl
         st.ct = self
-        if resume is not None:
-            frames, fi = resume
-            return self._resume(frames, fi, st, hooks)
-        if st.counts is None:
-            return self.entry(dfn)(st, args)
-        st.bc = [0] * len(self.blocks)
-        rv = self.entry(dfn)(st, args)
-        st.counts = self.counts(st)
+        counting = st.counts is not None
+        if counting:
+            st.bc = [0] * len(self.blocks)
+        rv = self._resume(frames, 0, st, hooks)
+        if counting:
+            st.counts = self.counts(st)
         return rv
 
     def _resume(self, frames: list, fi: int, st, hooks: set):
@@ -759,18 +759,10 @@ class CompiledProgram:
             dest = fr.blk.code[fr.call_index][2]
             if dest >= 0:
                 slots[dest] = rv
-            start = fr.call_index + 1
-        else:
-            # The batch engine detaches mid-block: entry accounting is
-            # already in the snapshot's steps.
-            start = fr.code_index
-        nxt = g
-        if start >= 0:
-            tail = self.block(g, g in hooks, start)
-            nxt = tail(slots, st, prev)
-            prev = g
-        if nxt >= 0:
-            _drive(st.tbl, nxt, prev, slots, st)
+            tail = self.block(g, g in hooks, fr.call_index + 1)
+            g, prev = tail(slots, st, prev), g
+        if g >= 0:
+            _drive(st.tbl, g, prev, slots, st)
         st.depth -= 1
         if ps is not None:
             ps.pop()

@@ -3,13 +3,16 @@
 A module is *decoded* once into flat per-instruction lists (integer opcode,
 pre-resolved operand slots/constants, pre-computed masks) and then executed
 repeatedly — fault-injection campaigns run the same :class:`Program`
-thousands of times. Every entry point (:meth:`Program.run` for plain,
-faulty, profiled and sticky runs, :meth:`Program.run_checkpointed`, and
-:meth:`Program.resume`) executes on the compile tier
-(:mod:`repro.vm.compiler`), which turns each decoded basic block into a
-generated Python function the first time it runs. The decoded tables stay
-the one description of the program: the compile tier generates from them,
-and the batch engine (:mod:`repro.vm.batch`) replays them directly.
+thousands of times. Every execution starts from a snapshot
+(:mod:`repro.vm.checkpoint`): :meth:`Program.run` (plain, profiled and
+sticky golden runs) and :meth:`Program.run_checkpointed` from the input's
+entry snapshot (:meth:`Program.entry_snapshot`), and :meth:`Program.resume`
+(every fault-injection trial) from whichever snapshot it is given. All of
+them execute on the compile tier (:mod:`repro.vm.compiler`), which turns
+each decoded basic block into a generated Python function the first time it
+runs. The decoded tables stay the one description of the program: the
+compile tier generates from them, and the batch engine
+(:mod:`repro.vm.batch`) replays them directly.
 
 ``Program._exec_fn`` is the original ``while``/``if``-``elif`` loop over the
 decoded lists. No production path calls it. It remains as the reference
@@ -108,45 +111,40 @@ _NEVER = 1 << 62
 
 def _note_run(
     state: "_RunState",
+    base_steps: int = 0,
     faulty: bool = False,
     converged: bool = False,
-    steps_base: int = 0,
 ) -> None:
-    """Telemetry accounting for one completed (non-trapped) execution.
+    """Telemetry accounting for one completed (non-trapped) execution from
+    a snapshot at step ``base_steps``.
 
     One ``current()`` call when telemetry is off; every recorded quantity is
     deterministic in (program, input, seed), so counters agree across worker
-    counts (workers accumulate locally and are reduced by the parent).
-    ``steps_base`` subtracts the golden prefix of resumed runs so
-    ``vm.steps`` counts instructions actually executed.
+    counts (workers accumulate locally and are reduced by the parent). A
+    run from a snapshot past the entry one is a checkpoint restore, and
+    ``vm.steps`` leaves out the golden prefix it skipped.
     """
     t = _obs_current()
     if t is None:
         return
+    if base_steps:
+        t.count("vm.checkpoint.restores")
     t.count("vm.runs")
-    t.count("vm.steps", state.steps - steps_base)
+    t.count("vm.steps", state.steps - base_steps)
     if faulty:
         t.count("vm.faulty_runs")
     if converged:
         t.count("vm.converged_runs")
 
 
-def _note_restore(
-    state: "_RunState", base_steps: int, faulty: bool = False,
-    converged: bool = False,
-) -> None:
-    """Telemetry accounting for one completed checkpoint-resumed execution."""
-    t = _obs_current()
-    if t is None:
-        return
-    t.count("vm.checkpoint.restores")
-    _note_run(state, faulty=faulty, converged=converged, steps_base=base_steps)
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault: flip ``bit`` of the ``instance``-th execution of
-    static instruction ``iid``'s return value (instance counts from 1)."""
+    static instruction ``iid``'s return value (instance counts from 1).
+
+    The fault-injection layer samples and reports these as
+    :class:`repro.fi.faultmodel.FaultSite`, another name for this class.
+    """
 
     iid: int
     instance: int
@@ -292,20 +290,14 @@ class _CkptState:
 class _Frame:
     """A resolved snapshot frame (names mapped back onto decoded objects)."""
 
-    __slots__ = ("dfn", "blk", "prev_gid", "call_index", "slots", "code_index")
+    __slots__ = ("dfn", "blk", "prev_gid", "call_index", "slots")
 
-    def __init__(
-        self, dfn, blk, prev_gid: int, call_index: int, slots: list,
-        code_index: int = -1,
-    ):
+    def __init__(self, dfn, blk, prev_gid: int, call_index: int, slots: list):
         self.dfn = dfn
         self.blk = blk
         self.prev_gid = prev_gid
         self.call_index = call_index
         self.slots = slots
-        # >= 0: innermost frame resumes mid-block at this code index (the
-        # block's entry accounting already happened before the snapshot).
-        self.code_index = code_index
 
 
 class _Converged(Exception):
@@ -472,8 +464,8 @@ class Program:
         """Fill every decoded block's liveness, once per program.
 
         Only convergence checks read it, so a program that only plain-runs,
-        profiles or records never computes it: :meth:`run` and
-        :meth:`resume` call this the first time they are given oracles.
+        profiles or records never computes it: :meth:`resume` calls this
+        the first time it is given oracles.
         """
         for fn in self.module.functions.values():
             self._compute_liveness(fn, self.functions[fn.name], _slot_map(fn))
@@ -647,17 +639,19 @@ class Program:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
+    def entry_snapshot(
         self,
         args: list | None = None,
         bindings: dict[str, list] | None = None,
-        fault: FaultSpec | None = None,
-        profile: bool = False,
-        step_limit: int | None = None,
-        convergence: list[Snapshot] | None = None,
-        sticky=None,
-    ) -> RunResult:
-        """Execute ``@main``.
+    ) -> Snapshot:
+        """The state of ``@main`` on one input before its first block.
+
+        Step 0, no output, all-zero counts, the globals with ``bindings``
+        applied, and one frame at ``@main``'s entry block whose slots hold
+        ``args``. Every execution of the input starts here: :meth:`run` and
+        :meth:`run_checkpointed` build it, and it is the first snapshot of
+        every checkpoint store. This is the only code that turns an input
+        into interpreter state.
 
         Parameters
         ----------
@@ -668,95 +662,137 @@ class Program:
             Per-run contents for global arrays (input data), by global name.
             Shorter lists than the global's size leave the tail at its
             static/default value.
-        fault:
-            Optional single-bit fault to inject.
-        profile:
-            Collect per-instruction execution counts and call-path entry
-            counts.
-        step_limit:
-            Dynamic instruction budget; exceeding it raises
-            :class:`HangTimeout`. Defaults to 50 million.
-        convergence:
-            Golden-run :class:`~repro.vm.checkpoint.Snapshot` list (ordered
-            by steps). Once the fault has fired, the run compares its state
-            against each snapshot it aligns with and early-exits as soon as
-            the state is bit-identical — the remaining execution would be
-            exactly the golden tail. Only meaningful together with ``fault``.
-        sticky:
-            A sticky host-fault visitor (``.iids`` set + ``.visit(iid,
-            val)``; see :class:`repro.fi.hostfault.StickyRun`): every value
-            produced by a matching instruction passes through it — the
-            defective-core model, orthogonal to the transient ``fault``.
-            Incompatible with ``convergence`` pruning (a sticky host never
-            re-joins the golden trajectory, so nothing would be gained).
         """
-        state, main, coerced = self._prepare(
-            args, bindings, fault, profile, step_limit
-        )
-        state.sticky = sticky
-        if convergence:
-            if not self._live:
-                self._liveness()
-            state.conv = convergence
-            state.event_at = convergence[0].steps
-            state.shadow = []
-        try:
-            self._execute(main, coerced, state)
-        except _Converged as c:
-            _note_run(state, faulty=True, converged=True)
-            return self._converged_result(state, c)
-        _note_run(state, faulty=fault is not None)
-        return RunResult(
-            output=state.output,
-            steps=state.steps,
-            instr_counts=state.counts,
-            call_paths=state.paths,
-            fault_fired=state.f_fired,
-        )
-
-    def _prepare(self, args, bindings, fault, profile, step_limit):
-        """Build the initial run state shared by all execution entry points."""
-        state = _RunState()
-        state.limit = step_limit if step_limit is not None else 50_000_000
-        state.next_seg = self._first_dyn_seg
-        for seg, cells in self.global_template:
-            state.mem[seg] = list(cells)
+        mem = {seg: list(cells) for seg, cells in self.global_template}
         if bindings:
             for name, values in bindings.items():
                 addr = self.global_addr.get(name)
                 if addr is None:
                     raise IRError(f"binding for unknown global @{name}")
-                cells = state.mem[addr >> SEG_SHIFT]
+                cells = mem[addr >> SEG_SHIFT]
                 if len(values) > len(cells):
                     raise IRError(
                         f"binding for @{name} has {len(values)} values; "
                         f"global holds {len(cells)}"
                     )
                 cells[: len(values)] = values
-        state.wmem = dict(state.mem)
-        if fault is not None:
-            state.f_iid = fault.iid
-            state.f_instance = fault.instance
-            state.f_bit = fault.bit
-        if profile:
-            state.counts = [0] * self.module.instruction_count()
-            state.paths = {}
-            state.path_stack = []
-
         main = self.functions["main"]
-        main_fn = self.module.functions["main"]
         args = list(args) if args else []
         if len(args) != main.arg_slots:
             raise IRError(
                 f"@main expects {main.arg_slots} arguments, got {len(args)}"
             )
-        coerced = []
-        for a, p in zip(args, main_fn.args):
-            if p.type.is_float:
-                coerced.append(float(a))
-            else:
-                coerced.append(int(a) & p.type.mask)
-        return state, main, coerced
+        slots: list = [
+            float(a) if p.type.is_float else int(a) & p.type.mask
+            for a, p in zip(args, self.module.functions["main"].args)
+        ]
+        slots += [None] * (main.n_slots - len(slots))
+        return Snapshot(
+            steps=0,
+            next_seg=self._first_dyn_seg,
+            output=[],
+            instr_counts=[0] * self.module.instruction_count(),
+            mem=mem,
+            frames=[FrameSnapshot("main", main.entry.name, -1, -1, slots)],
+        )
+
+    def run(
+        self,
+        args: list | None = None,
+        bindings: dict[str, list] | None = None,
+        profile: bool = False,
+        step_limit: int | None = None,
+        sticky=None,
+    ) -> RunResult:
+        """Execute ``@main`` on one input, from its entry snapshot.
+
+        Parameters
+        ----------
+        args, bindings:
+            The input (:meth:`entry_snapshot`).
+        profile:
+            Collect per-instruction execution counts and call-path entry
+            counts.
+        step_limit:
+            Dynamic instruction budget; exceeding it raises
+            :class:`HangTimeout`. Defaults to 50 million.
+        sticky:
+            A sticky host-fault visitor (``.iids`` set + ``.visit(iid,
+            val)``; see :class:`repro.fi.hostfault.StickyRun`): every value
+            produced by a matching instruction passes through it — the
+            defective-core model. A transient fault runs through
+            :meth:`resume` from the same entry snapshot instead.
+        """
+        state, frames = self._start(
+            self.entry_snapshot(args, bindings), step_limit, owned=True
+        )
+        state.sticky = sticky
+        if profile:
+            state.counts = [0] * self.module.instruction_count()
+            state.paths = {}
+            state.path_stack = []
+        self._execute(frames, state)
+        _note_run(state)
+        return RunResult(
+            output=state.output,
+            steps=state.steps,
+            instr_counts=state.counts,
+            call_paths=state.paths,
+        )
+
+    def _start(
+        self,
+        snapshot: Snapshot,
+        step_limit: int | None,
+        fault: FaultSpec | None = None,
+        convergence: list[Snapshot] | None = None,
+        fault_fired: bool = False,
+        owned: bool = False,
+    ) -> tuple[_RunState, list[_Frame]]:
+        """The run state and resolved frames of an execution from
+        ``snapshot``: the one state builder of every entry point.
+
+        The run shares the snapshot's memory segments and copies each one
+        at its first store to it, unless it ``owned`` them: a fresh entry
+        snapshot that nothing else keeps. ``fault`` must target an instance
+        the snapshot has not yet executed. ``convergence`` arms the oracles
+        (and computes liveness on first use).
+        """
+        state = _RunState()
+        state.limit = step_limit if step_limit is not None else 50_000_000
+        state.steps = snapshot.steps
+        state.next_seg = snapshot.next_seg
+        state.output = list(snapshot.output)
+        state.mem = dict(snapshot.mem)
+        if owned:
+            state.wmem = dict(state.mem)
+        state.f_fired = fault_fired
+        if fault is not None:
+            seen = snapshot.instr_counts[fault.iid]
+            if seen >= fault.instance:
+                raise IRError(
+                    f"snapshot at step {snapshot.steps} is past fault "
+                    f"instance {fault.instance} of iid {fault.iid}"
+                )
+            state.f_iid = fault.iid
+            state.f_instance = fault.instance
+            state.f_bit = fault.bit
+            state.f_seen = seen
+        frames = []
+        for fr in snapshot.frames:
+            dfn = self.functions[fr.fn]
+            frames.append(_Frame(dfn, dfn.blocks[fr.block], fr.prev_gid,
+                                 fr.call_index, list(fr.slots)))
+        if convergence:
+            if not self._live:
+                self._liveness()
+            state.conv = convergence
+            state.event_at = convergence[0].steps
+            state.shadow = [
+                (f.dfn, f.slots, f.blk, f.prev_gid, f.call_index)
+                for f in frames[:-1]
+            ]
+        return state, frames
 
     @staticmethod
     def _converged_result(state: _RunState, c: _Converged) -> RunResult:
@@ -782,18 +818,20 @@ class Program:
 
         The run counts per-instruction executions (each snapshot needs them to
         seat fault instance counters); ``profile=True`` adds call-path
-        profiling, as in :meth:`run`. Returns the run result plus the captured
-        snapshots in steps order. Snapshots are portable: frames/memory are
-        stored by name and plain lists, so they pickle to worker processes and
-        restore against any equal program. A capture copies the segment map,
-        not the segments: consecutive snapshots share every segment the run
-        did not store to between them (:mod:`repro.vm.checkpoint`).
+        profiling, as in :meth:`run`. Returns the run result plus its
+        snapshots in steps order, the entry snapshot it started from first.
+        Snapshots are portable: frames/memory are stored by name and plain
+        lists, so they pickle to worker processes and restore against any
+        equal program. A capture copies the segment map, not the segments:
+        consecutive snapshots share every segment the run did not store to
+        between them (:mod:`repro.vm.checkpoint`), the entry snapshot's
+        included.
 
         ``max_snapshots`` (even) bounds the recording without knowing the
-        run's length: whenever that many snapshots are held, every other one
-        is dropped and the interval doubles, so the kept ones stay evenly
-        spaced. ``result.checkpoint_interval`` is the interval the run ended
-        with.
+        run's length: whenever it has captured that many snapshots, every
+        other capture is dropped and the interval doubles, so the kept ones
+        stay evenly spaced; the entry snapshot always stays.
+        ``result.checkpoint_interval`` is the interval the run ended with.
         """
         if interval < 1:
             raise IRError("checkpoint interval must be >= 1")
@@ -801,16 +839,17 @@ class Program:
             max_snapshots < 2 or max_snapshots % 2
         ):
             raise IRError("max_snapshots must be an even number >= 2")
-        state, main, coerced = self._prepare(
-            args, bindings, None, profile, step_limit
-        )
-        if state.counts is None:
-            state.counts = [0] * self.module.instruction_count()
+        entry = self.entry_snapshot(args, bindings)
+        state, frames = self._start(entry, step_limit)
+        state.counts = [0] * self.module.instruction_count()
+        if profile:
+            state.paths = {}
+            state.path_stack = []
         ck = _CkptState(interval, max_snapshots or 0)
         state.ckpt = ck
         state.shadow = []
         state.event_at = interval
-        self._execute(main, coerced, state)
+        self._execute(frames, state)
         _note_run(state)
         t = _obs_current()
         if t is not None:
@@ -821,10 +860,9 @@ class Program:
             steps=state.steps,
             instr_counts=state.counts,
             call_paths=state.paths,
-            fault_fired=False,
             checkpoint_interval=ck.interval,
         )
-        return result, ck.snapshots
+        return result, [entry, *ck.snapshots]
 
     def resume(
         self,
@@ -834,73 +872,49 @@ class Program:
         convergence: list[Snapshot] | None = None,
         fault_fired: bool = False,
     ) -> RunResult:
-        """Restore ``snapshot`` and run to completion.
+        """Restore ``snapshot`` and run to completion: every trial's path.
 
-        The restored execution is bit-identical to a cold run that reached
-        the snapshot point: memory, call stack, value slots, output, step
-        counter, and the fault's already-seen instance count all come from
-        the snapshot. The run shares the snapshot's memory segments and
-        copies each one at its first store to it, so the snapshot is left
-        as it was. ``fault`` must target an instance the snapshot has not
-        yet executed (:meth:`CheckpointStore.snapshot_for` guarantees that).
-        ``fault_fired`` marks the snapshot as post-flip state (the batch
-        engine detaches rows after their fault fired), which arms the
-        convergence oracles from the first block on.
+        The restored execution is bit-identical to a run from the entry
+        snapshot that reached the snapshot point: memory, call stack, value
+        slots, output, step counter, and the fault's already-seen instance
+        count all come from the snapshot. The run shares the snapshot's
+        memory segments and copies each one at its first store to it, so
+        the snapshot is left as it was.
+
+        ``fault`` is an optional single-bit fault; it must target an
+        instance the snapshot has not yet executed
+        (:meth:`CheckpointStore.snapshot_index_for` picks such a snapshot).
+        ``convergence`` is a golden-run :class:`Snapshot` list (ordered by
+        steps): once the fault has fired, the run compares its state against
+        each snapshot it aligns with and early-exits as soon as the state is
+        bit-identical — the remaining execution would be exactly the golden
+        tail. ``fault_fired`` marks the snapshot as post-flip state (the
+        batch engine detaches rows after their fault fired), which arms the
+        oracles from the first block on.
         """
-        state = _RunState()
-        state.limit = step_limit if step_limit is not None else 50_000_000
-        state.steps = snapshot.steps
-        state.next_seg = snapshot.next_seg
-        state.output = list(snapshot.output)
-        # Shared, not copied: the first store to a segment copies it.
-        state.mem = dict(snapshot.mem)
-        state.f_fired = fault_fired
-        if fault is not None:
-            seen = snapshot.instr_counts[fault.iid]
-            if seen >= fault.instance:
-                raise IRError(
-                    f"snapshot at step {snapshot.steps} is past fault "
-                    f"instance {fault.instance} of iid {fault.iid}"
-                )
-            state.f_iid = fault.iid
-            state.f_instance = fault.instance
-            state.f_bit = fault.bit
-            state.f_seen = seen
-        frames = []
-        for fr in snapshot.frames:
-            dfn = self.functions[fr.fn]
-            frames.append(
-                _Frame(dfn, dfn.blocks[fr.block], fr.prev_gid, fr.call_index,
-                       list(fr.slots), getattr(fr, "code_index", -1))
-            )
-        if convergence:
-            if not self._live:
-                self._liveness()
-            state.conv = convergence
-            state.event_at = convergence[0].steps
-            state.shadow = [
-                (f.dfn, f.slots, f.blk, f.prev_gid, f.call_index)
-                for f in frames[:-1]
-            ]
+        state, frames = self._start(
+            snapshot, step_limit, fault, convergence, fault_fired
+        )
+        faulty = fault is not None
         try:
-            self._execute(frames[0].dfn, None, state, resume=(frames, 0))
+            self._execute(frames, state)
         except _Converged as c:
-            _note_restore(state, snapshot.steps, converged=True,
-                          faulty=fault is not None)
+            _note_run(state, snapshot.steps, faulty, converged=True)
             return self._converged_result(state, c)
-        _note_restore(state, snapshot.steps, faulty=fault is not None)
+        _note_run(state, snapshot.steps, faulty)
         return RunResult(
             output=state.output, steps=state.steps, fault_fired=state.f_fired
         )
 
-    def _execute(self, dfn, args, state: _RunState, resume=None):
-        """Run ``dfn`` on the compile tier (``_exec_fn``'s contract)."""
+    def _execute(self, frames: list[_Frame], state: _RunState):
+        """Run from resolved snapshot ``frames`` on the compile tier
+        (``_exec_fn``'s contract, resuming ``frames`` from index 0)."""
         ct = self._compiled
         if ct is None:
             ct = self._compiled = CompiledProgram(
                 self.functions, self.flip_info, Program._block_event
             )
-        return ct.execute(dfn, args, state, resume)
+        return ct.execute(frames, state)
 
     def _flip(self, val, iid: int, bit: int):
         """Apply the single-bit flip to a just-computed return value."""
@@ -908,7 +922,7 @@ class Program:
         return flip_value(val, bit, kind, width)
 
     # ------------------------------------------------------------------
-    # Block events: checkpoint capture & convergence pruning (cold path)
+    # Block events: checkpoint capture & convergence pruning
     # ------------------------------------------------------------------
     @staticmethod
     def _block_event(state: _RunState, dfn, blk, prev_gid: int, slots):
@@ -1031,10 +1045,11 @@ class Program:
         this loop to check it.
 
         ``resume`` is ``(frames, index)``: restore this frame from
-        ``frames[index]`` instead of starting at the entry block. A frame
-        with live callees first re-enters its child (recursively rebuilding
-        the Python call stack), then finishes the remainder of its partially
-        executed block; the innermost frame restarts at a block boundary.
+        ``frames[index]`` instead of starting at the entry block with
+        ``args``. A frame with live callees first re-enters its child
+        (recursively rebuilding the Python call stack), then finishes the
+        remainder of its partially executed block; the innermost frame
+        restarts at a block entry.
         """
         state.depth += 1
         if state.depth > 200:
@@ -1067,10 +1082,6 @@ class Program:
                 if d[2] >= 0:
                     slots[d[2]] = rv
                 code = blk.code[fr.call_index + 1 :]
-            elif fr.code_index >= 0:
-                # Mid-block resume (batch-engine detach at a store): the
-                # block's entry accounting is already in snapshot.steps.
-                code = blk.code[fr.code_index :]
             else:
                 code = None
         mem = state.mem

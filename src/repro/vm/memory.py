@@ -16,17 +16,7 @@ This layout makes pointer bit flips behave realistically:
 
 from __future__ import annotations
 
-from repro.errors import MemoryFault
-
-__all__ = [
-    "SEG_SHIFT",
-    "SEG_MASK",
-    "MAX_SEGMENT_ELEMS",
-    "address_of",
-    "segment_of",
-    "offset_of",
-    "Memory",
-]
+__all__ = ["SEG_SHIFT", "SEG_MASK", "MAX_SEGMENT_ELEMS"]
 
 #: Number of low bits addressing elements inside a segment.
 SEG_SHIFT = 20
@@ -34,67 +24,3 @@ SEG_SHIFT = 20
 SEG_MASK = (1 << SEG_SHIFT) - 1
 #: Largest allocation expressible in one segment.
 MAX_SEGMENT_ELEMS = 1 << SEG_SHIFT
-
-
-def address_of(segment: int, offset: int = 0) -> int:
-    """Compose an address from a segment id and element offset."""
-    return (segment << SEG_SHIFT) | (offset & SEG_MASK)
-
-
-def segment_of(address: int) -> int:
-    """Segment id of an address."""
-    return address >> SEG_SHIFT
-
-
-def offset_of(address: int) -> int:
-    """In-segment element offset of an address."""
-    return address & SEG_MASK
-
-
-class Memory:
-    """A thin, inspectable wrapper over the VM's segment dict.
-
-    The interpreter's hot loop works on the raw dict directly; this class is
-    the setup/teardown and debugging interface (allocations, reads for output
-    checking, snapshots in tests).
-    """
-
-    __slots__ = ("segments", "next_segment")
-
-    def __init__(self) -> None:
-        self.segments: dict[int, list] = {}
-        self.next_segment = 1  # segment 0 is intentionally unmapped (null page)
-
-    def allocate(self, count: int, fill: int | float = 0) -> int:
-        """Allocate a fresh segment of ``count`` cells; returns its address."""
-        if not 0 < count <= MAX_SEGMENT_ELEMS:
-            raise MemoryFault(f"allocation of {count} elements out of range")
-        seg = self.next_segment
-        self.next_segment += 1
-        self.segments[seg] = [fill] * count
-        return address_of(seg)
-
-    def load(self, address: int):
-        """Bounds-checked element read."""
-        cells = self.segments.get(address >> SEG_SHIFT)
-        off = address & SEG_MASK
-        if cells is None or off >= len(cells):
-            raise MemoryFault(f"load from unmapped address {address:#x}")
-        return cells[off]
-
-    def store(self, address: int, value) -> None:
-        """Bounds-checked element write."""
-        cells = self.segments.get(address >> SEG_SHIFT)
-        off = address & SEG_MASK
-        if cells is None or off >= len(cells):
-            raise MemoryFault(f"store to unmapped address {address:#x}")
-        cells[off] = value
-
-    def read_array(self, address: int, count: int) -> list:
-        """Read ``count`` consecutive cells (for harness output extraction)."""
-        return [self.load(address + i) for i in range(count)]
-
-    def write_array(self, address: int, values) -> None:
-        """Write consecutive cells starting at ``address``."""
-        for i, v in enumerate(values):
-            self.store(address + i, v)

@@ -18,7 +18,13 @@ from repro.apps import all_app_names, get_app
 from repro.ir.builder import Builder
 from repro.ir.module import Module
 from repro.ir.types import F64, I64, VOID
-from repro.vm.interpreter import INJECTABLE_OPCODES, Program
+from repro.vm.interpreter import (
+    INJECTABLE_OPCODES,
+    Program,
+    RunResult,
+    _RunState,
+)
+from repro.vm.memory import SEG_SHIFT
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +50,34 @@ class ReferenceProgram(Program):
     entry point.
     """
 
-    _execute = Program._exec_fn
+    def _execute(self, frames, state):
+        return self._exec_fn(frames[0].dfn, None, state, (frames, 0))
+
+
+def cold_reference_run(
+    program: Program, args=None, bindings=None, fault=None, step_limit=None
+) -> RunResult:
+    """A run the reference interpreter starts fresh at ``@main`` from a
+    state built here by hand, not from an entry snapshot: the independent
+    check that an entry snapshot holds exactly what a cold start does."""
+    state = _RunState()
+    state.limit = step_limit if step_limit is not None else 50_000_000
+    state.next_seg = program._first_dyn_seg
+    for seg, cells in program.global_template:
+        state.mem[seg] = list(cells)
+    for name, values in (bindings or {}).items():
+        cells = state.mem[program.global_addr[name] >> SEG_SHIFT]
+        cells[: len(values)] = values
+    state.wmem = dict(state.mem)
+    if fault is not None:
+        state.f_iid, state.f_instance, state.f_bit = (
+            fault.iid, fault.instance, fault.bit)
+    params = program.module.functions["main"].args
+    coerced = [float(a) if p.type.is_float else int(a) & p.type.mask
+               for a, p in zip(args or [], params)]
+    Program._exec_fn(program, program.functions["main"], coerced, state)
+    return RunResult(output=state.output, steps=state.steps,
+                     fault_fired=state.f_fired)
 
 
 def bits(values) -> list:
@@ -62,8 +95,8 @@ def snapshot_bits(snaps: list) -> bytes:
     return pickle.dumps([
         (s.steps, s.next_seg, bits(s.output), s.instr_counts,
          sorted((seg, bits(cells)) for seg, cells in s.mem.items()),
-         [(f.fn, f.block, f.prev_gid, f.call_index, bits(f.slots),
-           f.code_index) for f in s.frames])
+         [(f.fn, f.block, f.prev_gid, f.call_index, bits(f.slots))
+          for f in s.frames])
         for s in snaps
     ])
 

@@ -204,6 +204,27 @@ class TestValueProfile:
         again = ValueProfile.from_payload(prof.to_payload())
         assert again.records == prof.records
 
+    @pytest.mark.parametrize("payload", [
+        {"records": [1, 2]},
+        {"records": {"3": [0.0, 1.0]}},
+        {"records": {"x": [0.0, 1.0, 2, False, True]}},
+        {"records": {"3": [0.0, 1.0, None, False, True]}},
+    ], ids=["records-list", "short-row", "iid-key", "none-count"])
+    def test_malformed_cache_entry_reads_as_a_miss(self, sumsq, tmp_path,
+                                                   payload):
+        from repro.cache.keys import value_profile_key
+        from repro.cache.store import store_for
+
+        _, p = sumsq
+        store = store_for(tmp_path / "store")
+        key = value_profile_key(p.text, [16], DATA)
+        store.put(key, payload)
+        fresh = mine_value_profile(p, args=[16], bindings=DATA, cache=False)
+        got = mine_value_profile(p, args=[16], bindings=DATA, cache=store)
+        assert got.records == fresh.records
+        # The mined profile replaced the malformed entry.
+        assert store.get(key) == fresh.to_payload()
+
 
 class TestZoo:
     def test_unknown_kind_rejected(self):

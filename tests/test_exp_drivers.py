@@ -123,11 +123,11 @@ class TestScaleReach:
         real_dispatch = campaign._dispatch_sites
 
         def dispatch(program, sites, store, *args):
-            run, label = args[5], args[6]
+            run, label = args[3], args[4]
             seen.append((label, run, store))
             local = replace(run, workers=0, transport="local")
             return real_dispatch(
-                program, sites, store, *args[:5], local, *args[6:]
+                program, sites, store, *args[:3], local, *args[4:]
             )
 
         monkeypatch.setattr(campaign, "_dispatch_sites", dispatch)
@@ -146,7 +146,8 @@ class TestScaleReach:
             for name, (field, _, want) in table.items()
         }
         assert not any(missed.values()), missed
-        assert all(store is None for _, _, store in seen)  # cold replay
+        # Cold replay: each store holds only the input's entry snapshot.
+        assert all(len(store) == 1 for _, _, store in seen)
 
 
 class TestCheckpointDefault:
@@ -172,9 +173,8 @@ class TestCheckpointDefault:
         def dispatch(program, sites, store, *args, **kwargs):
             before = len(resumes)
             out = real_dispatch(program, sites, store, *args, **kwargs)
-            if args[6] == "per-instruction fi":
-                sweeps.append((store is not None and len(store) > 0,
-                               len(resumes) > before))
+            if args[4] == "per-instruction fi":
+                sweeps.append((len(store) > 1, len(resumes) > before))
             return out
 
         monkeypatch.setattr(Program, "resume", resume)
@@ -194,7 +194,7 @@ class TestReferenceGoldenRuns:
         twice on a cold cache, once per reference sweep: SID's golden pass
         profiles while it records and writes the profile to the cache, and
         MINPSID's, on Fig. 6's own program, reads it from there and
-        records unprofiled at the interval its step count names. On a warm
+        records unprofiled, with the same snapshots. On a warm
         cache both sweeps and the profile are cache hits, so nothing
         runs. The SID and MINPSID pipelines, the input search and its GA
         take the profile from there."""
@@ -223,10 +223,10 @@ class TestReferenceGoldenRuns:
 
         real_run, real_recording = Program.run, Program.run_checkpointed
 
-        def run(self, args=None, bindings=None, fault=None, **kwargs):
-            if fault is None and on_reference(self, args, bindings):
+        def run(self, args=None, bindings=None, **kwargs):
+            if on_reference(self, args, bindings):
                 runs.append(("run", kwargs.get("profile")))
-            return real_run(self, args, bindings, fault, **kwargs)
+            return real_run(self, args, bindings, **kwargs)
 
         def run_checkpointed(self, args=None, bindings=None, **kwargs):
             if on_reference(self, args, bindings):
@@ -280,11 +280,11 @@ class TestSIDLevels:
             if self.text == unprotected:
                 decodes.append(self)
 
-        def run(self, args=None, bindings=None, fault=None, **kwargs):
-            if fault is None and self.text == unprotected and (
+        def run(self, args=None, bindings=None, **kwargs):
+            if self.text == unprotected and (
                 args, bindings) == reference:
                 runs.append(kwargs.get("profile"))
-            return real_run(self, args, bindings, fault, **kwargs)
+            return real_run(self, args, bindings, **kwargs)
 
         monkeypatch.setattr(Program, "__init__", init)
         monkeypatch.setattr(Program, "run", run)
@@ -344,10 +344,9 @@ class TestEvaluationGoldenRuns:
 
         real_run, real_recording = Program.run, Program.run_checkpointed
 
-        def run(self, args=None, bindings=None, fault=None, **kwargs):
-            if fault is None:
-                note(self, args, bindings, ("run", kwargs.get("profile")))
-            return real_run(self, args, bindings, fault, **kwargs)
+        def run(self, args=None, bindings=None, **kwargs):
+            note(self, args, bindings, ("run", kwargs.get("profile")))
+            return real_run(self, args, bindings, **kwargs)
 
         def run_checkpointed(self, args=None, bindings=None, **kwargs):
             note(self, args, bindings, ("recording", kwargs.get("profile")))

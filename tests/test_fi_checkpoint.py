@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.fi.campaign as campaign
+from repro.cache.store import store_for
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
 from repro.fi.faultmodel import injectable_iids
 from repro.vm.checkpoint import auto_interval, record_checkpoints
@@ -128,10 +130,10 @@ class TestCheckpointDefault:
         assert got.fn_cycles == ref.fn_cycles
         assert got.total_cycles == ref.total_cycles
         assert (bits(got.output), got.steps) == (bits(ref.output), ref.steps)
-        # Found in the same pass: the interval a length hint would give.
+        # Found in the same pass: auto_interval of the run's length.
         assert store.golden_steps == ref.steps
         assert store.interval == auto_interval(ref.steps)
-        assert len(store) < 24
+        assert len(store) - 1 < 24  # captures, the entry snapshot aside
         steps = [s.steps for s in store.snapshots]
         assert all(b - a >= store.interval for a, b in zip(steps, steps[1:]))
         for snap in store.snapshots[:: max(1, len(store) // 4)]:
@@ -165,3 +167,76 @@ class TestCheckpointDefault:
             only_iids=injectable_iids(app.program.module)[:4], **kw,
         )
         assert golden == ["record"]
+
+    def test_cold_campaign_resumes_every_trial_from_the_entry_snapshot(
+        self, pathfinder_app, monkeypatch
+    ):
+        """``checkpoint_interval=0``: the store holds only the input's entry
+        snapshot, every trial restores it, and no trial runs through
+        ``Program.run``."""
+        app = pathfinder_app
+        kw = _campaign_kwargs(app)
+        profile_run(app.program, args=kw["args"], bindings=kw["bindings"])
+        runs, resumed, stores = [], [], []
+        real_run, real_resume = Program.run, Program.resume
+        real_dispatch = campaign._dispatch_sites
+
+        def run(self, *a, **k):
+            runs.append(k)
+            return real_run(self, *a, **k)
+
+        def resume(self, snapshot, *a, **k):
+            resumed.append(snapshot)
+            return real_resume(self, snapshot, *a, **k)
+
+        def dispatch(program, sites, store, *a):
+            stores.append(store)
+            return real_dispatch(program, sites, store, *a)
+
+        monkeypatch.setattr(Program, "run", run)
+        monkeypatch.setattr(Program, "resume", resume)
+        monkeypatch.setattr(campaign, "_dispatch_sites", dispatch)
+        run_campaign(app.program, 10, seed=3, cache=False, workers=0,
+                     engine="scalar", checkpoint_interval=0, **kw)
+        assert runs == []
+        (store,) = stores
+        assert len(store) == 1 and store.snapshots[0].steps == 0
+        assert len(resumed) == 10
+        assert all(snap is store.snapshots[0] for snap in resumed)
+
+    def test_snapshots_do_not_depend_on_the_profile_source(
+        self, each_app, tmp_path, monkeypatch
+    ):
+        """A sweep records the same snapshots whether its golden profile
+        was memoized, read from the campaign cache, or taken by the
+        recording itself: every ``"auto"`` recording thins."""
+        app = each_app
+        kw = _campaign_kwargs(app)
+        args, bindings = kw["args"], kw["bindings"]
+        stores = []
+        real_record = campaign.record_checkpoints
+
+        def record(*a, **k):
+            stores.append(real_record(*a, **k))
+            return stores[-1]
+
+        monkeypatch.setattr(campaign, "record_checkpoints", record)
+        sweep = dict(only_iids=injectable_iids(app.module)[:1], workers=0,
+                     engine="scalar", **kw)
+        run_per_instruction_campaign(Program(app.module), 1, 1, cache=False,
+                                     **sweep)
+        memoized = Program(app.module)
+        profile_run(memoized, args=args, bindings=bindings, cache=False)
+        run_per_instruction_campaign(memoized, 1, 1, cache=False, **sweep)
+        cache = store_for(tmp_path / "cache")
+        profile_run(Program(app.module), args=args, bindings=bindings,
+                    cache=cache)
+        run_per_instruction_campaign(Program(app.module), 1, 1, cache=cache,
+                                     **sweep)
+        absent, memo, cached = stores
+        assert absent.profile is not None
+        assert memo.profile is None and cached.profile is None
+        steps = [[s.steps for s in store.snapshots] for store in stores]
+        assert steps[0] == steps[1] == steps[2]
+        assert absent.interval == memo.interval == cached.interval == (
+            auto_interval(absent.golden_steps))

@@ -225,7 +225,8 @@ class TestSpanTreeDeterminism:
             r for r in span_records(recs) if r["fields"].get("infra")
         ]
         assert infra, "scalar campaigns must emit trial/chunk infra spans"
-        assert {"chunk", "trial", "vm.run"} <= {r["name"] for r in infra}
+        assert {"chunk", "trial", "checkpoint.restore"} <= {
+            r["name"] for r in infra}
         full = structural_signature(recs, include_infra=True)
         pruned = structural_signature(recs)
         assert full != pruned  # infra spans really were in the tree

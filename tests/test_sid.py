@@ -201,7 +201,8 @@ class TestDuplication:
         pp = Program(prot.module)
         new_iid = prot.iid_map[fmul[0]]
         with pytest.raises(DetectedError):
-            pp.run(args=[16], bindings=data, fault=FaultSpec(new_iid, 3, 60))
+            pp.resume(pp.entry_snapshot([16], data),
+                      fault=FaultSpec(new_iid, 3, 60))
 
     def test_fault_on_duplicate_also_detected(self, sumsq_profile):
         m, _, data, prof = sumsq_profile
@@ -210,7 +211,8 @@ class TestDuplication:
         pp = Program(prot.module)
         dup_iid = prot.dup_map[fmul[0]]
         with pytest.raises(DetectedError):
-            pp.run(args=[16], bindings=data, fault=FaultSpec(dup_iid, 3, 60))
+            pp.resume(pp.entry_snapshot([16], data),
+                      fault=FaultSpec(dup_iid, 3, 60))
 
     def test_immediate_placement(self, sumsq_profile):
         m, _, data, prof = sumsq_profile

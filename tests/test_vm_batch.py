@@ -4,8 +4,8 @@ The batch engine's contract is that its per-row observables — output stream
 and trap — are *bit-identical* to the scalar injector's, whatever the fault
 does to the row: trap mid-lockstep, diverge on the very last instruction,
 land exactly on a tolerance boundary, or run as a batch of one. Each test
-here builds the scalar reference with ``program.run(fault=...)`` and
-compares raw observables (binary64 encodings for floats, trap class and
+here builds the scalar reference with ``program.resume`` from the input's
+entry snapshot, where the batch starts too, and compares raw observables (binary64 encodings for floats, trap class and
 message for traps), not just classified outcomes.
 """
 
@@ -36,8 +36,9 @@ LIMIT = 200_000
 def _scalar_raw(program, spec, args=None, bindings=None):
     """The scalar injector's observables for one fault: (output, trap)."""
     try:
-        r = program.run(
-            args=args, bindings=bindings, fault=spec, step_limit=LIMIT
+        r = program.resume(
+            program.entry_snapshot(args, bindings), fault=spec,
+            step_limit=LIMIT,
         )
         return r.output, None
     except Trap as t:
@@ -47,16 +48,15 @@ def _scalar_raw(program, spec, args=None, bindings=None):
 def _assert_rows_identical(program, sites, args=None, bindings=None,
                            golden_output=None):
     """Every row's raw observables must match the scalar run bit-for-bit."""
-    specs = [s.to_spec() for s in sites]
     results, stats = run_trials_lockstep(
-        program, specs, args=args, bindings=bindings,
+        program, sites, program.entry_snapshot(args, bindings),
         golden_output=golden_output or [], step_limit=LIMIT,
     )
     assert len(results) == len(sites)
     assert isinstance(stats, BatchStats) and stats.trials == len(sites)
     traps = 0
     for site, (out, trap) in zip(sites, results):
-        sout, strap = _scalar_raw(program, site.to_spec(), args, bindings)
+        sout, strap = _scalar_raw(program, site, args, bindings)
         label = f"site {site}"
         if strap is not None:
             traps += 1
@@ -121,7 +121,7 @@ def test_divergence_on_final_instruction():
         golden_output=gold.output,
     )
     # Sanity: these faults really do reach the output (not masked).
-    flipped, _ = _scalar_raw(program, sites[3].to_spec(), args, bindings)
+    flipped, _ = _scalar_raw(program, sites[3], args, bindings)
     assert float64_to_bits(flipped[0]) != float64_to_bits(gold.output[0])
 
 
@@ -141,13 +141,12 @@ def test_tolerance_boundary_float_compares():
         (FaultSite(final_iid, 1, 0), math.ulp(1.0)),
     ]
     sites = [site for site, _dev in cases]
-    specs = [s.to_spec() for s in sites]
     results, _ = run_trials_lockstep(
-        program, specs, args=args, bindings=bindings,
+        program, sites, program.entry_snapshot(args, bindings),
         golden_output=gold.output, step_limit=LIMIT,
     )
     for (site, dev), (out, trap) in zip(cases, results):
-        sout, strap = _scalar_raw(program, site.to_spec(), args, bindings)
+        sout, strap = _scalar_raw(program, site, args, bindings)
         assert trap is None and strap is None
         assert [float64_to_bits(v) for v in out] == [
             float64_to_bits(v) for v in sout
@@ -178,11 +177,11 @@ def test_negative_zero_output_is_bit_preserved():
     )
     site = FaultSite(load_iid, 3, 63)
     results, _ = run_trials_lockstep(
-        program, [site.to_spec()], args=args, bindings=bindings,
+        program, [site], program.entry_snapshot(args, bindings),
         golden_output=gold.output, step_limit=LIMIT,
     )
     out, trap = results[0]
-    sout, strap = _scalar_raw(program, site.to_spec(), args, bindings)
+    sout, strap = _scalar_raw(program, site, args, bindings)
     assert trap is None and strap is None
     assert [float64_to_bits(v) for v in out] == [
         float64_to_bits(v) for v in sout
@@ -207,7 +206,8 @@ def test_batch_of_one(sumsq_program, sumsq_data):
 
 def test_empty_batch():
     program = Program(_tail_module())
-    results, stats = run_trials_lockstep(program, [])
+    results, stats = run_trials_lockstep(program, [],
+                                         program.entry_snapshot([8]))
     assert results == [] and stats.trials == 0
 
 

@@ -7,7 +7,10 @@ test drives both through one entry point and requires bit-identical
 observables: outputs (floats by their encoding), steps, counts, fault
 firing, convergence, and the class and message of any trap. Each app runs
 as written and SID-protected; the protected blocks run the original's
-compiled code, relocated to the protected program's numbers.
+compiled code, relocated to the protected program's numbers. Faulty runs
+start from the input's entry snapshot on the compile tier and from a
+hand-built cold start on the reference, so the entry snapshot is checked
+against an independent start.
 """
 
 from __future__ import annotations
@@ -23,17 +26,18 @@ from repro.detectors.transform import duplicate_instructions
 from repro.errors import Trap
 from repro.fi.faultmodel import sample_fault_sites
 from repro.fi.hostfault import HostFaultModel
-from repro.ir import F64, I64, VOID, Builder, Module
+from repro.ir import F64, VOID, Builder, Module
 from repro.ir.parser import parse_module
 from repro.util.rng import RngStream
 from repro.vm import compiler
 from repro.vm.batch import run_trials_lockstep
-from repro.vm.checkpoint import FrameSnapshot, Snapshot
+from repro.vm.checkpoint import record_checkpoints
 from repro.vm.interpreter import INJECTABLE_OPCODES, FaultSpec, Program
 from tests.conftest import (
     ReferenceProgram,
     bits,
     cached_app,
+    cold_reference_run,
     executed_sites,
     snapshot_bits,
 )
@@ -49,6 +53,18 @@ def observe(run) -> tuple:
         return ("trap", type(t).__name__, str(t))
     return ("ok", bits(r.output), r.steps, r.fault_fired, r.converged,
             r.converged_output_len)
+
+
+def spliced(run, golden_output: list) -> tuple:
+    """A trial's output with a converged run's golden tail spliced on, or
+    its trap: what the campaign classifies."""
+    try:
+        r = run()
+    except Trap as t:
+        return ("trap", type(t).__name__, str(t))
+    if r.converged:
+        return ("ok", bits(r.output + golden_output[r.converged_output_len:]))
+    return ("ok", bits(r.output))
 
 
 class Pair:
@@ -78,6 +94,11 @@ class Pair:
         )
         self.limit = self.golden.steps * 8 + 10_000
         self.sites = executed_sites(module, self.golden.instr_counts)
+
+    def trial(self, prog, fault, **kwargs):
+        """``prog``'s run of ``fault`` from the input's entry snapshot."""
+        return prog.resume(prog.entry_snapshot(self.args, self.bindings),
+                           fault=fault, **kwargs)
 
     def random_fault(self, rng: random.Random, after: list | None = None):
         """A fault on an executed injectable iid, optionally after ``after``
@@ -115,15 +136,16 @@ class TestApps:
         assert not got.fault_fired
 
     def test_faulty_runs(self, pair):
+        # A trial from the entry snapshot on the compile tier against the
+        # reference interpreter started fresh, with no entry snapshot.
         rng = random.Random(f"faulty-{pair.name}")
         outcomes = set()
         for _ in range(FAULTY_RUNS):
             fault = pair.random_fault(rng)
-            got, ref = (
-                observe(lambda p=p: p.run(args=pair.args, bindings=pair.bindings,
-                                          fault=fault, step_limit=pair.limit))
-                for p in (pair.compiled, pair.reference)
-            )
+            got = observe(lambda: pair.trial(pair.compiled, fault,
+                                             step_limit=pair.limit))
+            ref = observe(lambda: cold_reference_run(
+                pair.reference, pair.args, pair.bindings, fault, pair.limit))
             assert got == ref, fault
             outcomes.add(got[1] if got[0] == "trap" else got[3])
         assert True in outcomes  # faults actually fired
@@ -141,8 +163,7 @@ class TestApps:
         for iid in random.Random(pair.name).sample(others, min(6, len(others))):
             fault = FaultSpec(iid, 1, 0)
             got, ref = (
-                observe(lambda p=p: p.run(args=pair.args, bindings=pair.bindings,
-                                          fault=fault))
+                observe(lambda p=p: pair.trial(p, fault))
                 for p in (pair.compiled, pair.reference)
             )
             assert got == ref
@@ -191,7 +212,7 @@ class TestApps:
             ref.call_paths, ref.checkpoint_interval)
         assert snapshot_bits(got_snaps) == snapshot_bits(ref_snaps)
         assert got.call_paths == pair.golden.call_paths
-        assert len(got_snaps) < 6
+        assert len(got_snaps) - 1 < 6  # captures, the entry snapshot aside
 
     def test_convergence_oracles(self):
         pair = Pair("needle")
@@ -265,10 +286,9 @@ class TestUnhook:
         iid = self.hot_site(pair)
         _, snaps = prog.run_checkpointed(args=pair.args, bindings=pair.bindings,
                                          interval=pair.golden.steps // 4)
-        snap = snaps[0]
+        snap = snaps[1]  # the first capture after the entry snapshot
         trials = [
-            (lambda p, f: p.run(args=pair.args, bindings=pair.bindings,
-                                fault=f), 3),
+            (lambda p, f: pair.trial(p, f), 3),
             (lambda p, f: p.resume(snap, fault=f), snap.instr_counts[iid] + 3),
         ]
         calls = self.hook_calls(prog)
@@ -287,8 +307,6 @@ class TestUnhook:
 
     def test_sticky_run_keeps_its_hooks(self):
         pair = Pair("pathfinder")
-        iid = self.hot_site(pair, "add")
-        fault = FaultSpec(iid, 2, 3)
         model = HostFaultModel(opcode="add", bit=7, mode="permanent",
                                seed=3, pattern_bits=8)
         pair.compiled.run(args=pair.args, bindings=pair.bindings)
@@ -298,15 +316,18 @@ class TestUnhook:
             sticky = model.bind(prog).start_run(salt=1)
             runs.append((
                 observe(lambda prog=prog, sticky=sticky: prog.run(
-                    args=pair.args, bindings=pair.bindings, fault=fault,
-                    sticky=sticky, step_limit=pair.limit)),
+                    args=pair.args, bindings=pair.bindings, sticky=sticky,
+                    step_limit=pair.limit)),
                 sticky.visits, sticky.corrupted,
             ))
         assert runs[0] == runs[1]
-        assert runs[0][0][0] == "ok" and runs[0][0][3]
-        # The fault's block holds sticky iids: its hooks stay after the flip.
-        assert runs[0][1] > pair.golden.instr_counts[iid]
-        assert calls.count(True) > runs[0][1] // 2
+        assert runs[0][0][0] == "ok"
+        # Every execution of a sticky iid passed through the visitor: no
+        # hooked block went back to its plain function during the run.
+        counts = pair.golden.instr_counts
+        sticky_iids = model.bind(pair.compiled).start_run(salt=1).iids
+        assert runs[0][1] == sum(counts[i] for i in sticky_iids) > 0
+        assert len(calls) >= runs[0][1]
 
 
 class TestBlockCounts:
@@ -472,83 +493,33 @@ class TestPhis:
             assert got.steps == ref.steps
 
 
-class TestMidBlockResume:
-    def test_batch_detach_resumes(self):
-        """Replay the batch engine's own mid-block detach snapshots.
-
-        A row whose divergent-address store would need a mixed-dtype column
-        detaches at the store (``store-dtype``), so its tail resumes mid-block.
-        These 512-fault batches produce such detaches on kmeans and fft.
-        """
+class TestBatchRestart:
+    def test_store_dtype_rows_restart(self):
+        """A lockstep row whose divergent-address store would need a
+        mixed-dtype column runs again as the scalar trial of its fault,
+        from a golden snapshot. These 512-fault batches from the entry
+        snapshot have such rows on kmeans and fft, and every row's outcome
+        is the scalar engine's."""
         for name in ("kmeans", "fft"):
             pair = Pair(name)
-            prog = Program(cached_app(name).module)
-            recorded = []
-            real_resume = prog.resume
-
-            def recording_resume(snapshot, *args, **kwargs):
-                recorded.append((snapshot, kwargs))
-                return real_resume(snapshot, *args, **kwargs)
-
-            prog.resume = recording_resume
+            prog = pair.compiled
+            entry = prog.entry_snapshot(pair.args, pair.bindings)
             sites = sample_fault_sites(prog.module, pair.golden, 512,
                                        RngStream(5, "mid"))
-            run_trials_lockstep(prog, [s.to_spec() for s in sites],
-                                args=pair.args, bindings=pair.bindings,
-                                golden_output=pair.golden.output,
-                                step_limit=pair.limit)
-            resumed = 0
-            for snap, kwargs in recorded:
-                if snap.frames[-1].code_index < 0:
-                    continue
-                got, ref = (
-                    observe(lambda p=p: p.resume(snap, **kwargs))
-                    for p in (pair.compiled, pair.reference)
-                )
-                assert got == ref
-                resumed += 1
-            assert resumed, name
-
-    def test_every_code_index(self):
-        """Resume a loop body at each of its code indexes, after a call."""
-        m = Module("mid")
-        g = m.add_global("d", F64, 8)
-        sq = Builder.new_function(m, "sq", [("x", F64)], F64)
-        sq.ret(sq.fmul(sq.function.arg("x"), sq.function.arg("x")))
-        b = Builder.new_function(m, "main", [("n", I64)], VOID)
-        acc = b.local(F64, b.f64(0.0))
-        with b.for_loop(b.i64(0), b.function.arg("n")) as i:
-            x = b.load(b.gep(g, i), F64)
-            y = b.call("sq", [x], F64)
-            b.set(acc, b.fadd(b.get(acc, F64), y))
-            b.store(y, b.gep(g, i))
-        b.emit_output(b.get(acc, F64))
-        b.ret()
-        m.finalize()
-        args, bindings = [8], {"d": [0.5 * k - 1.0 for k in range(8)]}
-        comp, ref = Program(m), ReferenceProgram(m)
-        _, snaps = ref.run_checkpointed(args=args, bindings=bindings, interval=1)
-        checked = 0
-        for snap in snaps[2:]:
-            fr = snap.frames[-1]
-            blk = ref.functions[fr.fn].blocks[fr.block]
-            # The loop body: its slots all hold the previous iteration's
-            # values, a valid state both executors must continue alike.
-            if len(snap.frames) != 1 or not any(d[0] == 35 for d in blk.code):
-                continue
-            for k in range(len(blk.code) + 1):
-                frames = [FrameSnapshot(fr.fn, fr.block, fr.prev_gid, -1,
-                                        list(fr.slots), k)]
-                mid = Snapshot(steps=snap.steps + len(blk.code) + 1,
-                               next_seg=snap.next_seg, output=list(snap.output),
-                               instr_counts=snap.instr_counts,
-                               mem={s: list(c) for s, c in snap.mem.items()},
-                               frames=frames)
-                got, want = (observe(lambda p=p: p.resume(mid))
-                             for p in (comp, ref))
-                assert got == want, (fr.block, k)
-                checked += 1
-        assert checked
+            results, stats = run_trials_lockstep(
+                prog, sites, entry, golden_output=pair.golden.output,
+                step_limit=pair.limit,
+            )
+            assert stats.detach_reasons.get("store-dtype"), name
+            store = record_checkpoints(prog, pair.args, pair.bindings)
+            for site, (out, trap) in zip(sites, results):
+                got = (("trap", type(trap).__name__, str(trap))
+                       if trap is not None else ("ok", bits(out)))
+                k = store.snapshot_index_for(site.iid, site.instance)
+                want = spliced(lambda: prog.resume(
+                    store.snapshots[k], fault=site, step_limit=pair.limit,
+                    convergence=store.convergence_from(k)), pair.golden.output)
+                assert got == want, site
 
 
 def build_floor_module() -> Module:
@@ -584,11 +555,13 @@ class TestFloor:
         compiled, reference = Program(m), ReferenceProgram(m)
         golden = compiled.run().output
         batch, _stats = run_trials_lockstep(
-            compiled, faults, golden_output=golden, step_limit=10_000
+            compiled, faults, compiled.entry_snapshot(), golden_output=golden,
+            step_limit=10_000,
         )
         for fault, (b_out, b_trap) in zip(faults, batch):
             got, ref = (
-                observe(lambda p=p: p.run(fault=fault, step_limit=10_000))
+                observe(lambda p=p: p.resume(p.entry_snapshot(), fault=fault,
+                                             step_limit=10_000))
                 for p in (compiled, reference)
             )
             assert got == ref, fault

@@ -11,8 +11,10 @@ from repro.errors import (
     MemoryFault,
     StackOverflow,
 )
-from repro.ir import F32, F64, I1, I8, I32, I64, Builder, Module, VOID
+from repro.ir import F32, F64, I1, I8, I32, I64, PTR, Builder, Module, VOID
 from repro.vm.interpreter import FaultSpec, Program
+from repro.vm.memory import SEG_SHIFT
+from tests.conftest import ReferenceProgram
 
 
 def run_expr(build, args=(), arg_specs=(), ret_type=I64):
@@ -211,6 +213,53 @@ class TestMemoryOps:
         with pytest.raises(MemoryFault):
             Program(m).run()
 
+    def test_null_page_traps(self):
+        # Segment 0 is never mapped: a null pointer faults on load and store.
+        for access in ("load", "store"):
+            m = Module("m")
+            b = Builder.new_function(m, "main", [], VOID)
+            null = b.const(PTR, 0)
+            if access == "load":
+                b.emit_output(b.load(null, I64))
+            else:
+                b.store(b.i64(1), null)
+            b.ret()
+            m.finalize()
+            for prog in (Program(m), ReferenceProgram(m)):
+                with pytest.raises(MemoryFault, match=f"{access} .* 0x0"):
+                    prog.run()
+
+    def test_unmapped_segment_traps(self):
+        m = Module("m")
+        m.add_global("g", I64, 4)
+        b = Builder.new_function(m, "main", [], VOID)
+        b.emit_output(b.load(b.const(PTR, 99 << SEG_SHIFT), I64))
+        b.ret()
+        m.finalize()
+        for prog in (Program(m), ReferenceProgram(m)):
+            with pytest.raises(MemoryFault, match="load from 0x6300000"):
+                prog.run()
+
+    def test_stores_stay_in_their_segment(self):
+        # A store to one segment's last cell leaves the next segment as it
+        # was, for allocas and for a global next to one.
+        m = Module("m")
+        g = m.add_global("g", I64, 2, init=[5, 6])
+        b = Builder.new_function(m, "main", [], VOID)
+        first = b.alloca(I64, 4)
+        second = b.alloca(I64, 4)
+        b.store(b.i64(1), b.gep(second, b.i64(0)))
+        b.store(b.i64(9), b.gep(first, b.i64(3)))
+        b.store(b.i64(7), b.gep(g, b.i64(1)))
+        b.emit_output(b.load(b.gep(first, b.i64(3)), I64))
+        b.emit_output(b.load(b.gep(second, b.i64(0)), I64))
+        b.emit_output(b.load(b.gep(g, b.i64(0)), I64))
+        b.emit_output(b.load(b.gep(g, b.i64(1)), I64))
+        b.ret()
+        m.finalize()
+        for prog in (Program(m), ReferenceProgram(m)):
+            assert prog.run().output == [9, 1, 5, 7]
+
     def test_global_binding(self, sumsq_program):
         out = sumsq_program.run(args=[3], bindings={"data": [1.0, 2.0, 3.0]})
         assert out.output == [14.0]
@@ -266,8 +315,9 @@ class TestFaultInjection:
         fmul = [
             i.iid for i in sumsq_program.module.instructions() if i.opcode == "fmul"
         ][0]
-        r = sumsq_program.run(
-            args=[8], bindings=sumsq_data, fault=FaultSpec(fmul, 1, 62)
+        r = sumsq_program.resume(
+            sumsq_program.entry_snapshot([8], sumsq_data),
+            fault=FaultSpec(fmul, 1, 62),
         )
         assert r.fault_fired
         assert r.output != golden.output
@@ -277,8 +327,9 @@ class TestFaultInjection:
         fadd = [
             i.iid for i in sumsq_program.module.instructions() if i.opcode == "fadd"
         ][0]
-        r = sumsq_program.run(
-            args=[8], bindings=sumsq_data, fault=FaultSpec(fadd, 8, 52)
+        r = sumsq_program.resume(
+            sumsq_program.entry_snapshot([8], sumsq_data),
+            fault=FaultSpec(fadd, 8, 52),
         )
         assert r.fault_fired
 
@@ -288,8 +339,9 @@ class TestFaultInjection:
         fadd = [
             i.iid for i in sumsq_program.module.instructions() if i.opcode == "fadd"
         ][0]
-        r = sumsq_program.run(
-            args=[8], bindings=sumsq_data, fault=FaultSpec(fadd, 9999, 3)
+        r = sumsq_program.resume(
+            sumsq_program.entry_snapshot([8], sumsq_data),
+            fault=FaultSpec(fadd, 9999, 3),
         )
         assert not r.fault_fired
         assert r.output == sumsq_program.run(args=[8], bindings=sumsq_data).output
@@ -300,8 +352,9 @@ class TestFaultInjection:
             3,
             50,
         )
-        r1 = sumsq_program.run(args=[8], bindings=sumsq_data, fault=f)
-        r2 = sumsq_program.run(args=[8], bindings=sumsq_data, fault=f)
+        entry = sumsq_program.entry_snapshot([8], sumsq_data)
+        r1 = sumsq_program.resume(entry, fault=f)
+        r2 = sumsq_program.resume(entry, fault=f)
         assert r1.output == r2.output
 
     def test_i1_flip_inverts_branch(self, branchy_program):
@@ -310,8 +363,9 @@ class TestFaultInjection:
         icmp = [
             i.iid for i in branchy_program.module.instructions() if i.opcode == "fcmp"
         ][0]
-        r = branchy_program.run(
-            args=[8, 0.5], bindings=data, fault=FaultSpec(icmp, 4, 0)
+        r = branchy_program.resume(
+            branchy_program.entry_snapshot([8, 0.5], data),
+            fault=FaultSpec(icmp, 4, 0),
         )
         assert r.fault_fired
         assert r.output != golden.output  # one element mis-classified

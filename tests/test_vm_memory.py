@@ -1,72 +1,45 @@
-"""Tests for the segmented memory model."""
+"""Tests for the segmented memory model, as both executors run it."""
 
 import pytest
 
 from repro.errors import MemoryFault
-from repro.vm.memory import (
-    MAX_SEGMENT_ELEMS,
-    Memory,
-    address_of,
-    offset_of,
-    segment_of,
-)
+from repro.ir import I64, VOID, Builder, Module
+from repro.vm.interpreter import Program
+from tests.conftest import ReferenceProgram
 
 
-class TestAddressing:
-    def test_compose_decompose(self):
-        a = address_of(3, 17)
-        assert segment_of(a) == 3
-        assert offset_of(a) == 17
-
-    def test_offset_wraps_into_low_bits(self):
-        a = address_of(1, MAX_SEGMENT_ELEMS + 5)
-        assert offset_of(a) == 5
+def _executors(m):
+    return (Program(m), ReferenceProgram(m))
 
 
 class TestMemory:
     def test_allocate_and_rw(self):
-        mem = Memory()
-        addr = mem.allocate(4)
-        mem.store(addr + 2, 42)
-        assert mem.load(addr + 2) == 42
-        assert mem.load(addr) == 0
-
-    def test_null_page_unmapped(self):
-        mem = Memory()
-        with pytest.raises(MemoryFault):
-            mem.load(0)
+        # A fresh alloca reads as zeros; a store reads back at its own offset.
+        m = Module("m")
+        b = Builder.new_function(m, "main", [], VOID)
+        slot = b.alloca(I64, 4)
+        b.store(b.i64(42), b.gep(slot, b.i64(2)))
+        b.emit_output(b.load(b.gep(slot, b.i64(2)), I64))
+        b.emit_output(b.load(slot, I64))
+        b.emit_output(b.load(b.gep(slot, b.i64(3)), I64))
+        b.ret()
+        m.finalize()
+        for prog in _executors(m):
+            assert prog.run().output == [42, 0, 0]
 
     def test_out_of_bounds(self):
-        mem = Memory()
-        addr = mem.allocate(4)
-        with pytest.raises(MemoryFault):
-            mem.load(addr + 4)
-
-    def test_unmapped_segment(self):
-        mem = Memory()
-        mem.allocate(4)
-        with pytest.raises(MemoryFault):
-            mem.load(address_of(99, 0))
-
-    def test_oversized_allocation(self):
-        mem = Memory()
-        with pytest.raises(MemoryFault):
-            mem.allocate(MAX_SEGMENT_ELEMS + 1)
-
-    def test_zero_allocation(self):
-        mem = Memory()
-        with pytest.raises(MemoryFault):
-            mem.allocate(0)
-
-    def test_segments_disjoint(self):
-        mem = Memory()
-        a = mem.allocate(4, fill=1)
-        b = mem.allocate(4, fill=2)
-        mem.store(a, 99)
-        assert mem.load(b) == 2
-
-    def test_array_helpers(self):
-        mem = Memory()
-        a = mem.allocate(5)
-        mem.write_array(a, [1, 2, 3, 4, 5])
-        assert mem.read_array(a + 1, 3) == [2, 3, 4]
+        # One past the last cell of a segment faults on load and store.
+        for access in ("load", "store"):
+            m = Module("m")
+            b = Builder.new_function(m, "main", [], VOID)
+            slot = b.alloca(I64, 4)
+            past = b.gep(slot, b.i64(4))
+            if access == "load":
+                b.emit_output(b.load(past, I64))
+            else:
+                b.store(b.i64(1), past)
+            b.ret()
+            m.finalize()
+            for prog in _executors(m):
+                with pytest.raises(MemoryFault, match=access):
+                    prog.run()

@@ -78,10 +78,9 @@ def golden(monkeypatch):
     calls = []
     real_run, real_recording = Program.run, Program.run_checkpointed
 
-    def run(self, args=None, bindings=None, fault=None, **kwargs):
-        if fault is None:
-            calls.append(("run", kwargs.get("profile", False)))
-        return real_run(self, args, bindings, fault, **kwargs)
+    def run(self, args=None, bindings=None, **kwargs):
+        calls.append(("run", kwargs.get("profile", False)))
+        return real_run(self, args, bindings, **kwargs)
 
     def run_checkpointed(self, args=None, bindings=None, **kwargs):
         calls.append(("recording", kwargs.get("profile", False),
@@ -209,13 +208,13 @@ class TestWriters:
         )
         assert store.get(_key()) is not None
         # Another seed misses the campaign entry, so the sweep records;
-        # the stored profile names its interval, so it neither profiles
-        # nor thins.
+        # with the stored profile it does not profile, and it thins like
+        # the first.
         second = run_per_instruction_campaign(
             Program(build_edge_module()), 2, 2, args=ARGS, bindings=BIND,
             cache=store,
         )
-        assert golden == [("recording", True, 24), ("recording", False, None)]
+        assert golden == [("recording", True, 24), ("recording", False, 24)]
         assert _same_profile(second.profile, first.profile)
         # A campaign hit takes the stored profile: nothing executes.
         golden.clear()

@@ -176,8 +176,8 @@ class TestLazyLiveness:
         store = record_checkpoints(program, args=[24], bindings=DATA,
                                    interval=40)
         fault = FaultSpec(program.module.value_producing_iids()[-1], 1, 3)
-        program.run(args=[24], bindings=DATA, fault=fault,
-                    convergence=store.snapshots)
+        program.resume(store.snapshots[0], fault=fault,
+                       convergence=store.snapshots[1:])
         assert program._live
         assert any(
             blk.live_in for dfn in program.functions.values()
