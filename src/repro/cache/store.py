@@ -48,10 +48,18 @@ MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 _PRUNE_EVERY = 32
 
 
+def _canonical(payload: dict) -> str:
+    """The canonical JSON encoding of a payload, which its checksum covers."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(raw: str) -> str:
+    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
 def _payload_checksum(payload: dict) -> str:
     """Checksum of the canonical JSON encoding of a payload."""
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+    return _checksum(_canonical(payload))
 
 
 def _count(name: str, n: int = 1) -> None:
@@ -93,6 +101,8 @@ class CampaignCache:
         #: Size cap in bytes; ``None``/``0`` disables eviction.
         self.max_bytes = max_bytes or None
         self._writes = 0
+        # Shard directories this object has created (or found) already.
+        self._shards: set[Path] = set()
 
     # ------------------------------------------------------------------
     # Addressing
@@ -161,21 +171,31 @@ class CampaignCache:
     # Write side
     # ------------------------------------------------------------------
     def put(self, key: str, payload: dict) -> None:
-        """Publish ``payload`` under ``key`` (atomic, last-writer-wins)."""
+        """Publish ``payload`` under ``key`` (atomic, last-writer-wins).
+
+        The payload is encoded once, canonically: the checksum covers those
+        bytes and the entry is built around them. Each shard directory is
+        created once per store object.
+        """
         path = self.path_for(key)
-        entry = {
-            "schema": ENTRY_SCHEMA,
-            "key": key,
-            "sha": _payload_checksum(payload),
-            "payload": payload,
-        }
+        raw = _canonical(payload)
+        head = json.dumps(
+            {"schema": ENTRY_SCHEMA, "key": key, "sha": _checksum(raw)},
+            separators=(",", ":"),
+        )
+        shard = path.parent
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".{key}.{os.getpid()}.tmp"
-            tmp.write_text(json.dumps(entry, separators=(",", ":")))
+            if shard not in self._shards:
+                shard.mkdir(parents=True, exist_ok=True)
+                self._shards.add(shard)
+            tmp = shard / f".{key}.{os.getpid()}.tmp"
+            tmp.write_text(f'{head[:-1]},"payload":{raw}}}')
             os.replace(tmp, path)
         except OSError:
-            return  # a full/read-only disk degrades to "no cache", not a crash
+            # A full/read-only disk degrades to "no cache", not a crash; a
+            # shard removed behind this object's back is made again.
+            self._shards.discard(shard)
+            return
         _count("cache.write")
         if self._writes % _PRUNE_EVERY == 0:
             self.prune()

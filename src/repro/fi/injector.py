@@ -8,6 +8,7 @@ from __future__ import annotations
 from repro.errors import Trap
 from repro.fi.faultmodel import FaultSite
 from repro.fi.outcome import Outcome, classify_run
+from repro.obs.core import current as _obs_current
 from repro.obs.spans import span as _span
 from repro.vm.checkpoint import CheckpointStore
 from repro.vm.interpreter import Program, RunResult
@@ -76,26 +77,33 @@ def inject_one_resumed(
 
     ``snapshot_index`` (as from :meth:`CheckpointStore.snapshot_index_for`)
     skips the lookup when the scheduler already sorted sites by it.
+
+    A trap is classified inside its handler and never kept: its traceback
+    holds this frame, and a local holding the trap would keep the whole
+    run in a reference cycle. The ``trial`` and ``checkpoint.restore``
+    spans exist only when a telemetry session is active.
     """
     if snapshot_index is None:
         snapshot_index = store.snapshot_index_for(site.iid, site.instance)
+    snapshot = store.snapshots[snapshot_index]
+    oracles = store.convergence_from(snapshot_index)
     limit = golden_steps * hang_factor + 10_000
-    trap: Trap | None = None
-    output: list | None = None
-    with _span("trial", {"iid": site.iid}, infra=True):
-        try:
-            with _span(
+    try:
+        if _obs_current() is None:
+            result = program.resume(
+                snapshot, fault=site, step_limit=limit, convergence=oracles
+            )
+        else:
+            with _span("trial", {"iid": site.iid}, infra=True), _span(
                 "checkpoint.restore", {"snapshot": snapshot_index}, infra=True
             ):
                 result = program.resume(
-                    store.snapshots[snapshot_index],
-                    fault=site,
-                    step_limit=limit,
-                    convergence=store.convergence_from(snapshot_index),
+                    snapshot, fault=site, step_limit=limit,
+                    convergence=oracles,
                 )
-            output = result.output
-            if result.converged:
-                output = output + golden_output[result.converged_output_len :]
-        except Trap as t:
-            trap = t
-    return classify_run(golden_output, output, trap, rel_tol, abs_tol)
+    except Trap as trap:
+        return classify_run(golden_output, None, trap, rel_tol, abs_tol)
+    output = result.output
+    if result.converged:
+        output = output + golden_output[result.converged_output_len :]
+    return classify_run(golden_output, output, None, rel_tol, abs_tol)

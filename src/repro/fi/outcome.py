@@ -42,7 +42,14 @@ def outputs_equal(
     scientific code's output is "corrupted" only beyond its accuracy bar —
     the standard SDC criterion in the HPC resilience literature). NaN in the
     actual output is always a corruption unless the golden value is NaN too.
+
+    List ``==`` decides first, in C: when it holds, every pair is equal by
+    the loop's own rules (equal ints; equal numbers, which are within any
+    tolerance; or one NaN object on both sides), so only lists that differ
+    take the loop.
     """
+    if golden == actual:
+        return True
     if len(golden) != len(actual):
         return False
     for g, a in zip(golden, actual):

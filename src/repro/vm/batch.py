@@ -166,6 +166,16 @@ class BatchStats:
         for k, v in other.detach_sites.items():
             self.detach_sites[k] = self.detach_sites.get(k, 0) + v
 
+
+def _bare(trap: Trap) -> Trap:
+    """``trap`` without its traceback and context, as a row's result keeps
+    it: the traceback holds the frames that raised it, and through them
+    this batch, whose results would hold the trap in a reference cycle."""
+    trap.__traceback__ = None
+    trap.__context__ = None
+    return trap
+
+
 class _AllDone(Exception):
     """Internal: every row finalized/detached — stop the mirror replay."""
 
@@ -270,7 +280,7 @@ class _BatchRun:
 
     def _finalize_trap(self, row: int, trap: Trap) -> None:
         """Classify a row in lockstep: its trap decides the outcome now."""
-        self.results[row] = (None, trap)
+        self.results[row] = (None, _bare(trap))
         if isinstance(trap, DetectedError):
             self.stats.finalized_detected += 1
         else:
@@ -373,7 +383,7 @@ class _BatchRun:
                     output = output + self.golden_output[res.converged_output_len:]
                 self.stats.scalar_steps += res.steps - snap.steps
             except Trap as t:
-                trap = t
+                trap = _bare(t)
         self.results[row] = (output, trap)
         if self.alive_count == 0:
             raise _AllDone()

@@ -27,7 +27,8 @@ Snapshots capture, at a block entry:
 - every memory segment (globals and live allocas) plus the allocator cursor,
 - the emitted output so far,
 - per-instruction execution counts (so a fault's ``f_seen`` counter can be
-  re-seated exactly) and the dynamic step counter.
+  re-seated exactly) and the dynamic step counter,
+- in a recorded snapshot, the segments the golden run touches after it.
 
 Memory segments are copy-on-write, so a capture, a resume and a convergence
 check cost what the run wrote, not what it holds. A snapshot's ``mem`` is a
@@ -45,6 +46,20 @@ guaranteed to finish exactly like the golden run, so the interpreter can stop
 early and splice the golden output tail (see ``convergence`` in
 :meth:`Program.resume`). That prunes the post-fault tail of masked faults,
 which checkpoint-skipping alone cannot touch.
+
+A recorded snapshot also names the segments the golden run touches after
+it (``Snapshot.touched``), and a convergence check compares only those: a
+faulty state equal to the golden one on the live slots, the frames,
+``next_seg`` and every segment the golden tail touches reads only equal
+values from there on, so it runs the golden tail and never reads a segment
+that differs. A fault that corrupted only such a segment converges at the
+next oracle. The recording learns the sets from the golden run itself. Its
+segment map is a :class:`RecordingMap`, which starts each capture interval
+empty in front of the full map and fetches a segment the first time the
+run uses it, so the interval's touched segments are the map's keys at the
+next capture. A snapshot's set is the union of every interval after it,
+through the end of the run (:func:`assign_touched`); thinning merges a
+dropped capture's interval into the next survivor's.
 """
 
 from __future__ import annotations
@@ -57,6 +72,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FrameSnapshot",
+    "RecordingMap",
     "Snapshot",
     "CheckpointStore",
     "auto_interval",
@@ -101,6 +117,73 @@ class Snapshot:
     mem: dict
     #: Call stack, outermost first; the last entry is the running frame.
     frames: list
+    #: Segments the golden run loads or stores after this snapshot, through
+    #: its end; a convergence check compares only these. ``None`` (a
+    #: snapshot that no recording took) compares every segment.
+    touched: frozenset | None = None
+
+
+class RecordingMap(dict):
+    """A recording's segment map: a view of one capture interval.
+
+    The view starts each interval empty in front of ``full``, the segment
+    map at the interval's start, and fetches a segment the first time the
+    run uses it: ``__missing__`` for the compile tier's ``mem[seg]``,
+    :meth:`get` for the reference executor's loads and stores and for the
+    compile tier's store barrier. A store first takes the segment through
+    :meth:`get`, and an alloca puts its segment in the view, so the view's
+    keys are the segments the interval touched. Block functions hold the
+    map as a local: it is never rebound, and :meth:`capture` resets it in
+    place.
+    """
+
+    __slots__ = ("full",)
+
+    def __init__(self, full: dict) -> None:
+        super().__init__()
+        #: The segment map at the interval's start; never mutated.
+        self.full = full
+
+    def __missing__(self, seg: int):
+        cells = self.full.get(seg)
+        if cells is None:
+            # No such segment: indexing the empty tuple raises the
+            # IndexError the compile tier turns into its load trap.
+            return ()
+        self[seg] = cells
+        return cells
+
+    def get(self, seg: int, default=None):
+        cells = dict.get(self, seg)
+        if cells is None:
+            cells = self.full.get(seg)
+            if cells is None:
+                return default
+            self[seg] = cells
+        return cells
+
+    def capture(self) -> tuple[dict, set]:
+        """Close the interval: the full segment map, which a snapshot takes
+        and the next interval reads through, and the segments it touched."""
+        touched = set(self)
+        full = self.full = {**self.full, **self}
+        self.clear()
+        return full, touched
+
+
+def assign_touched(snapshots: list, intervals: list, tail: set) -> None:
+    """Give each recorded snapshot the segments touched after it.
+
+    ``intervals[k]`` holds the segments the golden run touched between
+    ``snapshots[k]`` and ``snapshots[k + 1]``, and ``tail`` those it
+    touched after the last snapshot. Consecutive snapshots with equal sets
+    share one frozenset, which pickling keeps shared.
+    """
+    touched = frozenset(tail)
+    for k in range(len(snapshots) - 1, -1, -1):
+        snapshots[k].touched = touched
+        if k and not intervals[k - 1] <= touched:
+            touched = touched | intervals[k - 1]
 
 
 @dataclass

@@ -64,6 +64,10 @@ the reference's store trap, and never raises ``KeyError``/``IndexError``
 itself, so the block handler below keeps its meaning. An alloca puts its
 new list in both maps. Block functions hold both maps as locals, so
 neither may be rebound during a run: a capture clears ``wmem`` in place.
+A recording's ``mem`` is a :class:`~repro.vm.checkpoint.RecordingMap`,
+which fetches a segment on its first use in a capture interval; it
+answers a missing segment with an empty tuple, whose ``IndexError`` is
+the load trap, so the handler keeps its meaning there too.
 
 Laziness
 --------
@@ -539,11 +543,14 @@ class _Source:
         if memory:
             self.shift = 0
             loads = tuple(self.loads)
+            # The handler names the traceback only through ``exc``, which
+            # the handler's exit unbinds: a local holding it would keep
+            # this frame in a reference cycle with its own traceback.
             kind = ("'store to'" if not loads else "'load from'" if not self.stores
-                    else f"'load from' if tb.tb_lineno in {loads} else 'store to'")
+                    else f"'load from' if exc.__traceback__.tb_lineno in {loads} "
+                    "else 'store to'")
             self.emit("except (KeyError, IndexError) as exc:")
-            self.emit("tb = exc.__traceback__", 2)
-            self.emit("if tb.tb_next is not None:", 2)
+            self.emit("if exc.__traceback__.tb_next is not None:", 2)
             self.emit("raise", 3)
             self.emit(f"_mfault({kind}, a)", 2)
         return "\n".join(self.lines) + "\n"

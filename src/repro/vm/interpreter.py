@@ -30,6 +30,7 @@ bit-identical to the golden run, so the targeted instance is always reached.
 
 from __future__ import annotations
 
+import marshal
 import math
 import struct
 from dataclasses import dataclass, field
@@ -49,7 +50,12 @@ from repro.ir.printer import print_module
 from repro.ir.values import Argument, Constant, GlobalArray
 from repro.obs.core import current as _obs_current
 from repro.util.bitops import flip_value
-from repro.vm.checkpoint import FrameSnapshot, Snapshot
+from repro.vm.checkpoint import (
+    FrameSnapshot,
+    RecordingMap,
+    Snapshot,
+    assign_touched,
+)
 from repro.vm.compiler import CompiledProgram
 from repro.vm.memory import MAX_SEGMENT_ELEMS, SEG_MASK, SEG_SHIFT
 from repro.vm.ops import f32 as _f32, fnan as _fnan
@@ -277,13 +283,16 @@ class _CkptState:
 
     ``cap`` (0 = none) bounds the store of a run whose length is unknown:
     on reaching it, every other snapshot goes and the interval doubles.
+    ``intervals[k]`` holds the segments the run touched up to capture
+    ``k`` since the capture (or the entry snapshot) before it.
     """
 
-    __slots__ = ("interval", "snapshots", "cap")
+    __slots__ = ("interval", "snapshots", "intervals", "cap")
 
     def __init__(self, interval: int, cap: int = 0) -> None:
         self.interval = interval
         self.snapshots: list[Snapshot] = []
+        self.intervals: list[set] = []
         self.cap = cap
 
 
@@ -309,19 +318,18 @@ class _Converged(Exception):
         self.snapshot = snapshot
 
 
-def _bits_equal(a: list, b: list) -> bool:
-    """Bit-exact list equality beyond ``==`` (−0.0 vs 0.0, int vs float).
+def _cells_equal(a: list, b: list) -> bool:
+    """Bit-exact equality of two segments' cells.
 
-    Called only after ``==`` already matched, so NaNs cannot appear here
-    (NaN != NaN fails the cheap check first unless both sides share the
-    object, in which case the bits trivially agree).
+    ``==`` runs first, in C, and stops at the first differing cell. It
+    conflates −0.0 with 0.0 and 1 with 1.0, so equal lists are then
+    compared as their ``marshal`` encodings, also in C: version 2 writes
+    each int by value and each float as its eight bytes, NaN payloads
+    included, and never refers back to an earlier object. A NaN cell fails
+    ``==`` unless both sides hold the same object, which is merely
+    conservative.
     """
-    for x, y in zip(a, b):
-        if type(x) is not type(y):
-            return False
-        if type(x) is float and _pack_d(x) != _pack_d(y):
-            return False
-    return True
+    return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
 
 
 def _live_slots_equal(a: list, b: list, live: tuple) -> bool:
@@ -653,6 +661,11 @@ class Program:
         every checkpoint store. This is the only code that turns an input
         into interpreter state.
 
+        A global with no binding maps to its ``global_template`` list
+        itself, which every run and snapshot shares and nothing may
+        mutate: a run copies it at its first store to it. A bound global
+        gets a copy with the binding applied.
+
         Parameters
         ----------
         args:
@@ -663,13 +676,14 @@ class Program:
             Shorter lists than the global's size leave the tail at its
             static/default value.
         """
-        mem = {seg: list(cells) for seg, cells in self.global_template}
+        mem = dict(self.global_template)
         if bindings:
             for name, values in bindings.items():
                 addr = self.global_addr.get(name)
                 if addr is None:
                     raise IRError(f"binding for unknown global @{name}")
-                cells = mem[addr >> SEG_SHIFT]
+                seg = addr >> SEG_SHIFT
+                cells = mem[seg] = list(mem[seg])
                 if len(values) > len(cells):
                     raise IRError(
                         f"binding for @{name} has {len(values)} values; "
@@ -748,24 +762,38 @@ class Program:
         convergence: list[Snapshot] | None = None,
         fault_fired: bool = False,
         owned: bool = False,
+        ckpt: _CkptState | None = None,
     ) -> tuple[_RunState, list[_Frame]]:
         """The run state and resolved frames of an execution from
         ``snapshot``: the one state builder of every entry point.
 
         The run shares the snapshot's memory segments and copies each one
-        at its first store to it, unless it ``owned`` them: a fresh entry
-        snapshot that nothing else keeps. ``fault`` must target an instance
-        the snapshot has not yet executed. ``convergence`` arms the oracles
-        (and computes liveness on first use).
+        at its first store to it. An ``owned`` snapshot is a fresh entry
+        snapshot that nothing else keeps: the run owns the copies it made
+        for bindings, and copies template lists like any other. ``fault``
+        must target an instance the snapshot has not yet executed.
+        ``convergence`` arms the oracles (and computes liveness on first
+        use); ``ckpt`` makes the run a recording, whose segment map is a
+        :class:`~repro.vm.checkpoint.RecordingMap` over the snapshot's.
         """
         state = _RunState()
         state.limit = step_limit if step_limit is not None else 50_000_000
         state.steps = snapshot.steps
         state.next_seg = snapshot.next_seg
         state.output = list(snapshot.output)
-        state.mem = dict(snapshot.mem)
+        if ckpt is not None:
+            state.mem = RecordingMap(snapshot.mem)
+            state.ckpt = ckpt
+            state.shadow = []
+            state.event_at = ckpt.interval
+        else:
+            state.mem = dict(snapshot.mem)
         if owned:
-            state.wmem = dict(state.mem)
+            mem = state.mem
+            state.wmem = {
+                seg: mem[seg] for seg, cells in self.global_template
+                if mem[seg] is not cells
+            }
         state.f_fired = fault_fired
         if fault is not None:
             seen = snapshot.instr_counts[fault.iid]
@@ -825,7 +853,8 @@ class Program:
         equal program. A capture copies the segment map, not the segments:
         consecutive snapshots share every segment the run did not store to
         between them (:mod:`repro.vm.checkpoint`), the entry snapshot's
-        included.
+        included. Each snapshot's ``touched`` names the segments the run
+        loads or stores after it, the entry snapshot's the whole run's.
 
         ``max_snapshots`` (even) bounds the recording without knowing the
         run's length: whenever it has captured that many snapshots, every
@@ -840,16 +869,15 @@ class Program:
         ):
             raise IRError("max_snapshots must be an even number >= 2")
         entry = self.entry_snapshot(args, bindings)
-        state, frames = self._start(entry, step_limit)
+        ck = _CkptState(interval, max_snapshots or 0)
+        state, frames = self._start(entry, step_limit, ckpt=ck)
         state.counts = [0] * self.module.instruction_count()
         if profile:
             state.paths = {}
             state.path_stack = []
-        ck = _CkptState(interval, max_snapshots or 0)
-        state.ckpt = ck
-        state.shadow = []
-        state.event_at = interval
         self._execute(frames, state)
+        snapshots = [entry, *ck.snapshots]
+        assign_touched(snapshots, ck.intervals, state.mem.keys())
         _note_run(state)
         t = _obs_current()
         if t is not None:
@@ -862,7 +890,7 @@ class Program:
             call_paths=state.paths,
             checkpoint_interval=ck.interval,
         )
-        return result, [entry, *ck.snapshots]
+        return result, snapshots
 
     def resume(
         self,
@@ -942,23 +970,30 @@ class Program:
             frames.append(
                 FrameSnapshot(dfn.name, blk.name, prev_gid, -1, list(slots))
             )
+            mem, touched = state.mem.capture()
             ck.snapshots.append(
                 Snapshot(
                     steps=state.steps,
                     next_seg=state.next_seg,
                     output=list(state.output),
                     instr_counts=list(state.counts),
-                    mem=dict(state.mem),
+                    mem=mem,
                     frames=frames,
                 )
             )
+            ck.intervals.append(touched)
             # The snapshot now shares every segment: the run gives up
             # ownership in place, since running blocks hold ``wmem``.
             state.wmem.clear()
             if len(ck.snapshots) == ck.cap:
                 # Keep the odd positions: the survivors, this one included,
-                # sit one doubled interval apart.
+                # sit one doubled interval apart. A dropped capture's
+                # interval joins the next survivor's.
+                intervals = ck.intervals
+                for k in range(0, ck.cap, 2):
+                    intervals[k + 1] |= intervals[k]
                 del ck.snapshots[::2]
+                del intervals[::2]
                 ck.interval *= 2
             state.event_at = state.steps + ck.interval
             return
@@ -997,13 +1032,17 @@ class Program:
         (the interpreter is deterministic in this state), so the caller may
         stop early. Frame slots are compared through the blocks' liveness
         sets: a dead slot can never be read again, so a corrupted
-        value parked there cannot affect the remaining run. Memory is always
-        compared in full. Cell comparison is two-phase per value: cheap
-        ``==`` first, then bit exactness (``==`` conflates -0.0/0.0 and
-        1/1.0, which would break the bit-identical-outcome guarantee; a NaN
-        fails ``==`` against itself, which is merely conservative). A
-        segment that is still the snapshot's own list needs neither: only
-        the segments a run (or the golden run since) stored to are compared.
+        value parked there cannot affect the remaining run. Memory is
+        compared on the segments the golden run touches after the snapshot
+        (``snap.touched``; every segment when it is ``None``): a state
+        equal on those, the live slots, the frames and ``next_seg`` reads
+        only equal values from here on, so it takes the golden branches,
+        touches only the golden tail's segments and never reads one that
+        differs. Equal ``next_seg`` means the same segments exist, since
+        none is ever freed; a touched segment the snapshot does not hold
+        yet is allocated later, fresh in both runs. A segment that is
+        still the snapshot's own list is equal without a look at its
+        cells; the others are compared bit for bit (:func:`_cells_equal`).
         """
         if state.next_seg != snap.next_seg:
             return False
@@ -1026,11 +1065,13 @@ class Program:
             if not _live_slots_equal(sl, fr.slots, b.live_after_call[ci]):
                 return False
         smem = snap.mem
-        if state.mem != smem:
-            return False
-        for seg, cells in state.mem.items():
-            other = smem[seg]
-            if cells is not other and not _bits_equal(cells, other):
+        mem = state.mem
+        for seg in smem if snap.touched is None else snap.touched:
+            other = smem.get(seg)
+            if other is None:
+                continue
+            cells = mem[seg]
+            if cells is not other and not _cells_equal(cells, other):
                 return False
         return True
 

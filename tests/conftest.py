@@ -91,12 +91,13 @@ def bits(values) -> list:
 
 def snapshot_bits(snaps: list) -> bytes:
     """Snapshots with every float replaced by its encoding: equal bytes
-    mean bit-identical snapshots."""
+    mean bit-identical snapshots, touched segment sets included."""
     return pickle.dumps([
         (s.steps, s.next_seg, bits(s.output), s.instr_counts,
          sorted((seg, bits(cells)) for seg, cells in s.mem.items()),
          [(f.fn, f.block, f.prev_gid, f.call_index, bits(f.slots))
-          for f in s.frames])
+          for f in s.frames],
+         None if s.touched is None else sorted(s.touched))
         for s in snaps
     ])
 

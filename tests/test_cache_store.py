@@ -44,6 +44,42 @@ class TestRoundtrip:
         assert t.metrics.counters.get("cache.hit") == 1
 
 
+class TestWriteOnce:
+    """``put`` encodes the payload once and makes each shard once."""
+
+    PAYLOADS = [
+        PAYLOAD,
+        {"z": [1.5, -0.0, float("inf"), 2**70], "a": {"b": None, "é": "ü"}},
+        {"nested": [{"k": i, "v": [i / 3, -i]} for i in range(5)]},
+    ]
+
+    def test_entries_verify_and_read_back_equal(self, tmp_path):
+        store = CampaignCache(tmp_path)
+        for i, payload in enumerate(self.PAYLOADS * 3):
+            store.put(key_for(i), payload)
+        assert store.verify() == []
+        reader = CampaignCache(tmp_path)
+        for i, payload in enumerate(self.PAYLOADS * 3):
+            assert reader.get(key_for(i)) == payload
+        entry = json.loads(store.path_for(key_for(0)).read_text())
+        assert entry["schema"] == 1 and entry["key"] == key_for(0)
+
+    def test_each_shard_is_made_once(self, tmp_path, monkeypatch):
+        made = []
+        real = type(tmp_path).mkdir
+
+        def mkdir(path, *args, **kwargs):
+            made.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "mkdir", mkdir)
+        store = CampaignCache(tmp_path)
+        keys = [key_for(i) for i in range(40)]
+        for key in keys * 2:
+            store.put(key, PAYLOAD)
+        assert sorted(made) == sorted({k[:2] for k in keys})
+
+
 class TestCorruptionTolerance:
     def corrupt(self, tmp_path, mutate) -> CampaignCache:
         store = CampaignCache(tmp_path)

@@ -149,3 +149,30 @@ class TestDocPathLint:
         assert [p for p in named if lint._doc_path_missing(p)] == [
             "repro/exp/fig8_timing.py", "repro/ir/nope.py", "repro/obs/timers",
         ]
+
+
+class TestTrialMix:
+    """``scripts/trial_mix.py`` counts every trial of the campaigns it runs."""
+
+    def test_counts_match_the_campaign(self, capsys):
+        from repro.apps import get_app
+        from repro.fi.campaign import run_campaign
+
+        mix = load_script(ROOT / "scripts" / "trial_mix.py")
+        app = get_app("pathfinder")
+        a, b = app.encode(app.reference_input)
+        with mix.Counting() as counts:
+            result = run_campaign(
+                app.program, 40, 7, args=a, bindings=b, rel_tol=app.rel_tol,
+                abs_tol=app.abs_tol, workers=1, checkpoint_interval="auto",
+                cache=False, engine="scalar",
+            )
+        by_outcome: dict = {}
+        for (outcome, _), n in counts.trials.items():
+            by_outcome[outcome] = by_outcome.get(outcome, 0) + n
+        assert by_outcome == {
+            o.value: n for o, n in result.counts.counts.items() if n
+        }
+        assert all(n > 0 for n in counts.steps.values())
+        assert mix.main(["--apps", "pathfinder", "--faults", "20"]) == 0
+        assert "\ntotal " in capsys.readouterr().out

@@ -1,8 +1,11 @@
 """Tests for the fault-injection layer: model, outcomes, campaigns, stats."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DetectedError, HangTimeout, MemoryFault
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
@@ -43,6 +46,74 @@ class TestOutputsEqual:
     def test_inf_exact(self):
         assert outputs_equal([math.inf], [math.inf])
         assert not outputs_equal([math.inf], [-math.inf])
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def _loop_equal(golden, actual, rel_tol, abs_tol) -> bool:
+    """``outputs_equal``'s rules, pair by pair, with no fast path."""
+    if len(golden) != len(actual):
+        return False
+    for g, a in zip(golden, actual):
+        if isinstance(g, float) or isinstance(a, float):
+            g_f, a_f = float(g), float(a)
+            if math.isnan(g_f) and math.isnan(a_f):
+                continue
+            if math.isnan(g_f) or math.isnan(a_f):
+                return False
+            if math.isinf(g_f) or math.isinf(a_f):
+                if g_f != a_f:
+                    return False
+                continue
+            if not math.isclose(g_f, a_f, rel_tol=rel_tol, abs_tol=abs_tol):
+                return False
+        elif g != a:
+            return False
+    return True
+
+
+_SHARED_NAN = _nan(1)
+_value = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1.0 + 1e-12, math.inf, -math.inf,
+                     _SHARED_NAN, 2**53, float(2**53)]),
+    st.integers(0, 3).map(_nan),  # a fresh NaN object per draw
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestOutputsEqualFastPath:
+    """List ``==`` decides first; it must never change the answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        golden=st.lists(_value, max_size=6),
+        edits=st.lists(st.tuples(st.integers(0, 6), _value), max_size=3),
+        extra=st.lists(_value, max_size=1),
+        tol=st.sampled_from([(0.0, 0.0), (1e-9, 0.0), (1e-3, 1e-6)]),
+    )
+    def test_fast_path_keeps_the_answer(self, golden, edits, extra, tol):
+        actual = list(golden)
+        for i, v in edits:
+            if i < len(actual):
+                actual[i] = v
+        actual += extra
+        for g, a in ((golden, actual), (actual, golden), (golden, list(golden))):
+            assert outputs_equal(g, a, *tol) is _loop_equal(g, a, *tol)
+
+    def test_edge_pairs(self):
+        for g, a, want in (
+            ([0.0], [-0.0], True), ([1], [1.0], True),
+            # Unequal under ==, but the loop rounds the int to the float.
+            ([2**53 + 1], [float(2**53)], True), ([3], [3.5], False),
+            ([_SHARED_NAN], [_SHARED_NAN], True), ([_nan(1)], [_nan(2)], True),
+            ([math.inf], [math.inf], True), ([1.0], [1.0, 2.0], False),
+        ):
+            for tol in ((0.0, 0.0), (1e-9, 1e-12)):
+                assert outputs_equal(g, a, *tol) is want
+                assert _loop_equal(g, a, *tol) is want
 
 
 class TestClassify:

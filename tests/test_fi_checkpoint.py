@@ -10,14 +10,22 @@ different outcome mixes plus the per-instruction campaign style, and on all
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 import repro.fi.campaign as campaign
 from repro.cache.store import store_for
+from repro.detectors.transform import duplicate_instructions
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
 from repro.fi.faultmodel import injectable_iids
+from repro.fi.outcome import Outcome
+from repro.ir.builder import Builder
+from repro.ir.module import Module
+from repro.ir.types import I64, VOID
 from repro.vm.checkpoint import auto_interval, record_checkpoints
-from repro.vm.interpreter import Program
+from repro.vm.interpreter import Program, _RunState
 from repro.vm.profiler import profile_run
 from tests.conftest import bits
 
@@ -240,3 +248,54 @@ class TestCheckpointDefault:
         assert steps[0] == steps[1] == steps[2]
         assert absent.interval == memo.interval == cached.interval == (
             auto_interval(absent.golden_steps))
+
+
+def build_trapping_module() -> Module:
+    """A loop whose bound comes from memory: a flipped bound hangs, a
+    flipped address crashes, and the duplicated sum detects."""
+    m = Module("trapping")
+    data = m.add_global("data", I64, 16, init=list(range(16)))
+    bound = m.add_global("bound", I64, 1, init=[24])
+    b = Builder.new_function(m, "main", [], VOID)
+    n = b.load(b.gep(bound, b.i64(0)), I64)
+    acc = b.local(I64, b.i64(0), hint="acc")
+    with b.for_loop(b.i64(0), n) as i:
+        x = b.load(b.gep(data, b.and_(i, b.i64(15))), I64)
+        b.set(acc, b.add(b.get(acc, I64), x))
+    b.emit_output(b.get(acc, I64))
+    b.ret()
+    return m.finalize()
+
+
+class TestTrapCycles:
+    """A trapped trial leaves nothing for the cyclic collector: neither the
+    injector nor a block handler nor a batch row keeps a traceback that
+    holds its own frame."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_trapped_trials_leave_no_cyclic_garbage(self, engine):
+        module = build_trapping_module()
+        golden = Program(module).run(profile=True)
+        adds = [i.iid for i in module.instructions() if i.opcode == "add"
+                and golden.instr_counts[i.iid]]
+        program = Program(duplicate_instructions(module, adds).module)
+        run_campaign(program, 20, seed=5, cache=False, workers=1,
+                     engine=engine)  # compiles every block first
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            counts = run_campaign(program, 300, seed=6, cache=False,
+                                  workers=1, engine=engine).counts.counts
+            gc.collect()
+            left = [type(o).__name__ for o in gc.garbage
+                    if isinstance(o, (_RunState, types.FrameType))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert counts[Outcome.CRASH] and counts[Outcome.HANG]
+        assert counts[Outcome.DETECTED]
+        assert left == []

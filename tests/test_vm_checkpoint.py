@@ -7,6 +7,7 @@ same steps, same trap behavior — for golden and faulty runs alike.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -17,10 +18,12 @@ from repro.errors import IRError, Trap
 from repro.fi.campaign import run_campaign
 from repro.fi.faultmodel import FaultSite, sample_fault_sites
 from repro.fi.injector import inject_one, inject_one_resumed
+from repro.fi.outcome import Outcome, classify_run
 from repro.ir.builder import Builder
 from repro.ir.module import Module
 from repro.ir.types import F64, I64, VOID
 from repro.util.rng import RngStream
+from repro.vm.batch import run_trials_lockstep
 from repro.vm.checkpoint import (
     CheckpointStore,
     auto_interval,
@@ -152,6 +155,9 @@ class TestGoldenReplay:
         )
         thawed: CheckpointStore = pickle.loads(pickle.dumps(store))
         assert len(thawed) == len(store)
+        # Touched segment sets travel with the snapshots, as to workers.
+        assert snapshot_bits(thawed.snapshots) == snapshot_bits(store.snapshots)
+        assert all(s.touched is not None for s in thawed.snapshots)
         r = callstack_program.resume(thawed.snapshots[-1])
         assert r.output == golden.output and r.steps == golden.steps
 
@@ -316,7 +322,8 @@ class TestConvergence:
     def test_signed_zero_in_memory_blocks_convergence(self):
         """A faulty run whose memory differs from golden only in the sign
         of a zero equals it under ``==``: convergence must compare the
-        bits of every segment the run wrote."""
+        bits of every segment the golden tail still touches, and may stop
+        only where it touches the corrupted one no more."""
         m = Module("signed_zero")
         g = m.add_global("cells", F64, 16)
         b = Builder.new_function(m, "main", [("n", I64)], VOID)
@@ -331,13 +338,20 @@ class TestConvergence:
         fault = FaultSpec(fmul, 5, 63)  # cells[4] becomes -0.0
         for prog in (Program(m), ReferenceProgram(m)):
             store = record_checkpoints(prog, args=[16], interval=12)
+            golden = prog.run(args=[16]).output
+            seg = prog.global_addr["cells"] >> SEG_SHIFT
             k = store.snapshot_index_for(fmul, 5)
             assert k >= 0
             cold = prog.resume(prog.entry_snapshot([16]), fault=fault)
             resumed = prog.resume(store.snapshots[k], fault=fault,
                                   convergence=store.convergence_from(k))
-            assert not resumed.converged
-            assert bits(resumed.output) == bits(cold.output)
+            output = resumed.output
+            if resumed.converged:
+                oracle = next(s for s in store.snapshots
+                              if s.steps == resumed.steps)
+                assert seg not in oracle.touched
+                output = output + golden[resumed.converged_output_len:]
+            assert bits(output) == bits(cold.output)
             assert cold.output[4] == float("-inf")
 
 
@@ -383,9 +397,12 @@ class TestSharedSegments:
         program = Program(app.module)
         store = record_checkpoints(program, args, bindings, profile=True)
         before = snapshot_bits(store.snapshots)
-        # The recording left the entry snapshot it started from as it was.
-        assert snapshot_bits(store.snapshots[:1]) == snapshot_bits(
-            [program.entry_snapshot(args, bindings)])
+        # The recording left the entry snapshot it started from as it was,
+        # and gave it the whole run's touched segments.
+        entry = store.snapshots[0]
+        assert snapshot_bits([dataclasses.replace(entry, touched=None)]) == (
+            snapshot_bits([program.entry_snapshot(args, bindings)]))
+        assert entry.touched >= store.snapshots[1].touched
         run_campaign(program, 200, seed=9, args=args, bindings=bindings,
                      checkpoints=store, cache=False, workers=1,
                      engine="scalar")
@@ -401,6 +418,42 @@ class TestSharedSegments:
             assert resumed_trial(reference, store, site, limit) == got, site
         assert snapshot_bits(store.snapshots) == before
         assert any(t is not None and t[0] == "MemoryFault" for t in trials)
+
+    @pytest.mark.parametrize("name", all_app_names())
+    def test_runs_leave_global_templates_intact(self, name):
+        """An entry snapshot maps each unbound global to its template list,
+        which every run shares and copies on write."""
+        app = cached_app(name)
+        args, bindings = app.encode(app.reference_input)
+        program = Program(app.module)
+        before = [(seg, bits(cells)) for seg, cells in program.global_template]
+        entry = program.entry_snapshot(args, bindings)
+        bound = {program.global_addr[g] >> SEG_SHIFT for g in bindings}
+        for seg, cells in program.global_template:
+            assert (entry.mem[seg] is cells) is (seg not in bound)
+        program.run(args, bindings)
+        golden = program.run(args, bindings, profile=True)
+
+        sites = pointer_faults(program, golden.instr_counts,
+                               random.Random(name), 3)
+
+        class Sticky:  # a defective core: pointers move by one cell
+            iids = {site.iid for site in sites}
+
+            def visit(self, iid, val):
+                return val ^ 1 if type(val) is int else val
+
+        try:
+            program.run(args, bindings, sticky=Sticky())
+        except Trap:
+            pass
+        record_checkpoints(program, args, bindings, profile=True)
+        for interval in ("auto", 0):
+            run_campaign(program, 60, seed=4, args=args, bindings=bindings,
+                         checkpoint_interval=interval, cache=False,
+                         workers=1, engine="scalar")
+        assert [(seg, bits(cells))
+                for seg, cells in program.global_template] == before
 
     def test_consecutive_snapshots_share_unwritten_segments(self):
         """kmeans keeps hundreds of segments alive; between two snapshots
@@ -479,3 +532,93 @@ class TestSharedSegments:
         # Both barrier paths trapped on both kinds of bad address.
         assert set(trapped) == {(True, True), (True, False), (False, True),
                                (False, False)}
+
+
+def build_parked_module(read_back: bool) -> Module:
+    """@main stores one product into ``@parked`` at its start, then runs a
+    loop over ``@data`` for ``n`` iterations and emits its sum. With
+    ``read_back`` it adds ``@parked[0]`` to the sum after the loop, many
+    checkpoint intervals after the store; without, nothing reads it."""
+    m = Module("parked")
+    parked = m.add_global("parked", F64, 4)
+    data = m.add_global("data", F64, 16, init=[float(i) for i in range(16)])
+    b = Builder.new_function(m, "main", [("n", I64)], VOID)
+    n = b.function.arg("n")
+    b.store(b.fmul(b.sitofp(n, F64), b.f64(2.0)), b.gep(parked, b.i64(0)))
+    acc = b.local(F64, b.f64(0.0), hint="acc")
+    with b.for_loop(b.i64(0), n) as i:
+        x = b.load(b.gep(data, b.and_(i, b.i64(15))), F64)
+        b.set(acc, b.fadd(b.get(acc, F64), x))
+    total = b.get(acc, F64)
+    if read_back:
+        total = b.fadd(total, b.load(b.gep(parked, b.i64(0)), F64))
+    b.emit_output(total)
+    b.ret()
+    return m.finalize()
+
+
+class TestTouchedSegments:
+    """A convergence check compares only the segments the golden run
+    touches after the oracle (``Snapshot.touched``)."""
+
+    @pytest.mark.parametrize("name", all_app_names())
+    def test_sets_shrink_and_cover_every_store(self, name):
+        app = cached_app(name)
+        args, bindings = app.encode(app.reference_input)
+        program = Program(app.module)
+        for interval in (None, 300):
+            snaps = record_checkpoints(program, args, bindings,
+                                       interval=interval).snapshots
+            assert len(snaps) > 2
+            for here, after in zip(snaps, snaps[1:]):
+                assert here.touched >= after.touched
+                # A store copies its segment, and an alloca makes one, so
+                # the next snapshot holds another list for each.
+                changed = {seg for seg, cells in after.mem.items()
+                           if here.mem.get(seg) is not cells}
+                assert changed
+                assert changed <= here.touched
+
+    @pytest.mark.parametrize("executor", [Program, ReferenceProgram])
+    def test_fault_in_an_untouched_segment_converges_at_the_next_oracle(
+        self, executor
+    ):
+        prog = executor(build_parked_module(read_back=False))
+        store = record_checkpoints(prog, args=[64], interval=32)
+        golden = prog.run(args=[64])
+        fmul = next(i.iid for i in prog.module.instructions()
+                    if i.opcode == "fmul")
+        parked = prog.global_addr["parked"] >> SEG_SHIFT
+        assert all(parked not in s.touched for s in store.snapshots[1:])
+        result = prog.resume(store.snapshots[0], fault=FaultSpec(fmul, 1, 52),
+                             convergence=store.convergence_from(0))
+        assert result.converged
+        assert result.steps == store.snapshots[1].steps
+        outcome = inject_one_resumed(prog, FaultSite(fmul, 1, 52), store,
+                                     golden.output, golden.steps)
+        assert outcome is Outcome.BENIGN
+
+    def test_a_segment_read_oracles_later_makes_an_sdc_on_every_executor(self):
+        module = build_parked_module(read_back=True)
+        fault = FaultSite(
+            next(i.iid for i in module.instructions() if i.opcode == "fmul"),
+            1, 52,
+        )
+        for prog in (Program(module), ReferenceProgram(module)):
+            store = record_checkpoints(prog, args=[64], interval=32)
+            golden = prog.run(args=[64])
+            parked = prog.global_addr["parked"] >> SEG_SHIFT
+            # The store comes first and the read back many oracles later.
+            holding = [s for s in store.snapshots[1:] if parked in s.touched]
+            assert len(holding) >= 3
+            assert [parked not in s.touched for s in store.snapshots[1:]] == (
+                [False] * len(holding)
+                + [True] * (len(store.snapshots) - 1 - len(holding)))
+            outcome = inject_one_resumed(prog, fault, store, golden.output,
+                                         golden.steps)
+            assert outcome is Outcome.SDC
+            results, _ = run_trials_lockstep(
+                prog, [fault], store.snapshots[0], golden.output,
+                store.convergence_from(0), golden.steps * 8 + 10_000)
+            (output, trap), = results
+            assert classify_run(golden.output, output, trap) is Outcome.SDC
